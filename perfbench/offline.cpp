@@ -351,7 +351,7 @@ runOffline(const Options &opt, Result &res)
 
     // Set-up, timed on its own and repeated so its median is steady:
     // one warm architecture context and one circuit per job.
-    constexpr int kSetupReps = 5;
+    constexpr int kSetupReps = 9;
     std::vector<double> setup_s, arch_s;
     std::vector<zac::Circuit> circuits;
     std::vector<CompileItem> items;
@@ -452,18 +452,7 @@ runOffline(const Options &opt, Result &res)
                                   ".json");
         return;
     }
-    std::vector<double> rate;
-    for (double s : pass_s)
-        rate.push_back(static_cast<double>(items.size()) / s);
-    const double compile_s = median(pass_s);
-    res.metric("compile_s", compile_s, "s");
-    // An offline workload has no request latencies: a job is one pass,
-    // and both latency metrics restate the median pass. A tail over a
-    // few dozen passes would measure the host's noise bursts, not the
-    // compiler.
-    res.metric("serve_p50_ms", compile_s * 1e3, "ms");
-    res.metric("serve_p99_ms", compile_s * 1e3, "ms");
-    res.metric("serve_jobs_per_s", median(rate), "1/s");
+    res.metric("compile_s", median(pass_s), "s");
     res.metric("setup_s", median(setup_s), "s");
     res.metric("peak_rss_mb", rss_mb, "MiB");
     res.metric("duration_us", duration_us, "us");
