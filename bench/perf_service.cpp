@@ -5,16 +5,18 @@
  *
  * Measurements, on the reference zoned architecture and the 17 paper
  * benchmark circuits:
- *  - sequential baseline: single-threaded ZacCompiler::compile over the
- *    whole job list (the denominator for every scaling figure);
+ *  - sequential baseline: single-threaded ZacCompiler::compileStreamed
+ *    with one reused CompileScratch over the whole job list, the same
+ *    work a service worker does per job (the denominator for every
+ *    scaling figure);
  *  - jobs/sec vs. worker count (cache disabled, so every job is a real
  *    compile) with queue-wait latency percentiles per worker count;
  *  - cache round-trip: the job list submitted twice with the cache
  *    enabled — the second round must be served entirely from the cache;
  *  - output identity: every service result (every worker count, and
- *    every cache-served result) must be bit-identical to the sequential
- *    reference, compared by serialized ZAIR program and the fidelity
- *    bit pattern;
+ *    every cache-served result) must be bit-identical to the DOM
+ *    reference (one untimed ZacCompiler::compile per circuit), compared
+ *    by serialized ZAIR program and the fidelity bit pattern;
  *  - chaos soak: the job list run under a deterministic FaultPlan
  *    (injected transient throws, mid-compile cancels, slow-worker
  *    stalls) with retry, in-flight dedup, and a persistent cache
@@ -35,23 +37,17 @@
  *    end-to-end latency percentiles and `latency_p99_normalized` —
  *    p99 over the mean sequential per-job compile time — as the
  *    machine-independent CI gate.
- *  - streamed vs DOM (ISSUE 9): every circuit compiled through the
- *    zero-DOM streaming path (compileStreamed with verify_with_dom on,
- *    reusing one CompileScratch across jobs) must be byte-identical to
- *    the sequential DOM reference;
- *  - cold vs warm (ISSUE 9): the full job list run through the service
- *    twice at the default worker count with the cache disabled — once
- *    with streaming and warm per-architecture contexts off (the legacy
- *    cost structure) and once with both on — reporting jobs/sec for
- *    each, the warm/cold speedup, and a determinism flag asserting
- *    both runs are bit-identical to the reference.
+ *  - streamed vs DOM: every circuit compiled through the zero-DOM
+ *    streaming path (compileStreamed with verify_with_dom on, reusing
+ *    one CompileScratch across jobs) must be byte-identical to the DOM
+ *    reference.
  *
  * Results are written as machine-readable JSON (schema
  * zac.perf_service.v4, documented in bench/README.md). The CI gate
  * reads `scaling_overhead` — parallel seconds at the largest worker
  * count, normalized by the ideal-scaling expectation
- * sequential/min(workers, cores) — plus the chaos-soak, churn,
- * streamed-identity, and warm-determinism invariant flags.
+ * sequential/min(workers, cores) — plus the chaos-soak, churn, and
+ * streamed-identity invariant flags.
  *
  * Usage: perf_service [output.json] [--fast] [--chaos]
  *   --fast   CI smoke mode: fewer repeat rounds per measurement.
@@ -203,16 +199,17 @@ main(int argc, char **argv)
     const int total_jobs = jobs_per_round * rounds;
 
     // ------------------------------------------- sequential baseline
+    // The DOM reference signatures are computed untimed; the timed
+    // loop does what one service worker does per job.
     const ZacCompiler compiler(arch, opts);
     std::map<std::string, std::string> reference; // name -> signature
+    for (const Circuit &c : circuits)
+        reference[c.name()] = resultSignature(compiler.compile(c));
+    CompileScratch seq_scratch;
     const double seq_t0 = nowSeconds();
-    for (int round = 0; round < rounds; ++round) {
-        for (const Circuit &c : circuits) {
-            const ZacResult r = compiler.compile(c);
-            if (round == 0)
-                reference[c.name()] = resultSignature(r);
-        }
-    }
+    for (int round = 0; round < rounds; ++round)
+        for (const Circuit &c : circuits)
+            (void)compiler.compileStreamed(c, {}, &seq_scratch);
     const double sequential_seconds = nowSeconds() - seq_t0;
     const double sequential_jps =
         static_cast<double>(total_jobs) / sequential_seconds;
@@ -318,55 +315,6 @@ main(int argc, char **argv)
     std::printf("\nscaling overhead at %d workers (1.0 = ideal on %u "
                 "cores): %.3f\n\n",
                 max_workers, hw, scaling_overhead);
-
-    // ------------------------------------------------- cold vs warm
-    // Cold: the legacy cost structure — DOM compile then serialize,
-    // per-service context derivation, no warm pool. Warm: the
-    // zero-DOM streamed path with pooled contexts and per-worker
-    // scratch reuse. Same job list, same worker count; both modes
-    // must stay bit-identical to the sequential reference.
-    bool warm_vs_cold_deterministic = true;
-    double cold_seconds = 0.0, warm_seconds = 0.0;
-    const int wc_workers = defaultWorkers(hw);
-    for (const bool warm : {false, true}) {
-        std::uint64_t wc_mismatches = 0;
-        CompileService::Config config;
-        config.num_workers = wc_workers;
-        config.queue_capacity = 64;
-        config.cache_capacity = 0; // every job is a real compile
-        config.streamed = warm;
-        config.warm_contexts = warm;
-        CompileService svc(
-            {CompileTarget{"ref-full", arch, opts}}, config,
-            [&](const JobRecord &rec) {
-                if (rec.status != JobStatus::Done ||
-                    resultSignature(*rec.result) !=
-                        reference[rec.name])
-                    ++wc_mismatches;
-            });
-        const double t0 = nowSeconds();
-        for (int round = 0; round < rounds; ++round)
-            for (const Circuit &c : circuits)
-                svc.submit({c.name(), c, 0, {}, 0.0});
-        svc.drain();
-        const double seconds = nowSeconds() - t0;
-        svc.shutdown();
-        (warm ? warm_seconds : cold_seconds) = seconds;
-        if (wc_mismatches > 0) {
-            warm_vs_cold_deterministic = false;
-            outputs_identical = false;
-        }
-    }
-    const double cold_jps =
-        static_cast<double>(total_jobs) / cold_seconds;
-    const double warm_jps =
-        static_cast<double>(total_jobs) / warm_seconds;
-    const double warm_speedup = cold_seconds / warm_seconds;
-    std::printf("cold vs warm at %d workers: cold %.2f jobs/s, warm "
-                "%.2f jobs/s (%.2fx), outputs %s\n\n",
-                wc_workers, cold_jps, warm_jps, warm_speedup,
-                warm_vs_cold_deterministic ? "bit-identical"
-                                           : "MISMATCHED");
 
     // -------------------------------------------------- cache round
     std::uint64_t cache_mismatches = 0;
@@ -801,16 +749,6 @@ main(int argc, char **argv)
         {"circuits", jobs_per_round},
         {"identical", streamed_vs_dom_identical},
     };
-    doc["warm_vs_cold"] = json::Object{
-        {"workers", wc_workers},
-        {"jobs", total_jobs},
-        {"cold_seconds", cold_seconds},
-        {"cold_jobs_per_second", cold_jps},
-        {"warm_seconds", warm_seconds},
-        {"warm_jobs_per_second", warm_jps},
-        {"speedup", warm_speedup},
-        {"deterministic", warm_vs_cold_deterministic},
-    };
     doc["cache"] = json::Object{
         {"submitted", static_cast<std::int64_t>(cache_stats.hits +
                                                 cache_stats.misses)},
@@ -889,8 +827,7 @@ main(int argc, char **argv)
     std::printf("wrote %s\n", out_path.c_str());
 
     return (outputs_identical && streamed_vs_dom_identical &&
-            warm_vs_cold_deterministic && second_all_hits &&
-            chaos_ok && churn_ok)
+            second_all_hits && chaos_ok && churn_ok)
                ? 0
                : 1;
 }

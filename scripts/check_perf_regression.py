@@ -21,32 +21,29 @@ Supported schemas (--schema selects one explicitly; without the flag
 the committed file's own schema tag is used, and both files must
 carry the same tag either way):
 
-  zac.perf_placement.v4 (and v3, v2, v1)
+  zac.perf_placement.v4
       Metric: ``compile_total_seconds`` normalized by the frozen
       ``zac::legacy`` SA total. The committed JSON is usually measured
       on different hardware than the CI runner, so raw seconds are not
       comparable; the legacy SA implementation never changes, making
       the ratio a machine-speed control that isolates genuine compiler
       regressions. Also gates on ``sa_outputs_identical``,
-      (v2+) ``dynamic_outputs_identical``, (v3+)
-      ``sched_fid_outputs_identical``, and (v4)
-      ``sa_multi_seed_deterministic`` plus a floor of 2.0x on
+      ``dynamic_outputs_identical``, ``sched_fid_outputs_identical``
+      and ``sa_multi_seed_deterministic``, plus a floor of 2.0x on
       ``sa_incremental_speedup`` (the incremental SA engine vs. the
       frozen legacy reference).
 
-  zac.perf_service.v4 (and v3, v2, v1)
+  zac.perf_service.v4
       Metric: ``scaling_overhead`` — wall seconds of the batch
       compile-service run at the largest worker count, normalized by
       the ideal-scaling expectation sequential/min(workers, cores)
       measured in the same run (1.0 = perfect scaling on that
       machine's cores, so the figure is machine-portable). Also gates
-      on ``outputs_identical`` and ``cache.second_round_all_hits``;
-      v2+ additionally gates on the chaos-soak invariants
-      (``chaos.*``), v3+ on the zac_serve client-churn invariants
-      (``churn.*``) plus a dedicated 2.0x ratio gate on fresh vs.
-      committed ``churn.latency_p99_normalized``, and v4 on the
-      zero-DOM streaming invariants ``streamed_vs_dom.identical`` and
-      ``warm_vs_cold.deterministic``.
+      on ``outputs_identical``, ``cache.second_round_all_hits``, the
+      chaos-soak invariants (``chaos.*``), the zac_serve client-churn
+      invariants (``churn.*``) and ``streamed_vs_dom.identical``, plus
+      a dedicated 2.0x ratio gate on fresh vs. committed
+      ``churn.latency_p99_normalized``.
 
   zac.perf_scaling.v1
       The workload-scaling sweep (bench/perf_scaling.cpp): per-family
@@ -86,11 +83,11 @@ import math
 import os
 import sys
 
-# Floor on the placement-v4 incremental-SA headline figure (ISSUE 5
-# acceptance: >= 2x geomean vs. the frozen zac::legacy reference).
+# Floor on the placement-v4 incremental-SA headline figure (>= 2x
+# geomean vs. the frozen zac::legacy reference).
 SA_INCREMENTAL_SPEEDUP_FLOOR = 2.0
 # Max allowed fresh/committed ratio on churn.latency_p99_normalized
-# (service v3+). Looser than the headline threshold: tail latency
+# (service v4). Looser than the headline threshold: tail latency
 # under 200 concurrent clients is noisier than aggregate throughput,
 # and the committed figure may come from a different core count.
 CHURN_LATENCY_THRESHOLD = 2.0
@@ -439,14 +436,6 @@ def summary_rows_service(committed, fresh):
                 "latency_p99_normalized", "cache_hits", "failures"):
         if key in cu or key in fu:
             rows.append((f"churn: {key}", cu.get(key), fu.get(key)))
-    cw = committed.get("warm_vs_cold", {})
-    fw = fresh.get("warm_vs_cold", {})
-    for key in ("cold_jobs_per_second", "warm_jobs_per_second",
-                "speedup"):
-        if key in cw or key in fw:
-            rows.append(
-                (f"warm_vs_cold: {key}", cw.get(key), fw.get(key))
-            )
     return [r for r in rows if r[1] is not None or r[2] is not None]
 
 
@@ -497,69 +486,36 @@ class SchemaSpec:
         self.extra_gates = tuple(extra_gates)
 
 
-_PLACEMENT_FLAGS_V1 = ("sa_outputs_identical",)
-_PLACEMENT_FLAGS_V2 = _PLACEMENT_FLAGS_V1 + ("dynamic_outputs_identical",)
-_PLACEMENT_FLAGS_V3 = _PLACEMENT_FLAGS_V2 + (
-    "sched_fid_outputs_identical",
-)
-_PLACEMENT_FLAGS_V4 = _PLACEMENT_FLAGS_V3 + (
-    "sa_multi_seed_deterministic",
-)
-_SERVICE_FLAGS_V1 = (
-    "outputs_identical",
-    "cache.second_round_all_hits",
-)
-_SERVICE_FLAGS_V2 = _SERVICE_FLAGS_V1 + (
-    "chaos.terminal_records_exactly_once",
-    "chaos.outputs_identical",
-    "chaos.warm_start_served_from_snapshot",
-    "chaos.corruption_tolerated",
-)
-_SERVICE_FLAGS_V3 = _SERVICE_FLAGS_V2 + (
-    "churn.exactly_once_per_connection",
-    "churn.outputs_identical_offline",
-    "churn.drained_clean",
-)
-_SERVICE_FLAGS_V4 = _SERVICE_FLAGS_V3 + (
-    "streamed_vs_dom.identical",
-    "warm_vs_cold.deterministic",
-)
-
-
-def _placement_spec(flag_keys, extra_gates=()):
-    return SchemaSpec(
+SCHEMAS = {
+    "zac.perf_placement.v4": SchemaSpec(
         metric=placement_metric,
         metric_name="compile_total_seconds (legacy-SA-normalized)",
-        flag_keys=flag_keys,
+        flag_keys=(
+            "sa_outputs_identical",
+            "dynamic_outputs_identical",
+            "sched_fid_outputs_identical",
+            "sa_multi_seed_deterministic",
+        ),
         summary_rows=summary_rows_placement,
-        extra_gates=extra_gates,
-    )
-
-
-def _service_spec(flag_keys, extra_gates=()):
-    return SchemaSpec(
+        extra_gates=(gate_sa_incremental_floor,),
+    ),
+    "zac.perf_service.v4": SchemaSpec(
         metric=service_metric,
         metric_name="scaling_overhead (ideal-scaling-normalized)",
-        flag_keys=flag_keys,
+        flag_keys=(
+            "outputs_identical",
+            "cache.second_round_all_hits",
+            "chaos.terminal_records_exactly_once",
+            "chaos.outputs_identical",
+            "chaos.warm_start_served_from_snapshot",
+            "chaos.corruption_tolerated",
+            "churn.exactly_once_per_connection",
+            "churn.outputs_identical_offline",
+            "churn.drained_clean",
+            "streamed_vs_dom.identical",
+        ),
         summary_rows=summary_rows_service,
-        extra_gates=extra_gates,
-    )
-
-
-SCHEMAS = {
-    "zac.perf_placement.v1": _placement_spec(_PLACEMENT_FLAGS_V1),
-    "zac.perf_placement.v2": _placement_spec(_PLACEMENT_FLAGS_V2),
-    "zac.perf_placement.v3": _placement_spec(_PLACEMENT_FLAGS_V3),
-    "zac.perf_placement.v4": _placement_spec(
-        _PLACEMENT_FLAGS_V4, (gate_sa_incremental_floor,)
-    ),
-    "zac.perf_service.v1": _service_spec(_SERVICE_FLAGS_V1),
-    "zac.perf_service.v2": _service_spec(_SERVICE_FLAGS_V2),
-    "zac.perf_service.v3": _service_spec(
-        _SERVICE_FLAGS_V3, (gate_churn_latency,)
-    ),
-    "zac.perf_service.v4": _service_spec(
-        _SERVICE_FLAGS_V4, (gate_churn_latency,)
+        extra_gates=(gate_churn_latency,),
     ),
     "zac.perf_scaling.v1": SchemaSpec(
         metric=None,

@@ -26,18 +26,16 @@ secondsSince(CompileClock::time_point t0, CompileClock::time_point t1)
 }
 
 /**
- * Sink of the zero-DOM path: every finalized instruction is checked,
- * counted, fidelity-accumulated, and serialized in one pass. With a
- * non-null @p dom it also tees into a ZairProgram so test mode can
- * assert the streamed bytes against the DOM dump.
+ * The pipeline's one sink: every finalized instruction is checked,
+ * counted and fidelity-accumulated, then serialized when @p writer is
+ * non-null and appended to the DOM when @p dom is non-null.
  */
-class StreamingSink final : public ZairInstrSink
+class PipelineSink final : public ZairInstrSink
 {
   public:
-    StreamingSink(ZairStreamWriter &writer, ZairInvariantChecker &checker,
-                  ZairStatsAccumulator &stats, FidelityAccumulator &fid,
-                  ZairProgram *dom)
-        : writer_(writer), checker_(checker), stats_(stats), fid_(fid),
+    PipelineSink(const Architecture &arch, int num_qubits,
+                 ZairStreamWriter *writer, ZairProgram *dom)
+        : checker(num_qubits), fid(arch, num_qubits), writer_(writer),
           dom_(dom)
     {
     }
@@ -45,19 +43,21 @@ class StreamingSink final : public ZairInstrSink
     void
     onInstr(ZairInstr &&instr) override
     {
-        checker_.feed(instr);
-        stats_.feed(instr);
-        fid_.feed(instr);
-        writer_.add(instr);
+        checker.feed(instr);
+        stats.feed(instr);
+        fid.feed(instr);
+        if (writer_ != nullptr)
+            writer_->add(instr);
         if (dom_ != nullptr)
             dom_->instrs.push_back(std::move(instr));
     }
 
+    ZairInvariantChecker checker;
+    ZairStatsAccumulator stats;
+    FidelityAccumulator fid;
+
   private:
-    ZairStreamWriter &writer_;
-    ZairInvariantChecker &checker_;
-    ZairStatsAccumulator &stats_;
-    FidelityAccumulator &fid_;
+    ZairStreamWriter *writer_;
     ZairProgram *dom_;
 };
 
@@ -79,29 +79,6 @@ ArchContext::build(Architecture arch)
     return ctx;
 }
 
-ZacStreamedResult
-streamedResultFromDom(const ZacResult &result)
-{
-    ZacStreamedResult out;
-    out.circuit_name = result.program.circuit_name;
-    out.arch_name = result.program.arch_name;
-    out.num_qubits = result.program.num_qubits;
-    out.program_json = zairProgramToJson(result.program).dump();
-    const ZairNameSpan span =
-        zairCompactNameSpan(out.circuit_name, out.arch_name);
-    out.name_off = span.offset;
-    out.name_len = span.length;
-    if (out.program_json.compare(
-            out.name_off, out.name_len,
-            json::Value(out.circuit_name).dump()) != 0)
-        panic("streamedResultFromDom: compact name span mismatch");
-    out.stats = result.program.stats();
-    out.fidelity = result.fidelity;
-    out.compile_seconds = result.compile_seconds;
-    out.phases = result.phases;
-    return out;
-}
-
 ZacCompiler::ZacCompiler(Architecture arch, ZacOptions opts)
     : ZacCompiler(ArchContext::build(std::move(arch)), opts)
 {
@@ -116,75 +93,25 @@ ZacCompiler::ZacCompiler(std::shared_ptr<const ArchContext> context,
 }
 
 ZacResult
-ZacCompiler::compile(const Circuit &circuit) const
-{
-    return compile(circuit, CompileControl{});
-}
-
-ZacResult
 ZacCompiler::compile(const Circuit &circuit,
                      const CompileControl &control) const
 {
     control.checkpoint("preprocess");
     const Circuit pre = preprocess(circuit);
-    StagedCircuit staged = scheduleStages(pre, arch().numSites());
-    return compileStaged(staged, control);
-}
-
-ZacResult
-ZacCompiler::compileStaged(const StagedCircuit &staged) const
-{
-    return compileStaged(staged, CompileControl{});
+    return compileStaged(scheduleStages(pre, arch().numSites()), control);
 }
 
 ZacResult
 ZacCompiler::compileStaged(const StagedCircuit &staged,
                            const CompileControl &control) const
 {
-    const Architecture &arch_ = context_->arch;
-    if (staged.numQubits > arch_.numStorageTraps())
-        fatal("ZacCompiler: more qubits than storage traps");
-    for (const RydbergStage &s : staged.rydberg)
-        if (static_cast<int>(s.gates.size()) > arch_.numSites())
-            fatal("ZacCompiler: a stage exceeds the Rydberg site count; "
-                  "re-stage with the architecture's capacity");
-
-    const auto start = CompileClock::now();
-
     ZacResult result;
+    const ZacStreamedResult r = runStaged(staged, control, nullptr, false,
+                                          &result.program, &result.plan);
     result.staged = staged;
-
-    control.checkpoint("sa");
-    SaOptions sa;
-    sa.max_iterations = opts_.sa_iterations;
-    sa.seed = opts_.seed;
-    sa.num_seeds = opts_.sa_num_seeds;
-    sa.num_threads = opts_.sa_threads;
-    // The per-seed poll keeps multi-seed SA batches cancellable at
-    // seed granularity without re-announcing the phase.
-    const std::vector<TrapRef> initial =
-        opts_.use_sa_init
-            ? saInitialPlacement(arch_, staged, sa,
-                                 [&control] { control.poll(); })
-            : trivialInitialPlacement(arch_, staged.numQubits);
-    const auto t_sa = CompileClock::now();
-
-    control.checkpoint("placement");
-    result.plan = runDynamicPlacement(arch_, staged, initial, opts_,
-                                      &result.phases.placement);
-    const auto t_place = CompileClock::now();
-    control.checkpoint("scheduling");
-    result.program = scheduleProgram(arch_, staged, result.plan);
-    const auto t_sched = CompileClock::now();
-    control.checkpoint("fidelity");
-    result.fidelity = evaluateFidelity(result.program, arch_);
-
-    const auto end = CompileClock::now();
-    result.phases.sa_seconds = secondsSince(start, t_sa);
-    result.phases.placement_seconds = secondsSince(t_sa, t_place);
-    result.phases.scheduling_seconds = secondsSince(t_place, t_sched);
-    result.phases.fidelity_seconds = secondsSince(t_sched, end);
-    result.compile_seconds = secondsSince(start, end);
+    result.fidelity = r.fidelity;
+    result.compile_seconds = r.compile_seconds;
+    result.phases = r.phases;
     return result;
 }
 
@@ -196,16 +123,17 @@ ZacCompiler::compileStreamed(const Circuit &circuit,
 {
     control.checkpoint("preprocess");
     const Circuit pre = preprocess(circuit);
-    StagedCircuit staged = scheduleStages(pre, arch().numSites());
-    return compileStagedStreamed(staged, control, scratch,
-                                 verify_with_dom);
+    const StagedCircuit staged = scheduleStages(pre, arch().numSites());
+    ZairProgram dom;
+    return runStaged(staged, control, scratch, true,
+                     verify_with_dom ? &dom : nullptr, nullptr);
 }
 
 ZacStreamedResult
-ZacCompiler::compileStagedStreamed(const StagedCircuit &staged,
-                                   const CompileControl &control,
-                                   CompileScratch *scratch,
-                                   bool verify_with_dom) const
+ZacCompiler::runStaged(const StagedCircuit &staged,
+                       const CompileControl &control,
+                       CompileScratch *scratch, bool serialize,
+                       ZairProgram *dom, PlacementPlan *plan_out) const
 {
     const Architecture &arch_ = context_->arch;
     if (staged.numQubits > arch_.numStorageTraps())
@@ -223,9 +151,10 @@ ZacCompiler::compileStagedStreamed(const StagedCircuit &staged,
     sa.seed = opts_.seed;
     sa.num_seeds = opts_.sa_num_seeds;
     sa.num_threads = opts_.sa_threads;
-    // Warm path: the proximity order comes from the shared context and
-    // the annealer buffers from the worker's scratch — both value-reset
-    // per compile, so the placement is bit-identical to the cold path.
+    // The proximity order comes from the shared context and the
+    // annealer buffers from the caller's scratch; both are value-reset
+    // per compile. The per-seed poll keeps multi-seed SA batches
+    // cancellable at seed granularity without re-announcing the phase.
     const std::vector<TrapRef> initial =
         opts_.use_sa_init
             ? saInitialPlacementPrepared(
@@ -238,59 +167,47 @@ ZacCompiler::compileStagedStreamed(const StagedCircuit &staged,
 
     control.checkpoint("placement");
     ZacStreamedResult result;
-    const PlacementPlan plan = runDynamicPlacement(
-        arch_, staged, initial, opts_, &result.phases.placement);
+    PlacementPlan plan = runDynamicPlacement(arch_, staged, initial, opts_,
+                                             &result.phases.placement);
     const auto t_place = CompileClock::now();
 
     control.checkpoint("scheduling");
     result.circuit_name = staged.name;
     result.arch_name = arch_.name();
     result.num_qubits = staged.numQubits;
-
-    ZairProgram dom;
-    if (verify_with_dom) {
-        dom.circuit_name = staged.name;
-        dom.arch_name = arch_.name();
-        dom.num_qubits = staged.numQubits;
+    if (dom != nullptr) {
+        dom->circuit_name = result.circuit_name;
+        dom->arch_name = result.arch_name;
+        dom->num_qubits = result.num_qubits;
     }
-
     std::ostringstream os;
     ZairStreamWriter writer(os, 0);
-    ZairInvariantChecker checker(staged.numQubits);
-    ZairStatsAccumulator stats;
-    FidelityAccumulator fid(arch_, staged.numQubits);
-    StreamingSink sink(writer, checker, stats, fid,
-                       verify_with_dom ? &dom : nullptr);
-
-    writer.begin(result.circuit_name, result.arch_name,
-                 result.num_qubits);
+    PipelineSink sink(arch_, staged.numQubits,
+                      serialize ? &writer : nullptr, dom);
+    if (serialize)
+        writer.begin(result.circuit_name, result.arch_name,
+                     result.num_qubits);
     scheduleProgramToSink(
         arch_, staged, plan, sink,
         scratch != nullptr ? &scratch->scheduler : nullptr);
-    writer.end();
-    checker.finish();
+    if (serialize)
+        writer.end();
+    sink.checker.finish();
     const auto t_sched = CompileClock::now();
 
     control.checkpoint("fidelity");
-    result.fidelity = fid.finish();
-    result.stats = stats.finish();
-    result.program_json = os.str();
-
-    const ZairNameSpan span =
-        zairCompactNameSpan(result.circuit_name, result.arch_name);
-    result.name_off = span.offset;
-    result.name_len = span.length;
-    if (result.program_json.compare(
-            result.name_off, result.name_len,
-            json::Value(result.circuit_name).dump()) != 0)
-        panic("compileStagedStreamed: compact name span mismatch");
-
-    if (verify_with_dom) {
-        dom.checkInvariants();
-        const std::string dom_bytes = zairProgramToJson(dom).dump();
-        if (dom_bytes != result.program_json)
-            panic("compileStagedStreamed: streamed bytes differ from "
-                  "the DOM dump");
+    result.fidelity = sink.fid.finish();
+    result.stats = sink.stats.finish();
+    if (serialize) {
+        result.program_json = os.str();
+        const ZairNameSpan span =
+            zairCompactNameSpan(result.circuit_name, result.arch_name);
+        result.name_off = span.offset;
+        result.name_len = span.length;
+        if (result.program_json.compare(
+                result.name_off, result.name_len,
+                json::Value(result.circuit_name).dump()) != 0)
+            panic("ZacCompiler: compact name span mismatch");
     }
 
     const auto end = CompileClock::now();
@@ -299,6 +216,14 @@ ZacCompiler::compileStagedStreamed(const StagedCircuit &staged,
     result.phases.scheduling_seconds = secondsSince(t_place, t_sched);
     result.phases.fidelity_seconds = secondsSince(t_sched, end);
     result.compile_seconds = secondsSince(start, end);
+
+    // Test mode compares after the last timestamp, so the timings
+    // above measure the production path even here.
+    if (serialize && dom != nullptr &&
+        zairProgramToJson(*dom).dump() != result.program_json)
+        panic("ZacCompiler: streamed bytes differ from the DOM dump");
+    if (plan_out != nullptr)
+        *plan_out = std::move(plan);
     return result;
 }
 

@@ -5,6 +5,21 @@
  * Pipeline: preprocessing (resynthesis to {CZ, U3}, 1Q optimization,
  * ASAP staging) -> reuse-aware placement -> load-balancing scheduling ->
  * timed ZAIR program + fidelity report.
+ *
+ * Every entry point runs one staged body: validate the staged circuit,
+ * SA initial placement on the context's cached storage-proximity order,
+ * dynamic placement, then scheduleProgramToSink() into one sink. For
+ * each instruction the scheduler finalizes, the sink checks the ZAIR
+ * invariants, counts the program statistics and accumulates the
+ * fidelity estimate, then serializes the instruction into the compact
+ * ZAIR/JSON bytes, appends it to a ZairProgram DOM, or both, as the
+ * entry point asks:
+ *  - compile() / compileStaged(): the DOM only (ZacResult);
+ *  - compileStreamed(): the bytes only (ZacStreamedResult), plus the
+ *    DOM in verify_with_dom test mode, where the bytes are compared
+ *    against the DOM dump after the timed region.
+ * Both outputs come from one instruction stream, so the streamed bytes
+ * equal zairProgramToJson(program).dump() by construction.
  */
 
 #ifndef ZAC_CORE_COMPILER_HPP
@@ -32,7 +47,7 @@ namespace zac
 {
 
 /**
- * Thrown by compile()/compileStaged() when a CompileControl reports
+ * Thrown by the compile entry points when a CompileControl reports
  * cancellation or an expired deadline between pipeline phases. Distinct
  * from FatalError/PanicError: the inputs and the compiler are both fine,
  * the caller simply asked for the work to stop.
@@ -112,8 +127,10 @@ struct CompilePhaseTimings
 {
     double sa_seconds = 0.0;          ///< initial placement (SA/trivial)
     double placement_seconds = 0.0;   ///< runDynamicPlacement total
-    double scheduling_seconds = 0.0;  ///< scheduleProgram
-    double fidelity_seconds = 0.0;    ///< evaluateFidelity
+    /** scheduleProgramToSink plus the per-instruction sink work
+     *  (checks, stats, fidelity, serialization or DOM append). */
+    double scheduling_seconds = 0.0;
+    double fidelity_seconds = 0.0;    ///< finishing the accumulators
     /** Fine-grained dynamic-placement breakdown (reuse matching, gate
      *  placement, movement) measured inside runDynamicPlacement. */
     PlacementProfile placement;
@@ -151,9 +168,6 @@ struct ZacStreamedResult
     double compile_seconds = 0.0;  ///< wall-clock compilation time
     CompilePhaseTimings phases;    ///< per-phase wall-clock breakdown
 };
-
-/** Convert a DOM compile result to the streamed record shape. */
-ZacStreamedResult streamedResultFromDom(const ZacResult &result);
 
 /**
  * Everything about one architecture that every compile re-derived
@@ -209,50 +223,50 @@ class ZacCompiler
     }
     const ZacOptions &options() const { return opts_; }
 
-    /** Full pipeline from a raw (any gate set) circuit. */
-    ZacResult compile(const Circuit &circuit) const;
-
     /**
-     * Full pipeline with a cooperative control handle: @p control is
-     * checkpointed between phases and may cancel the compile (throws
-     * CompileCancelled) or observe phase progress.
+     * Full pipeline from a raw (any gate set) circuit to the ZairProgram
+     * DOM. @p control is checkpointed between phases and may cancel the
+     * compile (throws CompileCancelled) or observe phase progress.
      */
     ZacResult compile(const Circuit &circuit,
-                      const CompileControl &control) const;
+                      const CompileControl &control = {}) const;
 
     /**
      * Pipeline from an already-staged circuit (used by the FTQC logical
      * compilation, which stages transversal gates itself).
      */
-    ZacResult compileStaged(const StagedCircuit &staged) const;
-
-    /** Staged-circuit pipeline with a cooperative control handle. */
     ZacResult compileStaged(const StagedCircuit &staged,
-                            const CompileControl &control) const;
+                            const CompileControl &control = {}) const;
 
     /**
-     * Zero-DOM pipeline: streams the scheduler's instructions straight
-     * into the compact ZAIR/JSON serialization, accumulating stats,
-     * invariants, and fidelity per instruction — no ZairProgram is
-     * materialized. Byte-identical to serializing the DOM result.
+     * Full pipeline to the compact ZAIR/JSON bytes, the production path:
+     * no ZairProgram is materialized. Byte-identical to serializing
+     * compile()'s program.
      *
      * @param scratch         reusable per-worker buffers (may be null).
-     * @param verify_with_dom also build the DOM alongside and panic
-     *        unless the streamed bytes equal the DOM dump (test mode).
+     * @param verify_with_dom also build the DOM and panic unless the
+     *        streamed bytes equal its dump (test mode; the comparison
+     *        runs after the timed region).
      */
     ZacStreamedResult compileStreamed(const Circuit &circuit,
-                                      const CompileControl &control,
+                                      const CompileControl &control = {},
                                       CompileScratch *scratch = nullptr,
                                       bool verify_with_dom = false) const;
 
-    /** Staged-circuit variant of compileStreamed(). */
-    ZacStreamedResult
-    compileStagedStreamed(const StagedCircuit &staged,
-                          const CompileControl &control,
-                          CompileScratch *scratch = nullptr,
-                          bool verify_with_dom = false) const;
-
   private:
+    /**
+     * The one staged body behind every entry point. The result's bytes
+     * are filled when @p serialize is set; the instructions are
+     * appended to @p dom when it is non-null; with both, the bytes are
+     * checked against the DOM dump after the last timestamp. @p plan,
+     * when non-null, receives the placement plan.
+     */
+    ZacStreamedResult runStaged(const StagedCircuit &staged,
+                                const CompileControl &control,
+                                CompileScratch *scratch, bool serialize,
+                                ZairProgram *dom,
+                                PlacementPlan *plan) const;
+
     std::shared_ptr<const ArchContext> context_;
     ZacOptions opts_;
 };

@@ -23,8 +23,9 @@
  *
  * Two entry points share one implementation: scheduleProgram() builds
  * the ZairProgram DOM, scheduleProgramToSink() hands each instruction
- * to a ZairInstrSink as it is finalized (zero-DOM streaming for the
- * compile service). The instruction sequence is identical either way.
+ * to a ZairInstrSink as it is finalized (the compiler's staged body
+ * uses it for every entry point). The instruction sequence is
+ * identical either way.
  */
 
 #ifndef ZAC_CORE_SCHEDULER_HPP

@@ -61,17 +61,10 @@ CompileService::CompileService(std::vector<CompileTarget> targets,
     targets_.reserve(targets.size());
     for (CompileTarget &t : targets) {
         TargetState st;
-        // Warm contexts come from the process-wide pool, so repeated
+        // Contexts come from the process-wide pool, so repeated
         // constructions against one architecture (restarts, the churn
-        // bench) share a single build; the cold path keeps the legacy
-        // per-service derivation for an honest baseline.
-        st.context = config_.warm_contexts
-                         ? WarmContextPool::global().acquire(t.arch)
-                         : ArchContext::build(t.arch);
-        st.arch_fingerprint = st.context->fingerprint;
-        st.options_digest = t.opts.digest();
-        st.compiler =
-            std::make_shared<const ZacCompiler>(st.context, t.opts);
+        // bench) share a single build.
+        st.context = WarmContextPool::global().acquire(t.arch);
         st.target = std::move(t);
         targets_.push_back(std::move(st));
     }
@@ -357,7 +350,7 @@ CompileService::runJob(Job &job, CompileScratch &scratch)
     ZacOptions opts = ts.target.opts;
     if (job.seed)
         opts.seed = *job.seed;
-    const CacheKey key{record.circuit_hash, ts.arch_fingerprint,
+    const CacheKey key{record.circuit_hash, ts.context->fingerprint,
                        opts.digest()};
 
     if (job.cancel_flag->load(std::memory_order_relaxed)) {
@@ -451,37 +444,13 @@ CompileService::runJob(Job &job, CompileScratch &scratch)
                 "injected transient fault (job " +
                 std::to_string(job.id) + ", attempt " +
                 std::to_string(job.attempt) + ")");
-        // Zero-DOM default: stream the scheduler's output straight
-        // into the serialized bytes with the worker's reusable
-        // scratch. The cold configuration keeps the legacy pipeline
-        // (DOM compile, then serialize) as a faithful baseline —
-        // either way the bytes delivered are identical.
-        const auto runCompile =
-            [&](const ZacCompiler &compiler) -> ZacStreamedResult {
-            if (config_.streamed)
-                return compiler.compileStreamed(
-                    job.circuit, control, &scratch,
-                    config_.verify_streamed);
-            return streamedResultFromDom(
-                compiler.compile(job.circuit, control));
-        };
-        ZacStreamedResult result;
-        if (job.seed && config_.warm_contexts) {
-            // Seed override, warm: rebind the shared context to the
-            // derived options — no architecture copy, no rebuild.
-            const ZacCompiler compiler(ts.context, opts);
-            result = runCompile(compiler);
-        } else if (job.seed) {
-            // Seed override, cold: a per-job compiler bound to the
-            // derived options (copies the architecture and re-derives
-            // its tables; the legacy cost structure).
-            const ZacCompiler compiler(ts.target.arch, opts);
-            result = runCompile(compiler);
-        } else {
-            result = runCompile(*ts.compiler);
-        }
+        // Stream the scheduler's output straight into the serialized
+        // bytes with the worker's reusable scratch, binding the
+        // target's shared context to the job's effective options (no
+        // architecture copy, no rebuild, seed override or not).
         auto shared = std::make_shared<const ZacStreamedResult>(
-            std::move(result));
+            ZacCompiler(ts.context, opts)
+                .compileStreamed(job.circuit, control, &scratch));
         record.result = cache_.enabled()
                             ? cache_.insert(key, std::move(shared))
                             : std::move(shared);

@@ -71,7 +71,7 @@ namespace zac::service
 
 /**
  * One (architecture, options) pair jobs can target. The service
- * precomputes the architecture fingerprint and a shared ZacCompiler per
+ * acquires a shared architecture context (fingerprint included) per
  * target at construction, so per-job work is just a hash of the circuit.
  */
 struct CompileTarget
@@ -177,29 +177,6 @@ class CompileService
         std::string snapshot_path;
         /** Fault plan; when unset, ZAC_SERVICE_FAULT_* is consulted. */
         std::optional<FaultPlan> faults;
-
-        /**
-         * Zero-DOM compile path: workers stream the scheduler's output
-         * straight into the compact ZAIR/JSON serialization instead of
-         * materializing a ZairProgram. Off reproduces the legacy DOM
-         * pipeline (compile, then serialize) — the perf harness uses
-         * that as its cold baseline. Either way the delivered bytes are
-         * identical; only the cost structure differs.
-         */
-        bool streamed = true;
-        /**
-         * Acquire per-architecture contexts (proximity tables, ...)
-         * from the process-wide WarmContextPool instead of building
-         * them privately: repeated constructions against the same
-         * architecture (restarts, churn) skip the derivation entirely.
-         */
-        bool warm_contexts = true;
-        /**
-         * Test mode: every streamed compile also builds the DOM and
-         * panics unless the streamed bytes equal the DOM dump.
-         * Expensive; meaningless when `streamed` is off.
-         */
-        bool verify_streamed = false;
     };
 
     /** Monotonic counters for the fault-tolerance machinery. */
@@ -322,12 +299,9 @@ class CompileService
     struct TargetState
     {
         CompileTarget target;
-        /** Shared architecture context (pool-acquired when
-         *  Config::warm_contexts, privately built otherwise). */
+        /** Shared architecture context from the process-wide
+         *  WarmContextPool. */
         std::shared_ptr<const ArchContext> context;
-        std::shared_ptr<const ZacCompiler> compiler;
-        std::uint64_t arch_fingerprint = 0;
-        std::uint64_t options_digest = 0;
     };
 
     struct Job

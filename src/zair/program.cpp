@@ -83,38 +83,10 @@ ZairProgram::makespanUs() const
 void
 ZairProgram::checkInvariants() const
 {
-    if (instrs.empty())
-        panic("zair: empty program");
-    if (instrs.front().kind != ZairKind::Init)
-        panic("zair: program must start with init");
-    for (std::size_t i = 1; i < instrs.size(); ++i)
-        if (instrs[i].kind == ZairKind::Init)
-            panic("zair: init must appear exactly once");
-    auto check_qubit = [this](int q) {
-        if (q < 0 || q >= num_qubits)
-            panic("zair: qubit out of range");
-    };
-    for (const ZairInstr &in : instrs) {
-        if (in.begin_time_us < -1e-9)
-            panic("zair: instruction begins before time zero");
-        if (in.end_time_us + 1e-9 < in.begin_time_us)
-            panic("zair: instruction ends before it begins");
-        for (const QLoc &l : in.init_locs)
-            check_qubit(l.q);
-        for (const QLoc &l : in.locs)
-            check_qubit(l.q);
-        for (int q : in.gate_qubits)
-            check_qubit(q);
-        if (in.kind == ZairKind::RearrangeJob) {
-            if (in.begin_locs.size() != in.end_locs.size())
-                panic("zair: rearrange job begin/end size mismatch");
-            for (std::size_t i = 0; i < in.begin_locs.size(); ++i) {
-                check_qubit(in.begin_locs[i].q);
-                if (in.begin_locs[i].q != in.end_locs[i].q)
-                    panic("zair: rearrange job permutes qubit order");
-            }
-        }
-    }
+    ZairInvariantChecker checker(num_qubits);
+    for (const ZairInstr &in : instrs)
+        checker.feed(in);
+    checker.finish();
 }
 
 void
@@ -127,14 +99,12 @@ ZairInvariantChecker::checkQubit(int q) const
 void
 ZairInvariantChecker::feed(const ZairInstr &in)
 {
-    if (count_ == 0) {
+    if (count_++ == 0) {
         if (in.kind != ZairKind::Init)
             panic("zair: program must start with init");
-        saw_init_ = true;
     } else if (in.kind == ZairKind::Init) {
         panic("zair: init must appear exactly once");
     }
-    ++count_;
     if (in.begin_time_us < -1e-9)
         panic("zair: instruction begins before time zero");
     if (in.end_time_us + 1e-9 < in.begin_time_us)
@@ -161,8 +131,6 @@ ZairInvariantChecker::finish() const
 {
     if (count_ == 0)
         panic("zair: empty program");
-    if (!saw_init_)
-        panic("zair: program must start with init");
 }
 
 } // namespace zac

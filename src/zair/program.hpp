@@ -68,10 +68,11 @@ class ZairStatsAccumulator
 };
 
 /**
- * Streaming counterpart of ZairProgram::checkInvariants(): per-instr
- * structural checks with the same panic messages, usable before the
- * full program exists. Needs num_qubits up front; finish() validates
- * the whole-program conditions (non-empty, init first and only once).
+ * Incremental form of ZairProgram::checkInvariants(): feed() runs the
+ * per-instruction structural checks (init first and only once, timings
+ * ordered, qubits in range, matching rearrange-job shapes) as each
+ * instruction is produced, finish() rejects an empty program.
+ * ZairProgram::checkInvariants() is implemented on top of this.
  */
 class ZairInvariantChecker
 {
@@ -89,7 +90,6 @@ class ZairInvariantChecker
 
     int num_qubits_ = 0;
     std::size_t count_ = 0;
-    bool saw_init_ = false;
 };
 
 } // namespace zac

@@ -307,8 +307,7 @@ TEST(Protocol, ResultRecordShape)
     rec.cache_hit = true;
     rec.circuit_hash = 0xdeadbeefull;
     rec.result = std::make_shared<const ZacStreamedResult>(
-        streamedResultFromDom(compiler.compile(
-            bench_circuits::paperBenchmark("ghz_n23"))));
+        compiler.compileStreamed(bench_circuits::paperBenchmark("ghz_n23")));
 
     const std::string line =
         service::toJsonl(service::makeJobRecord(rec, "ref", true));
@@ -626,6 +625,11 @@ TEST(CompileServiceTest, SeedOverrideChangesKeyDeterministically)
     // Seeded results are deterministic: identical across submissions.
     EXPECT_EQ(signatureOf(*collector.records.at(seeded).result),
               signatureOf(*collector.records.at(seeded_again).result));
+    // ...and equal to an offline compile whose options carry the seed.
+    ZacOptions seeded_opts = ZacOptions::full();
+    seeded_opts.seed = 99;
+    EXPECT_EQ(signatureOf(*collector.records.at(seeded).result),
+              ZacCompiler(arch, seeded_opts).compileStreamed(c).program_json);
     // And the base (unseeded) result was not disturbed.
     EXPECT_EQ(collector.records.at(base).status, JobStatus::Done);
     svc.shutdown();
