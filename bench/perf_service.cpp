@@ -255,7 +255,6 @@ main(int argc, char **argv)
         std::uint64_t mismatches = 0;
         CompileService::Config config;
         config.num_workers = workers;
-        config.queue_capacity = 64;
         config.cache_capacity = 0; // raw compile throughput
         CompileService svc(
             {CompileTarget{"ref-full", arch, opts}}, config,

@@ -12,7 +12,6 @@
  *   usage: zac_batch <manifest.json> [options]
  *     --out <file>    write JSONL records to a file (default stdout)
  *     --workers N     worker threads (default: hardware concurrency)
- *     --queue N       job-queue bound (default 256)
  *     --cache N       result-cache entries, 0 disables (default 1024)
  *     --repeat N      run the whole manifest N times, draining between
  *                     rounds (round 2+ should be served by the cache)
@@ -25,7 +24,7 @@
  *     --retries N     transient-failure retries per job (default 2)
  *     --backoff-ms X  first retry backoff, doubling per attempt
  *     --admission N   reject submissions past N undelivered jobs with
- *                     an "overloaded" record (0 = block instead)
+ *                     an "overloaded" record (0 = never reject)
  *     --drain-timeout S  graceful-stop deadline in seconds; in-flight
  *                     jobs outlasting it are cancelled (0 = wait)
  *     --stats-record  append one "stats" JSONL record after the drain
@@ -60,7 +59,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: zac_batch <manifest.json> [--out file] [--workers N]\n"
-        "                 [--queue N] [--cache N] [--repeat N]\n"
+        "                 [--cache N] [--repeat N]\n"
         "                 [--dedup] [--no-zair] [--echo-submit]\n"
         "                 [--snapshot file] [--retries N]\n"
         "                 [--backoff-ms X] [--admission N]\n"
@@ -140,7 +139,6 @@ main(int argc, char **argv)
     std::string manifest_path = argv[1];
     std::string out_path;
     int workers = 0;
-    std::size_t queue_capacity = 256;
     std::size_t cache_capacity = 1024;
     int rounds = 1;
     bool dedup = false;
@@ -158,9 +156,6 @@ main(int argc, char **argv)
             out_path = argv[++i];
         else if (arg == "--workers" && i + 1 < argc)
             workers = std::atoi(argv[++i]);
-        else if (arg == "--queue" && i + 1 < argc)
-            queue_capacity =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
         else if (arg == "--cache" && i + 1 < argc)
             cache_capacity =
                 static_cast<std::size_t>(std::atoll(argv[++i]));
@@ -219,7 +214,6 @@ main(int argc, char **argv)
 
         CompileService::Config config;
         config.num_workers = workers;
-        config.queue_capacity = queue_capacity;
         config.cache_capacity = cache_capacity;
         config.snapshot_path = snapshot_path;
         config.max_retries = max_retries;
@@ -272,18 +266,13 @@ main(int argc, char **argv)
                             continue;
                         }
                     }
-                    CompileService::Submission s;
-                    s.name = j.label;
-                    s.circuit = j.circuit;
-                    s.target = j.target;
-                    s.seed = j.seed;
-                    s.timeout_seconds = j.timeout_seconds;
-                    const std::uint64_t id = svc.submit(std::move(s));
+                    // The job minus its repeat count.
+                    const std::uint64_t id = svc.submit(j);
                     ++submitted;
                     if (echo_submit) {
                         std::lock_guard<std::mutex> lock(out_mutex);
                         out << toJsonl(makeSubmitRecord(
-                            id, j.label,
+                            id, j.name,
                             target_names[static_cast<std::size_t>(
                                 j.target)],
                             job_hashes[ji]));

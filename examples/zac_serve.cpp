@@ -8,7 +8,7 @@
  *   POST /compile   JSONL submit records in, streamed JSONL terminal
  *                   records out (the zac_batch protocol, bytes and
  *                   all; X-Zac-Lane: interactive|batch picks the
- *                   admission lane)
+ *                   queue lane)
  *   GET  /healthz   liveness + queue/cache/retry/uptime counters
  *
  * Compile targets come from the same JSON documents zac_batch reads:
@@ -19,17 +19,17 @@
  *     --host H            bind address (default 127.0.0.1)
  *     --port P            TCP port; 0 = ephemeral (default 8080)
  *     --workers N         worker threads (default: hw concurrency)
- *     --queue N           service queue bound (default 256)
  *     --cache N           result-cache entries, 0 disables
  *     --snapshot f        persist the result cache to f (warm starts)
  *     --retries N         transient-failure retries per job
  *     --backoff-ms X      first retry backoff, doubling per attempt
- *     --admission N       reject past N undelivered jobs (0 = block)
+ *     --admission N       reject past N undelivered jobs (0 = never)
  *     --max-connections N connection cap, over-cap answered 503
  *     --read-timeout S    per-connection request read timeout
  *     --write-timeout S   per-connection response progress timeout
  *     --drain-timeout S   SIGTERM drain deadline (0 = wait)
  *     --interactive-weight N / --batch-weight N   lane WRR weights
+ *                         (default 4 and 1)
  *     --no-zair           omit ZAIR programs from result records
  *
  * SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish
@@ -67,7 +67,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: zac_serve [targets.json] [--host H] [--port P]\n"
-        "                 [--workers N] [--queue N] [--cache N]\n"
+        "                 [--workers N] [--cache N]\n"
         "                 [--snapshot f] [--retries N]\n"
         "                 [--backoff-ms X] [--admission N]\n"
         "                 [--max-connections N] [--read-timeout S]\n"
@@ -172,9 +172,6 @@ main(int argc, char **argv)
         else if (arg == "--workers")
             cfg.service.num_workers = static_cast<int>(
                 intFlag("--workers", next("--workers"), 1, 4096));
-        else if (arg == "--queue")
-            cfg.service.queue_capacity = static_cast<std::size_t>(
-                intFlag("--queue", next("--queue"), 1, 1 << 24));
         else if (arg == "--cache")
             cfg.service.cache_capacity = static_cast<std::size_t>(
                 intFlag("--cache", next("--cache"), 0, 1 << 24));
@@ -204,12 +201,15 @@ main(int argc, char **argv)
             cfg.drain_deadline_seconds =
                 realFlag("--drain-timeout", next("--drain-timeout"));
         else if (arg == "--interactive-weight")
-            cfg.interactive_weight = static_cast<int>(
-                intFlag("--interactive-weight",
-                        next("--interactive-weight"), 1, 1 << 20));
+            cfg.service.lane_weights[zac::net::kLaneInteractive] =
+                static_cast<int>(
+                    intFlag("--interactive-weight",
+                            next("--interactive-weight"), 1, 1 << 20));
         else if (arg == "--batch-weight")
-            cfg.batch_weight = static_cast<int>(intFlag(
-                "--batch-weight", next("--batch-weight"), 1, 1 << 20));
+            cfg.service.lane_weights[zac::net::kLaneBatch] =
+                static_cast<int>(intFlag("--batch-weight",
+                                         next("--batch-weight"), 1,
+                                         1 << 20));
         else if (arg == "--no-zair")
             cfg.include_zair = false;
         else if (arg == "--help" || arg == "-h") {

@@ -2,11 +2,13 @@
 # Smoke test for the zac_serve daemon (ISSUE 8).
 #
 # Starts zac_serve on an ephemeral port, waits for /healthz to answer
-# with the counter sections, submits the example batch manifest
-# through zac_client, and compares the served records against a
-# zac_batch offline run of the same manifest — they must be
-# byte-identical once the wall-clock timing fields are stripped. Then
-# SIGTERMs the daemon and asserts a clean drain (exit code 0).
+# with the counter sections, submits a manifest through zac_client,
+# and compares the served records against a zac_batch offline run of
+# the same manifest — they must be byte-identical once the wall-clock
+# timing fields are stripped. The manifest is the example's three jobs
+# plus a 4-qubit QASM file with no label, so the diff also checks that
+# both frontends label a job the same way. Then SIGTERMs the daemon
+# and asserts a clean drain (exit code 0).
 #
 # Usage: scripts/smoke_serve.sh [BUILD_DIR]     (default: build)
 
@@ -17,7 +19,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 SERVE="$ROOT/$BUILD_DIR/zac_serve"
 CLIENT="$ROOT/$BUILD_DIR/zac_client"
 BATCH="$ROOT/$BUILD_DIR/zac_batch"
-MANIFEST="$ROOT/examples/batch_manifest.json"
+EXAMPLE="$ROOT/examples/batch_manifest.json"
 
 for bin in "$SERVE" "$CLIENT" "$BATCH"; do
     if [ ! -x "$bin" ]; then
@@ -35,6 +37,23 @@ cleanup() {
     rm -rf "$WORK"
 }
 trap cleanup EXIT
+
+cat >"$WORK/ghz4.qasm" <<'EOF'
+OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+h q[0];
+cx q[0],q[1];
+cx q[1],q[2];
+cx q[2],q[3];
+EOF
+MANIFEST="$WORK/manifest.json"
+python3 - "$EXAMPLE" "$WORK/ghz4.qasm" "$MANIFEST" <<'EOF'
+import json, sys
+manifest = json.load(open(sys.argv[1]))
+manifest["jobs"].append({"circuit": sys.argv[2]})  # no label
+json.dump(manifest, open(sys.argv[3], "w"), indent=2)
+EOF
 
 echo "smoke_serve: starting zac_serve on an ephemeral port"
 "$SERVE" "$MANIFEST" --port 0 --workers 2 \
@@ -113,7 +132,7 @@ def canonical(path):
 
 served = canonical(sys.argv[1])
 offline = canonical(sys.argv[2])
-assert len(served) == 3, f"expected 3 served records, got {len(served)}"
+assert len(served) == 4, f"expected 4 served records, got {len(served)}"
 assert served == offline, (
     "served records differ from offline zac_batch output")
 print(f"smoke_serve: {len(served)} served records byte-identical to "

@@ -56,6 +56,11 @@ std::int64_t
 Value::asInt() const
 {
     const double d = asDouble();
+    // [-2^63, 2^63) is exactly the doubles int64 can hold; the negated
+    // test also rejects NaN.
+    if (!(d >= -0x1p63 && d < 0x1p63))
+        fatal("json: number " + std::to_string(d) +
+              " is outside the 64-bit integer range");
     const double r = std::nearbyint(d);
     if (std::abs(d - r) > 1e-9)
         fatal("json: number " + std::to_string(d) + " is not integral");

@@ -65,7 +65,8 @@ class Value
 
     bool asBool() const;
     double asDouble() const;
-    /** Number accessor that checks the value is (close to) integral. */
+    /** Number accessor that checks the value is (close to) integral
+     *  and within the int64 range. */
     std::int64_t asInt() const;
     const std::string &asString() const;
     const Array &asArray() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
 #include <poll.h>
@@ -69,9 +70,11 @@ isBlankLine(const std::string &line)
 
 CompileServer::CompileServer(std::vector<service::CompileTarget> targets,
                              ServerConfig config)
-    : config_(std::move(config)),
-      lanes_({config_.interactive_weight, config_.batch_weight})
+    : config_(std::move(config))
 {
+    if (config_.service.lane_weights.size() != kNumLanes)
+        fatal("CompileServer: lane_weights must name the interactive "
+              "and the batch lane");
     target_names_.reserve(targets.size());
     for (const service::CompileTarget &t : targets)
         target_names_.push_back(t.name);
@@ -84,9 +87,8 @@ CompileServer::~CompileServer()
 {
     // run() must have returned (or never started) by now; this only
     // cleans up a server that was constructed but not driven.
-    lanes_.close();
-    if (admitter_.joinable())
-        admitter_.join();
+    if (drainer_.joinable())
+        drainer_.join();
     service_->shutdown();
 }
 
@@ -112,10 +114,9 @@ CompileServer::run()
 {
     if (!listener_.valid())
         fatal("CompileServer::run: call listen() first");
-    admitter_ = std::thread([this] { admitterLoop(); });
     eventLoop();
-    if (admitter_.joinable())
-        admitter_.join();
+    if (drainer_.joinable())
+        drainer_.join();
     return drained_clean_;
 }
 
@@ -129,84 +130,8 @@ CompileServer::netStats() const
 }
 
 // ---------------------------------------------------------------------------
-// Admitter thread: lanes -> bounded service queue -> id/conn binding.
-
-void
-CompileServer::admitterLoop()
-{
-    while (std::optional<PendingSubmission> next = lanes_.pop()) {
-        PendingSubmission item = std::move(*next);
-        std::uint64_t job_id = 0;
-        bool submitted = false;
-        std::string submit_error;
-        try {
-            // Blocks while the bounded service queue is full — this is
-            // the compile-side backpressure; the lanes upstream keep
-            // absorbing and re-ordering.
-            job_id = service_->submit(std::move(item.sub));
-            submitted = true;
-        } catch (const FatalError &e) {
-            submit_error = e.what();
-        }
-
-        std::lock_guard<std::mutex> lock(mu_);
-        auto cit = conns_.find(item.conn_id);
-        if (!submitted) {
-            // Defensive: submit() only throws after shutdown, which
-            // the admitter itself sequences after draining the lanes.
-            if (cit != conns_.end()) {
-                Connection &c = *cit->second;
-                if (c.pending > 0)
-                    --c.pending;
-                appendLineError(c, service::JobStatus::Overloaded,
-                                "submission refused: " + submit_error);
-                maybeFinish(c);
-                wake_.notify();
-            }
-            continue;
-        }
-
-        auto oit = orphans_.find(job_id);
-        if (cit == conns_.end()) {
-            // The connection died between lane pop and here.
-            if (oit != orphans_.end())
-                orphans_.erase(oit);
-            else {
-                discarded_jobs_.insert(job_id);
-                service_->cancel(job_id);
-            }
-            continue;
-        }
-        Connection &c = *cit->second;
-        if (oit != orphans_.end()) {
-            // The terminal record beat the id->connection binding
-            // (cache hit or overloaded rejection delivered inside
-            // submit()): route the parked bytes now.
-            c.outbuf += oit->second;
-            orphans_.erase(oit);
-            if (c.pending > 0)
-                --c.pending;
-            ++stats_.records_streamed;
-            maybeFinish(c);
-            wake_.notify();
-        } else {
-            job_conn_[job_id] = c.id;
-            c.live_jobs.insert(job_id);
-        }
-    }
-
-    // Lanes closed and fully drained: every admitted job is in the
-    // service. Finish them (flushing the cache snapshot) and let the
-    // event loop know it only has response buffers left to flush.
-    drained_clean_ =
-        service_->drainAndStop(config_.drain_deadline_seconds);
-    service_drained_.store(true, std::memory_order_release);
-    wake_.notify();
-}
-
-// ---------------------------------------------------------------------------
-// Result sink (worker threads, or the submitting thread for
-// overloaded rejections).
+// Result sink (worker threads, or the event loop for overloaded
+// rejections).
 
 void
 CompileServer::routeRecord(const service::JobRecord &record)
@@ -222,20 +147,10 @@ CompileServer::routeRecord(const service::JobRecord &record)
     std::string bytes = std::move(os).str();
 
     std::lock_guard<std::mutex> lock(mu_);
-    auto jit = job_conn_.find(record.job_id);
-    if (jit == job_conn_.end()) {
-        if (discarded_jobs_.erase(record.job_id) > 0)
-            return; // connection died; record dropped
-        orphans_.emplace(record.job_id, std::move(bytes));
-        return;
-    }
-    const std::uint64_t conn_id = jit->second;
-    job_conn_.erase(jit);
-    auto cit = conns_.find(conn_id);
+    auto cit = conns_.find(record.client);
     if (cit == conns_.end())
-        return; // closeConnection already cleaned up
+        return; // the connection died; its record is dropped
     Connection &c = *cit->second;
-    c.live_jobs.erase(record.job_id);
     if (c.pending > 0)
         --c.pending;
     c.outbuf += bytes;
@@ -311,8 +226,13 @@ CompileServer::eventLoop()
                 continue;
             const std::uint64_t id = pfd_conn[i];
             if (pfds[i].revents & (POLLIN | POLLERR | POLLHUP)) {
-                std::lock_guard<std::mutex> lock(mu_);
-                if (!handleReadable(id, now))
+                bool open = false;
+                {
+                    std::lock_guard<std::mutex> lock(mu_);
+                    open = handleReadable(id, now);
+                }
+                submitParsed();
+                if (!open)
                     continue;
             }
             if (pfds[i].revents & POLLOUT) {
@@ -356,7 +276,7 @@ CompileServer::eventLoop()
                         for (const auto &[id, cp] : conns_)
                             ids.push_back(id);
                         for (std::uint64_t id : ids)
-                            closeConnection(id, true);
+                            closeConnection(id);
                         return;
                     }
                 }
@@ -366,11 +286,31 @@ CompileServer::eventLoop()
 }
 
 void
+CompileServer::submitParsed()
+{
+    // Outside mu_: submit() can deliver an overloaded record from this
+    // thread, and the sink takes mu_. Lines are validated when parsed,
+    // and the service stops only once a drain began, after which no
+    // line is parsed into parsed_, so submit() does not throw here.
+    std::vector<service::CompileService::Submission> batch;
+    batch.swap(parsed_);
+    for (service::CompileService::Submission &sub : batch)
+        service_->submit(std::move(sub));
+}
+
+void
 CompileServer::beginDrainLocked()
 {
     draining_ = true;
     listener_.reset(); // stop accepting
-    lanes_.close();    // admitter drains the backlog, then the service
+    // Finish (or, past the deadline, cancel) every submitted job while
+    // this loop keeps flushing their records.
+    drainer_ = std::thread([this] {
+        drained_clean_ =
+            service_->drainAndStop(config_.drain_deadline_seconds);
+        service_drained_.store(true, std::memory_order_release);
+        wake_.notify();
+    });
     for (auto &[id, cp] : conns_) {
         Connection &c = *cp;
         if (c.mode == Connection::Mode::Compile) {
@@ -467,7 +407,7 @@ CompileServer::handleReadable(std::uint64_t conn_id,
                 c.parser.state() == HttpRequestParser::State::Complete;
             if (!complete && !c.request_done) {
                 // EOF mid-request: nothing sensible to answer.
-                closeConnection(conn_id, true);
+                closeConnection(conn_id);
                 return false;
             }
             return true;
@@ -476,7 +416,7 @@ CompileServer::handleReadable(std::uint64_t conn_id,
             return true;
         if (errno == EINTR)
             continue;
-        closeConnection(conn_id, true); // ECONNRESET etc.
+        closeConnection(conn_id); // ECONNRESET etc.
         return false;
     }
 }
@@ -587,65 +527,35 @@ void
 CompileServer::handleSubmitLine(Connection &c, const std::string &line)
 {
     service::CompileService::Submission sub;
-    std::size_t lane = c.default_lane;
     try {
         const json::Value v = json::parse(line);
-        const json::Object &o = v.asObject();
-        if (!v.contains("circuit"))
-            fatal("submit record needs a 'circuit'");
-        const std::string ref = o.at("circuit").asString();
-        sub.circuit = service::resolveCircuit(ref);
-        sub.name = o.count("label") ? o.at("label").asString() : ref;
-        if (sub.name.empty())
-            sub.name = ref;
-        if (o.count("target")) {
-            const json::Value &tv = o.at("target");
-            if (tv.isString()) {
-                const std::string &name = tv.asString();
-                const auto found =
-                    std::find(target_names_.begin(),
-                              target_names_.end(), name);
-                if (found == target_names_.end())
-                    fatal("unknown target '" + name + "'");
-                sub.target = static_cast<int>(
-                    found - target_names_.begin());
-            } else {
-                sub.target = static_cast<int>(tv.asInt());
-                if (sub.target < 0 ||
-                    sub.target >=
-                        static_cast<int>(target_names_.size()))
-                    fatal("target index out of range");
-            }
-        }
-        if (o.count("seed"))
-            sub.seed = static_cast<std::uint64_t>(
-                o.at("seed").asInt());
-        sub.timeout_seconds = v.numberOr("timeout_seconds", 0.0);
-        if (o.count("lane")) {
+        sub = service::submissionFromJson(v, target_names_);
+        sub.lane = c.default_lane;
+        if (v.contains("lane")) {
             const std::optional<std::size_t> l =
-                laneFromName(o.at("lane").asString());
+                laneFromName(v.at("lane").asString());
             if (!l)
-                fatal("unknown lane '" + o.at("lane").asString() +
+                fatal("unknown lane '" + v.at("lane").asString() +
                       "'");
-            lane = *l;
+            sub.lane = *l;
         }
     } catch (const FatalError &e) {
         ++stats_.lines_rejected;
         appendLineError(c, service::JobStatus::Failed, e.what());
         return;
     }
-
-    ++c.pending;
-    ++stats_.lines_admitted;
-    if (!lanes_.push(lane, c.id,
-                     PendingSubmission{c.id, lane, std::move(sub)})) {
-        // Lanes closed: the drain won the race with this line.
-        --c.pending;
-        --stats_.lines_admitted;
+    if (draining_) {
+        // The service is draining: nothing more is submitted.
         ++stats_.lines_rejected;
         appendLineError(c, service::JobStatus::Overloaded,
                         "server is draining");
+        return;
     }
+
+    sub.client = c.id;
+    ++c.pending;
+    ++stats_.lines_admitted;
+    parsed_.push_back(std::move(sub));
 }
 
 void
@@ -655,7 +565,7 @@ CompileServer::queueSimpleResponse(Connection &c, int status,
 {
     if (c.response_started) {
         // Too late for an HTTP status line; drop the connection.
-        closeConnection(c.id, true);
+        closeConnection(c.id);
         return;
     }
     json::Object o;
@@ -700,13 +610,14 @@ CompileServer::healthzBody()
     o["workers"] = s.workers;
     o["queue_depth"] = static_cast<std::int64_t>(s.queue_depth);
     o["pending_jobs"] = static_cast<std::int64_t>(s.pending);
+    const std::vector<int> &weights = config_.service.lane_weights;
     o["lanes"] = json::Object{
         {"interactive_depth",
-         static_cast<std::int64_t>(lanes_.laneSize(kLaneInteractive))},
+         static_cast<std::int64_t>(s.lane_depths[kLaneInteractive])},
         {"batch_depth",
-         static_cast<std::int64_t>(lanes_.laneSize(kLaneBatch))},
-        {"interactive_weight", config_.interactive_weight},
-        {"batch_weight", config_.batch_weight},
+         static_cast<std::int64_t>(s.lane_depths[kLaneBatch])},
+        {"interactive_weight", weights[kLaneInteractive]},
+        {"batch_weight", weights[kLaneBatch]},
     };
     const service::CompileService::Stats &j = s.counters;
     o["jobs"] = json::Object{
@@ -794,7 +705,7 @@ CompileServer::handleWritable(std::uint64_t conn_id,
             break;
         if (w < 0 && errno == EINTR)
             continue;
-        closeConnection(conn_id, true); // EPIPE/ECONNRESET
+        closeConnection(conn_id); // EPIPE/ECONNRESET
         return false;
     }
 
@@ -813,7 +724,7 @@ CompileServer::handleWritable(std::uint64_t conn_id,
                 c.lingering = true;
                 c.last_read = now; // restart the linger clock
             } else if (!unread_possible) {
-                closeConnection(conn_id, false);
+                closeConnection(conn_id);
                 return false;
             }
         }
@@ -825,19 +736,19 @@ CompileServer::handleWritable(std::uint64_t conn_id,
 }
 
 void
-CompileServer::closeConnection(std::uint64_t conn_id, bool cancel_jobs)
+CompileServer::closeConnection(std::uint64_t conn_id)
 {
     auto it = conns_.find(conn_id);
     if (it == conns_.end())
         return;
-    Connection &c = *it->second;
-    lanes_.dropClient(conn_id);
-    if (cancel_jobs || !c.live_jobs.empty()) {
-        for (std::uint64_t job : c.live_jobs) {
-            job_conn_.erase(job);
-            discarded_jobs_.insert(job);
-            service_->cancel(job);
-        }
+    if (it->second->pending > 0) {
+        // Lines parsed in this loop pass are dropped before they are
+        // submitted; the rest are cancelled and their records, one per
+        // job as always, find no connection.
+        std::erase_if(parsed_, [&](const auto &sub) {
+            return sub.client == conn_id;
+        });
+        service_->cancelClient(conn_id);
     }
     conns_.erase(it);
 }
@@ -875,14 +786,14 @@ CompileServer::reapTimeouts(Clock::time_point now)
             queueSimpleResponse(c, 408, reasonPhrase(408),
                                 "request read timed out");
         } else {
-            closeConnection(id, true);
+            closeConnection(id);
         }
     }
     for (std::uint64_t id : stale_write) {
         if (conns_.count(id) == 0)
             continue;
         ++stats_.connections_timed_out;
-        closeConnection(id, true);
+        closeConnection(id);
     }
 }
 

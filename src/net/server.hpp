@@ -6,42 +6,43 @@
  *
  * Protocol (one request per connection, response then close):
  *  - `POST /compile` — body is JSONL, one submit record per line
- *    (the manifest-job vocabulary: {"circuit": ..., "label": ...,
- *    "target": name-or-index, "seed": ..., "timeout_seconds": ...,
- *    "lane": "interactive"|"batch"}). The response streams one
+ *    (the manifest-job vocabulary of service::submissionFromJson():
+ *    {"circuit": ..., "label": ..., "target": name-or-index,
+ *    "seed": ..., "timeout_seconds": ...}, plus
+ *    "lane": "interactive"|"batch"). The response streams one
  *    terminal JSONL record per line as workers finish — the records
  *    are produced by the same `protocol.*` writer as zac_batch, so
  *    the served payload bytes are byte-identical to the offline
  *    output (modulo the wall-clock timing fields; cache hits
- *    included). Lines are admitted while the body is still
+ *    included). Lines are submitted while the body is still
  *    uploading.
  *  - `GET /healthz` — liveness plus a coherent counters snapshot
  *    (queue depth, lanes, cache hit/miss, retries, uptime).
  *
- * Fair scheduling: parsed submissions do not go straight into the
- * service's bounded queue — they pass through a WeightedLaneQueue
- * (interactive vs. batch, weighted round-robin across lanes,
- * round-robin across connections within a lane) pumped by a single
- * admitter thread. The service queue's bound throttles the admitter;
- * the lanes re-order what is still unadmitted, so one greedy batch
- * client cannot starve interactive work by more than a few jobs.
+ * Fair scheduling: the service's job queue has two lanes (interactive
+ * and batch, weighted round-robin across lanes), and every submission
+ * carries its connection id as the client key (round-robin across
+ * connections within a lane), so one greedy batch client cannot
+ * starve interactive work by more than a few jobs, at any queue
+ * depth.
  *
  * Lifecycle: per-connection read/write timeouts; a max-connections
  * cap answered with the protocol's existing `overloaded` status
  * (HTTP 503); requestDrain() — async-signal-safe, wired to
- * SIGTERM/SIGINT by zac_serve — stops accepting, admits what was
- * already parsed, runs CompileService::drainAndStop(deadline) (cache
- * snapshot flush included), flushes response buffers, and returns
- * from run() with the clean/forced verdict.
+ * SIGTERM/SIGINT by zac_serve — stops accepting, runs
+ * CompileService::drainAndStop(deadline) (cache snapshot flush
+ * included), flushes response buffers, and returns from run() with
+ * the clean/forced verdict.
  *
  * Threading: one poll()-based event loop (the run() caller) owns the
- * sockets; one admitter thread pumps lanes into the service; service
- * workers deliver records through the sink, which routes the
- * serialized bytes into per-connection write buffers and wakes the
- * loop through a self-pipe. A record can be delivered before the
- * admitter learns its job id (submit() can complete the job before
- * returning) — such records park in an orphan buffer keyed by job id
- * and are routed when the id→connection binding lands.
+ * sockets, parses submit lines under its lock and submits them right
+ * after releasing it; service workers deliver records through the
+ * sink, which finds the connection by the record's client key,
+ * appends the serialized bytes to its write buffer and wakes the loop
+ * through a self-pipe. A connection that dies cancels its undelivered
+ * jobs (CompileService::cancelClient), and records for a connection
+ * that is gone are dropped. Once a drain begins, one more thread runs
+ * drainAndStop() while the loop keeps flushing.
  */
 
 #ifndef ZAC_NET_SERVER_HPP
@@ -53,22 +54,18 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/http.hpp"
 #include "net/socket.hpp"
-#include "service/lanes.hpp"
 #include "service/service.hpp"
 
 namespace zac::net
 {
 
-/** The two admission lanes (indices into the lane queue). */
+/** The two lanes (indices into the service's lane_weights). */
 enum : std::size_t
 {
     kLaneInteractive = 0,
@@ -99,17 +96,19 @@ struct ServerConfig
      *  service drained. */
     double flush_deadline_seconds = 10.0;
 
-    /** Weighted round-robin admission weights (see lanes.hpp). */
-    int interactive_weight = 4;
-    int batch_weight = 1;
-
     /** Embed the full ZAIR program in result records. */
     bool include_zair = true;
 
     HttpRequestParser::Limits http_limits;
     /** The wrapped engine's configuration (workers, cache, retry,
-     *  snapshot persistence, fault injection, ...). */
-    service::CompileService::Config service;
+     *  snapshot persistence, fault injection, ...). Its lane_weights
+     *  must name both lanes; the default weighs interactive:batch
+     *  4:1. */
+    service::CompileService::Config service = [] {
+        service::CompileService::Config c;
+        c.lane_weights = {4, 1};
+        return c;
+    }();
 };
 
 /** Server-side monotonic counters (surfaced by /healthz). */
@@ -154,10 +153,9 @@ class CompileServer
     bool run();
 
     /**
-     * Begin graceful shutdown: stop accepting, admit everything
-     * already parsed, drainAndStop(deadline) (flushes the cache
-     * snapshot), flush responses, make run() return.
-     * Async-signal-safe and idempotent.
+     * Begin graceful shutdown: stop accepting, drainAndStop(deadline)
+     * (flushes the cache snapshot), flush responses, make run()
+     * return. Async-signal-safe and idempotent.
      */
     void requestDrain() noexcept;
 
@@ -193,21 +191,14 @@ class CompileServer
         bool lingering = false;
         std::size_t body_lines = 0; ///< body lines seen (for errors)
         std::size_t pending = 0;    ///< admitted lines awaiting records
-        std::set<std::uint64_t> live_jobs; ///< submitted, not terminal
 
         std::chrono::steady_clock::time_point last_read;
         std::chrono::steady_clock::time_point last_write_progress;
     };
 
-    struct PendingSubmission
-    {
-        std::uint64_t conn_id = 0;
-        std::size_t lane = kLaneInteractive;
-        service::CompileService::Submission sub;
-    };
-
     void eventLoop();
-    void admitterLoop();
+    /** Submit the lines parsed under mu_; call without holding it. */
+    void submitParsed();
     void acceptNew(std::chrono::steady_clock::time_point now);
     /** @return false when the connection was closed. */
     bool handleReadable(std::uint64_t conn_id,
@@ -225,7 +216,9 @@ class CompileServer
                          const std::string &message);
     std::string healthzBody();
     void maybeFinish(Connection &c);
-    void closeConnection(std::uint64_t conn_id, bool cancel_jobs);
+    /** Close and forget a connection, cancelling its undelivered
+     *  jobs. */
+    void closeConnection(std::uint64_t conn_id);
     void reapTimeouts(std::chrono::steady_clock::time_point now);
     void beginDrainLocked();
     /** The CompileService sink: route one terminal record. */
@@ -241,20 +234,17 @@ class CompileServer
     std::atomic<bool> service_drained_{false};
     bool draining_ = false; ///< event-loop-private once observed
 
-    service::WeightedLaneQueue<PendingSubmission> lanes_;
     std::unique_ptr<service::CompileService> service_;
-    std::thread admitter_;
-    bool drained_clean_ = true; ///< admitter writes before flagging
+    /** Runs drainAndStop(); started when the drain begins. */
+    std::thread drainer_;
+    bool drained_clean_ = true; ///< drainer writes before flagging
+
+    /** Lines parsed under mu_, not yet submitted (event loop only). */
+    std::vector<service::CompileService::Submission> parsed_;
 
     mutable std::mutex mu_;
     std::uint64_t next_conn_id_ = 1;
     std::map<std::uint64_t, std::unique_ptr<Connection>> conns_;
-    /** job id -> owning connection, bound by the admitter. */
-    std::unordered_map<std::uint64_t, std::uint64_t> job_conn_;
-    /** Records delivered before their id→connection binding. */
-    std::unordered_map<std::uint64_t, std::string> orphans_;
-    /** Jobs whose connection died; their records are dropped. */
-    std::set<std::uint64_t> discarded_jobs_;
     NetStats stats_;
 };
 

@@ -1,32 +1,30 @@
 /**
  * @file
- * Weighted fair admission lanes for the compile-service frontends.
+ * The compile service's job queue: weighted fair lanes.
  *
- * A WeightedLaneQueue sits between untrusted submitters (network
- * connections, CLI batches) and the service's bounded MPMC job queue.
- * It answers the starvation problem a plain FIFO cannot: one greedy
- * client posting thousands of batch jobs must not delay everyone
- * else's interactive work by the whole backlog.
+ * A WeightedLaneQueue holds every job the service has admitted but no
+ * worker has picked up yet. It answers the starvation problem a plain
+ * FIFO cannot: one greedy client posting thousands of batch jobs must
+ * not delay everyone else's interactive work by the whole backlog.
  *
  * Two levels of fairness, both deterministic:
  *  - across lanes: deficit-style weighted round-robin. Each lane has an
  *    integer weight; pop() serves up to `weight` items from a lane
  *    before rotating to the next non-empty one. With weights {4, 1} an
  *    interactive item admitted behind a 1000-deep batch backlog waits
- *    for at most a handful of batch admissions, never the backlog.
+ *    for at most a handful of batch pickups, never the backlog.
  *  - within a lane: plain round-robin across client keys (one item per
  *    client per turn), so two batch clients split the batch lane's
  *    bandwidth evenly no matter how bursty their submissions are.
  *
- * The queue is unbounded by design: it absorbs bursts so the *bounded*
- * service queue downstream can stay small (that bound is what provides
- * compile-side backpressure — the admitter blocks on it, while this
- * queue keeps accepting and re-ordering what is still unadmitted).
- * Callers that need to shed load do it upstream (connection caps,
- * admission high-water marks), where the client can be told.
+ * The queue is unbounded by design: push() never blocks, so a worker
+ * re-enqueueing its own job (a retry, a requeued waiter) cannot
+ * deadlock the pool. Callers that need to shed load do it upstream
+ * (connection caps, the service's admission high-water mark), where
+ * the client can be told.
  *
- * Locking mirrors BoundedMpmcQueue: a classic monitor. Admission
- * brackets whole compilations, so this is nowhere near a hot path.
+ * Locking is a classic monitor: queue operations bracket whole
+ * compilations (milliseconds), so this is nowhere near a hot path.
  */
 
 #ifndef ZAC_SERVICE_LANES_HPP
@@ -53,7 +51,8 @@ namespace zac::service
  *
  * Thread-safe; one or more producers push(), one or more consumers
  * pop(). close() wakes blocked consumers: remaining items drain, then
- * pop() returns nullopt (same drain idiom as BoundedMpmcQueue).
+ * pop() returns nullopt — the canonical worker loop is
+ * `while (auto j = q.pop()) work(*j);`.
  */
 template <typename T>
 class WeightedLaneQueue
@@ -75,8 +74,6 @@ class WeightedLaneQueue
 
     WeightedLaneQueue(const WeightedLaneQueue &) = delete;
     WeightedLaneQueue &operator=(const WeightedLaneQueue &) = delete;
-
-    std::size_t numLanes() const { return lanes_.size(); }
 
     /**
      * Enqueue @p item for @p client on @p lane.
@@ -127,30 +124,6 @@ class WeightedLaneQueue
         return takeLocked();
     }
 
-    /**
-     * Discard every queued item belonging to @p client (all lanes) —
-     * the disconnect path: a dead connection's unadmitted work must
-     * not consume compile capacity. @return items discarded.
-     */
-    std::size_t
-    dropClient(std::uint64_t client)
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        std::size_t dropped = 0;
-        for (Lane &l : lanes_) {
-            auto it = l.per_client.find(client);
-            if (it == l.per_client.end())
-                continue;
-            dropped += it->second.size();
-            l.count -= it->second.size();
-            count_ -= it->second.size();
-            l.per_client.erase(it);
-            for (auto rit = l.rr.begin(); rit != l.rr.end();)
-                rit = (*rit == client) ? l.rr.erase(rit) : rit + 1;
-        }
-        return dropped;
-    }
-
     /** Refuse new pushes and wake blocked consumers; idempotent. */
     void
     close()
@@ -162,25 +135,16 @@ class WeightedLaneQueue
         not_empty_.notify_all();
     }
 
-    bool
-    closed() const
+    /** Items queued per lane, in lane order (one coherent snapshot). */
+    std::vector<std::size_t>
+    laneSizes() const
     {
         std::lock_guard<std::mutex> lock(m_);
-        return closed_;
-    }
-
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return count_;
-    }
-
-    std::size_t
-    laneSize(std::size_t lane) const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return lane < lanes_.size() ? lanes_[lane].count : 0;
+        std::vector<std::size_t> sizes;
+        sizes.reserve(lanes_.size());
+        for (const Lane &l : lanes_)
+            sizes.push_back(l.count);
+        return sizes;
     }
 
   private:

@@ -1,5 +1,6 @@
 #include "service/manifest.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "arch/presets.hpp"
@@ -118,6 +119,48 @@ targetFromJson(const json::Value &v)
     return t;
 }
 
+CompileService::Submission
+submissionFromJson(const json::Value &v,
+                   const std::vector<std::string> &target_names)
+{
+    CompileService::Submission s;
+    if (!v.contains("circuit"))
+        fatal("job needs a 'circuit'");
+    const std::string ref = v.at("circuit").asString();
+    s.circuit = resolveCircuit(ref);
+    s.name = v.contains("label") ? v.at("label").asString()
+                                 : s.circuit.name();
+    if (s.name.empty())
+        s.name = ref;
+
+    if (v.contains("target")) {
+        const json::Value &tv = v.at("target");
+        if (tv.isString()) {
+            const auto it = std::find(target_names.begin(),
+                                      target_names.end(), tv.asString());
+            if (it == target_names.end())
+                fatal("job references unknown target '" +
+                      tv.asString() + "'");
+            s.target = static_cast<int>(it - target_names.begin());
+        } else {
+            const std::int64_t index = tv.asInt();
+            if (index < 0 ||
+                index >= static_cast<std::int64_t>(target_names.size()))
+                fatal("job target index " + std::to_string(index) +
+                      " out of range");
+            s.target = static_cast<int>(index);
+        }
+    }
+    if (v.contains("seed"))
+        s.seed = static_cast<std::uint64_t>(v.at("seed").asInt());
+    s.timeout_seconds = v.numberOr("timeout_seconds", 0.0);
+    if (!std::isfinite(s.timeout_seconds) || s.timeout_seconds < 0.0)
+        fatal("job '" + s.name +
+              "': timeout_seconds must be a finite value >= 0 " +
+              "(0 disables the timeout)");
+    return s;
+}
+
 Manifest
 manifestFromJson(const json::Value &v)
 {
@@ -140,51 +183,18 @@ manifestFromJson(const json::Value &v)
 
     if (!v.contains("jobs"))
         fatal("manifest: missing 'jobs' array");
+    std::vector<std::string> target_names;
+    for (const CompileTarget &t : m.targets)
+        target_names.push_back(t.name);
     for (const json::Value &jv : v.at("jobs").asArray()) {
-        ManifestJob job;
-        const std::string ref = jv.at("circuit").asString();
-        job.circuit = resolveCircuit(ref);
-        job.label = jv.contains("label") ? jv.at("label").asString()
-                                         : job.circuit.name();
-        if (job.label.empty())
-            job.label = ref;
+        ManifestJob job{submissionFromJson(jv, target_names),
+                        static_cast<int>(jv.numberOr("repeat", 1.0))};
         warnUnknownKeys(jv,
                         {"circuit", "label", "target", "repeat",
                          "seed", "timeout_seconds"},
-                        "job '" + job.label + "'");
-
-        if (jv.contains("target")) {
-            const json::Value &tv = jv.at("target");
-            if (tv.isString()) {
-                const std::string &name = tv.asString();
-                int found = -1;
-                for (std::size_t i = 0; i < m.targets.size(); ++i)
-                    if (m.targets[i].name == name)
-                        found = static_cast<int>(i);
-                if (found < 0)
-                    fatal("manifest: job references unknown target '" +
-                          name + "'");
-                job.target = found;
-            } else {
-                job.target = static_cast<int>(tv.asInt());
-                if (job.target < 0 ||
-                    job.target >=
-                        static_cast<int>(m.targets.size()))
-                    fatal("manifest: job target index out of range");
-            }
-        }
-        job.repeat = static_cast<int>(jv.numberOr("repeat", 1.0));
+                        "job '" + job.name + "'");
         if (job.repeat < 1)
             fatal("manifest: job 'repeat' must be >= 1");
-        if (jv.contains("seed"))
-            job.seed =
-                static_cast<std::uint64_t>(jv.at("seed").asInt());
-        job.timeout_seconds = jv.numberOr("timeout_seconds", 0.0);
-        if (!std::isfinite(job.timeout_seconds) ||
-            job.timeout_seconds < 0.0)
-            fatal("manifest: job '" + job.label +
-                  "': timeout_seconds must be a finite value >= 0 " +
-                  "(0 disables the timeout)");
         m.jobs.push_back(std::move(job));
     }
     if (m.jobs.empty())

@@ -22,13 +22,14 @@
  * job's "target" defaults to the first target. "arch" accepts the
  * presets reference / monolithic / arch1 / arch2 or a spec-JSON path;
  * "preset" accepts full / vanilla / dynplace / dynplace_reuse.
+ *
+ * A job's keys other than "repeat" are the submit-record vocabulary
+ * zac_serve reads too; submissionFromJson() parses them for both.
  */
 
 #ifndef ZAC_SERVICE_MANIFEST_HPP
 #define ZAC_SERVICE_MANIFEST_HPP
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,14 +41,9 @@ namespace zac::service
 {
 
 /** One manifest job entry, resolved against the manifest's targets. */
-struct ManifestJob
+struct ManifestJob : CompileService::Submission
 {
-    std::string label;    ///< job label (defaults to the circuit name)
-    Circuit circuit;      ///< loaded/generated circuit
-    int target = 0;       ///< index into Manifest::targets
-    int repeat = 1;       ///< submit this many copies
-    std::optional<std::uint64_t> seed;
-    double timeout_seconds = 0.0;
+    int repeat = 1; ///< submit this many copies
 };
 
 /** A fully resolved batch manifest. */
@@ -66,6 +62,18 @@ Circuit resolveCircuit(const std::string &ref);
 
 /** Build one compile target from its manifest JSON object. */
 CompileTarget targetFromJson(const json::Value &v);
+
+/**
+ * Parse the keys a manifest job and a zac_serve submit line share:
+ * "circuit" (required, see resolveCircuit()), "label" (defaults to
+ * the circuit's name, else the reference), "target" (a name in
+ * @p target_names or an index into it), "seed" and "timeout_seconds"
+ * (finite, >= 0; 0 disables the timeout). Other keys are ignored.
+ * @throws FatalError naming the offending key.
+ */
+CompileService::Submission
+submissionFromJson(const json::Value &v,
+                   const std::vector<std::string> &target_names);
 
 /** Parse and resolve a manifest document. @throws FatalError. */
 Manifest manifestFromJson(const json::Value &v);

@@ -12,11 +12,33 @@ namespace zac::service
 namespace
 {
 
+using Clock = std::chrono::steady_clock;
+
 double
 secondsSince(std::chrono::steady_clock::time_point t0,
              std::chrono::steady_clock::time_point t1)
 {
     return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/**
+ * The instant @p timeout_seconds after @p submit, or time_point::max()
+ * (no deadline) for a timeout <= 0 or one the clock cannot represent
+ * after @p submit.
+ */
+Clock::time_point
+deadlineAfter(Clock::time_point submit, double timeout_seconds)
+{
+    const std::chrono::duration<double, Clock::period> timeout =
+        std::chrono::duration<double>(timeout_seconds);
+    const Clock::duration headroom = Clock::time_point::max() - submit;
+    // A count below the rounded headroom is below the exact one, so
+    // the conversion and the addition below cannot overflow.
+    if (!(timeout.count() > 0.0) ||
+        timeout.count() >= static_cast<double>(headroom.count()))
+        return Clock::time_point::max();
+    return submit +
+           Clock::duration(static_cast<Clock::rep>(timeout.count()));
 }
 
 } // namespace
@@ -53,8 +75,7 @@ jobStatusFromName(std::string_view name)
 CompileService::CompileService(std::vector<CompileTarget> targets,
                                Config config, ResultSink sink)
     : config_(config), sink_(std::move(sink)),
-      queue_(config.queue_capacity),
-      cache_(config.cache_capacity, config.cache_shards)
+      queue_(config.lane_weights), cache_(config.cache_capacity)
 {
     if (targets.empty())
         fatal("CompileService: at least one compile target required");
@@ -117,14 +138,13 @@ CompileService::submit(Submission s)
         s.target >= static_cast<int>(targets_.size()))
         fatal("CompileService::submit: invalid target index " +
               std::to_string(s.target));
+    if (s.lane >= config_.lane_weights.size())
+        fatal("CompileService::submit: invalid lane index " +
+              std::to_string(s.lane));
 
-    Job job;
-    job.name = s.name.empty() ? s.circuit.name() : std::move(s.name);
-    job.circuit = std::move(s.circuit);
-    job.target = s.target;
-    job.seed = s.seed;
-    job.timeout_seconds = s.timeout_seconds;
-    job.cancel_flag = std::make_shared<std::atomic<bool>>(false);
+    Job job{std::move(s)};
+    if (job.name.empty())
+        job.name = job.circuit.name();
 
     bool reject = false;
     {
@@ -141,7 +161,8 @@ CompileService::submit(Submission s)
         if (reject)
             ++stats_.overloaded;
         else
-            live_jobs_.emplace(job.id, job.cancel_flag);
+            live_jobs_.emplace(job.id,
+                               LiveJob{job.client, job.cancel_flag});
     }
     const std::uint64_t id = job.id;
     job.submit_time = std::chrono::steady_clock::now();
@@ -154,6 +175,7 @@ CompileService::submit(Submission s)
         record.job_id = id;
         record.name = job.name;
         record.target = job.target;
+        record.client = job.client;
         record.status = JobStatus::Overloaded;
         record.circuit_hash = job.circuit.contentHash();
         record.error = "rejected at admission: service overloaded";
@@ -161,7 +183,7 @@ CompileService::submit(Submission s)
         return id;
     }
 
-    if (!queue_.push(std::move(job))) {
+    if (!enqueue(std::move(job))) {
         // Closed between the check and the push: roll the books back.
         std::lock_guard<std::mutex> lock(state_mutex_);
         --stats_.submitted;
@@ -178,8 +200,22 @@ CompileService::cancel(std::uint64_t job_id)
     auto it = live_jobs_.find(job_id);
     if (it == live_jobs_.end())
         return false;
-    it->second->store(true, std::memory_order_relaxed);
+    it->second.cancel_flag->store(true, std::memory_order_relaxed);
     return true;
+}
+
+std::size_t
+CompileService::cancelClient(std::uint64_t client)
+{
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::size_t cancelled = 0;
+    for (auto &[id, live] : live_jobs_) {
+        if (live.client != client)
+            continue;
+        live.cancel_flag->store(true, std::memory_order_relaxed);
+        ++cancelled;
+    }
+    return cancelled;
 }
 
 void
@@ -218,8 +254,9 @@ CompileService::drainAndStop(double deadline_seconds)
                 // stop at their next phase boundary, queued jobs drop
                 // at pickup, so this wait is bounded.
                 clean = false;
-                for (auto &[id, flag] : live_jobs_)
-                    flag->store(true, std::memory_order_relaxed);
+                for (auto &[id, live] : live_jobs_)
+                    live.cancel_flag->store(true,
+                                            std::memory_order_relaxed);
                 all_done_.wait(lock, done);
             }
         } else {
@@ -263,7 +300,9 @@ CompileService::serviceStats() const
 {
     ServiceStats s;
     s.cache = cache_.stats();
-    s.queue_depth = queue_.size();
+    s.lane_depths = queue_.laneSizes();
+    for (std::size_t depth : s.lane_depths)
+        s.queue_depth += depth;
     s.workers = num_workers_;
     s.uptime_seconds =
         secondsSince(start_time_, std::chrono::steady_clock::now());
@@ -331,9 +370,8 @@ CompileService::reboundResult(
 void
 CompileService::runJob(Job &job, CompileScratch &scratch)
 {
-    using clock = std::chrono::steady_clock;
-    const clock::time_point picked_up = clock::now();
-    const clock::time_point submit_time = job.submit_time;
+    const Clock::time_point picked_up = Clock::now();
+    const Clock::time_point submit_time = job.submit_time;
 
     const TargetState &ts = targets_[static_cast<std::size_t>(
         job.target)];
@@ -342,6 +380,7 @@ CompileService::runJob(Job &job, CompileScratch &scratch)
     record.job_id = job.id;
     record.name = job.name;
     record.target = job.target;
+    record.client = job.client;
     record.circuit_hash = job.circuit.contentHash();
     record.queue_seconds = secondsSince(submit_time, picked_up);
 
@@ -377,7 +416,7 @@ CompileService::runJob(Job &job, CompileScratch &scratch)
     // record. Only meaningful with the cache on — with the cache off
     // every job is an intentional recompile (the perf harness measures
     // raw throughput that way).
-    if (cache_.enabled() && config_.dedup_in_flight) {
+    if (cache_.enabled()) {
         bool is_waiter = false;
         {
             std::lock_guard<std::mutex> lock(inflight_mutex_);
@@ -417,11 +456,7 @@ CompileService::runJob(Job &job, CompileScratch &scratch)
 
     CompileControl control;
     control.cancel = job.cancel_flag.get();
-    if (job.timeout_seconds > 0.0)
-        control.deadline =
-            submit_time +
-            std::chrono::duration_cast<clock::duration>(
-                std::chrono::duration<double>(job.timeout_seconds));
+    control.deadline = deadlineAfter(submit_time, job.timeout_seconds);
 
     // Injected mid-compile cancel: flip the job's own cancel flag at a
     // deterministic phase boundary — exactly the code path a real
@@ -478,12 +513,8 @@ CompileService::runJob(Job &job, CompileScratch &scratch)
                 std::this_thread::sleep_for(
                     std::chrono::duration<double, std::milli>(
                         backoff_ms));
-            Job retry = std::move(job);
-            ++retry.attempt;
-            // forcePush: the retry was admitted once already, and a
-            // worker must never block pushing into its own full queue
-            // (all workers doing so would deadlock the pool).
-            if (queue_.forcePush(retry))
+            ++job.attempt;
+            if (enqueue(std::move(job)))
                 return; // not terminal yet; still the inflight leader
             record.status = JobStatus::Failed;
             record.error =
@@ -537,30 +568,26 @@ CompileService::finishJob(JobRecord &record, const CacheKey &key,
 void
 CompileService::settleWaiter(Job &waiter, const JobRecord &leader)
 {
-    using clock = std::chrono::steady_clock;
+    const Clock::time_point submit_time = waiter.submit_time;
     JobRecord record;
     record.job_id = waiter.id;
     record.name = waiter.name;
     record.target = waiter.target;
+    record.client = waiter.client;
     record.circuit_hash = leader.circuit_hash;
-    record.queue_seconds =
-        secondsSince(waiter.submit_time, clock::now());
+    record.queue_seconds = secondsSince(submit_time, Clock::now());
 
     if (waiter.cancel_flag->load(std::memory_order_relaxed)) {
         record.status = JobStatus::Cancelled;
-        deliver(record, waiter.submit_time);
+        deliver(record, submit_time);
         return;
     }
 
     if (leader.status == JobStatus::Done) {
-        if (waiter.timeout_seconds > 0.0 &&
-            clock::now() >=
-                waiter.submit_time +
-                    std::chrono::duration_cast<clock::duration>(
-                        std::chrono::duration<double>(
-                            waiter.timeout_seconds))) {
+        if (Clock::now() >=
+            deadlineAfter(submit_time, waiter.timeout_seconds)) {
             record.status = JobStatus::TimedOut;
-            deliver(record, waiter.submit_time);
+            deliver(record, submit_time);
             return;
         }
         record.status = JobStatus::Done;
@@ -571,7 +598,7 @@ CompileService::settleWaiter(Job &waiter, const JobRecord &leader)
             std::lock_guard<std::mutex> lock(state_mutex_);
             ++stats_.coalesced_served;
         }
-        deliver(record, waiter.submit_time);
+        deliver(record, submit_time);
         return;
     }
 
@@ -582,12 +609,21 @@ CompileService::settleWaiter(Job &waiter, const JobRecord &leader)
         std::lock_guard<std::mutex> lock(state_mutex_);
         ++stats_.coalesced_requeued;
     }
-    if (!queue_.forcePush(waiter)) {
+    if (!enqueue(std::move(waiter))) {
         record.status = JobStatus::Failed;
         record.error =
             "service shut down while re-queueing coalesced job";
-        deliver(record, waiter.submit_time);
+        deliver(record, submit_time);
     }
+}
+
+bool
+CompileService::enqueue(Job job)
+{
+    // Read the lane and client before the job moves into the queue.
+    const std::size_t lane = job.lane;
+    const std::uint64_t client = job.client;
+    return queue_.push(lane, client, std::move(job));
 }
 
 void

@@ -10,6 +10,13 @@
  * out through a sink as workers finish — no global barrier, no
  * buffering of whole batches.
  *
+ * The job queue is one WeightedLaneQueue (lanes.hpp): every submission
+ * names a lane and a client key, and workers pop by weighted
+ * round-robin across lanes and round-robin across clients within a
+ * lane. The default configuration has one lane, which makes the queue
+ * a per-client round-robin; zac_serve configures interactive and batch
+ * lanes. submit() never blocks.
+ *
  * Fault tolerance (ISSUE 6) layers four guarantees on top:
  *  - cache persistence: the result cache can spill to a JSONL snapshot
  *    (atomic write-temp-then-rename, checksummed records) and reload it
@@ -31,7 +38,8 @@
  * Delivery invariant: every submit() leads to EXACTLY ONE terminal
  * JobRecord through the sink — compiled, cache-served, coalesced,
  * cancelled, timed out, failed (after retries), or rejected as
- * overloaded. drain() and the chaos harness are built on it.
+ * overloaded. drain(), cancelClient() and the chaos harness are built
+ * on it.
  *
  * Determinism: a compilation is a pure function of (circuit,
  * architecture, options incl. seed). Workers never share mutable state
@@ -62,7 +70,7 @@
 #include "core/options.hpp"
 #include "service/cache_store.hpp"
 #include "service/fault_injection.hpp"
-#include "service/job_queue.hpp"
+#include "service/lanes.hpp"
 #include "service/result_cache.hpp"
 #include "service/warm_context_pool.hpp"
 
@@ -103,6 +111,7 @@ struct JobRecord
     std::uint64_t job_id = 0;
     std::string name;          ///< submission label (circuit name)
     int target = 0;            ///< index into targets()
+    std::uint64_t client = 0;  ///< the submission's client key
     JobStatus status = JobStatus::Failed;
     bool cache_hit = false;
     /** Compile attempts consumed: 1 for a clean compile, 1+k after k
@@ -122,17 +131,17 @@ struct JobRecord
 };
 
 /**
- * The compile-service engine: bounded MPMC job queue, worker pool,
- * result cache (optionally persistent), per-job cancellation and
- * timeout, transient-failure retry, in-flight dedup, and admission
- * control.
+ * The compile-service engine: weighted-lane job queue, worker pool,
+ * result cache (optionally persistent), per-job and per-client
+ * cancellation, timeout, transient-failure retry, in-flight dedup, and
+ * admission control.
  *
  * Results are delivered through the sink callback, invoked from worker
  * threads (or, for overloaded rejections, the submitting thread) as
  * each job finishes. The service serializes sink invocations (one at a
  * time, under an internal mutex), so the sink may write to a shared
  * stream without further locking; it must not call back into the
- * service except via cancel().
+ * service except via cancel() or cancelClient().
  */
 class CompileService
 {
@@ -141,12 +150,11 @@ class CompileService
     {
         /** Worker threads; 0 = hardware concurrency. */
         int num_workers = 0;
-        /** Job-queue bound (backpressure on submit). */
-        std::size_t queue_capacity = 256;
+        /** Job-queue lanes, one weighted round-robin weight (>= 1)
+         *  each; Submission::lane indexes this list. */
+        std::vector<int> lane_weights = {1};
         /** Result-cache entries (0 disables caching). */
         std::size_t cache_capacity = 1024;
-        /** Cache lock shards. */
-        std::size_t cache_shards = 8;
 
         /** Transient-failure re-runs per job (0 disables retry). */
         int max_retries = 2;
@@ -158,17 +166,9 @@ class CompileService
         /**
          * Admission high-water mark on undelivered jobs; a submission
          * past it is rejected with an `overloaded` terminal record. 0
-         * keeps the legacy behavior (submit blocks on the bounded
-         * queue instead of rejecting).
+         * never rejects.
          */
         std::size_t admission_high_water = 0;
-        /**
-         * Coalesce identical cache keys racing before the first cache
-         * insert: one compile, every coalesced job served from it.
-         * Effective only while the cache is enabled (with no cache
-         * every job is an intentional recompile).
-         */
-        bool dedup_in_flight = true;
         /**
          * Cache snapshot path; loaded (tolerantly) on construction and
          * flushed by drainAndStop()/shutdown(). Empty disables
@@ -206,7 +206,9 @@ class CompileService
     {
         Stats counters;           ///< monotonic counters (see Stats)
         ResultCache::Stats cache; ///< hits/misses/entries
-        std::size_t queue_depth = 0; ///< jobs waiting in the MPMC queue
+        std::size_t queue_depth = 0; ///< jobs waiting in the queue
+        /** Jobs waiting per lane (sums to queue_depth). */
+        std::vector<std::size_t> lane_depths;
         std::uint64_t pending = 0;   ///< submitted - delivered
         int workers = 0;
         double uptime_seconds = 0.0; ///< since construction
@@ -228,8 +230,11 @@ class CompileService
          *  options are re-digested with this seed (distinct cache
          *  entry, reproducible independent of submission order). */
         std::optional<std::uint64_t> seed;
-        /** Per-job wall-clock timeout; <= 0 means none. */
+        /** Per-job wall-clock timeout; <= 0 (or too large for the
+         *  clock to represent) means none. */
         double timeout_seconds = 0.0;
+        std::size_t lane = 0;      ///< index into Config::lane_weights
+        std::uint64_t client = 0;  ///< round-robin and cancelClient() key
     };
 
     CompileService(std::vector<CompileTarget> targets, Config config,
@@ -245,13 +250,13 @@ class CompileService
     int numWorkers() const { return num_workers_; }
 
     /**
-     * Enqueue one job; blocks while the queue is full (unless an
-     * admission high-water mark is configured, in which case an
-     * over-limit submission is rejected immediately with an
-     * `overloaded` terminal record through the sink). During and after
-     * a drain, submissions are likewise rejected as overloaded.
+     * Enqueue one job on its lane; never blocks. Past the admission
+     * high-water mark (when one is configured) and during a drain the
+     * job is instead rejected immediately with an `overloaded` terminal
+     * record through the sink, from the calling thread.
      * @return the job id (also echoed in the JobRecord).
-     * @throws FatalError on an invalid target index or after shutdown.
+     * @throws FatalError on an invalid target or lane index, or after
+     *         shutdown.
      */
     std::uint64_t submit(Submission s);
 
@@ -263,6 +268,13 @@ class CompileService
      * @return false if the job already completed (or never existed).
      */
     bool cancel(std::uint64_t job_id);
+
+    /**
+     * cancel() every undelivered job of @p client (Submission::client):
+     * the disconnect path. Each still gets its one terminal record.
+     * @return the number of jobs whose cancel flag was set.
+     */
+    std::size_t cancelClient(std::uint64_t client);
 
     /** Block until every job submitted so far has been delivered. */
     void drain();
@@ -304,17 +316,14 @@ class CompileService
         std::shared_ptr<const ArchContext> context;
     };
 
-    struct Job
+    /** A submission on its way through the queue and the workers. */
+    struct Job : Submission
     {
         std::uint64_t id = 0;
-        std::string name;
-        Circuit circuit;
-        int target = 0;
-        std::optional<std::uint64_t> seed;
-        double timeout_seconds = 0.0;
         int attempt = 1; ///< current compile attempt (1-based)
-        std::chrono::steady_clock::time_point submit_time;
-        std::shared_ptr<std::atomic<bool>> cancel_flag;
+        std::chrono::steady_clock::time_point submit_time{};
+        std::shared_ptr<std::atomic<bool>> cancel_flag =
+            std::make_shared<std::atomic<bool>>(false);
     };
 
     /** Jobs waiting on an identical in-flight compile. */
@@ -337,6 +346,9 @@ class CompileService
     void settleWaiter(Job &waiter, const JobRecord &leader);
     void deliver(JobRecord &record,
                  std::chrono::steady_clock::time_point submit_time);
+    /** Queue @p job on its lane under its client key (submissions,
+     *  retries, requeued waiters). @return false once closed. */
+    bool enqueue(Job job);
     /** Serve a cache/leader result, rebinding name metadata (a byte
      *  splice at the recorded name span) so the record is bit-identical
      *  to a fresh compile of the submission. */
@@ -351,7 +363,7 @@ class CompileService
     int num_workers_ = 1;
     std::optional<FaultPlan> faults_;
 
-    BoundedMpmcQueue<Job> queue_;
+    WeightedLaneQueue<Job> queue_;
     ResultCache cache_;
     SnapshotLoadStats snapshot_load_;
     std::vector<std::thread> workers_;
@@ -374,10 +386,14 @@ class CompileService
     bool draining_ = false;
     bool shutdown_ = false;
     Stats stats_;
-    /** Cancel flags of jobs not yet delivered, by job id. */
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<std::atomic<bool>>>
-        live_jobs_;
+    /** A job not yet delivered: its client and its cancel flag. */
+    struct LiveJob
+    {
+        std::uint64_t client = 0;
+        std::shared_ptr<std::atomic<bool>> cancel_flag;
+    };
+    /** Undelivered jobs, by job id. */
+    std::unordered_map<std::uint64_t, LiveJob> live_jobs_;
 };
 
 } // namespace zac::service

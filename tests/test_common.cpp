@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/geometry.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
@@ -75,6 +78,13 @@ TEST(Json, AccessorsAreKindChecked)
     EXPECT_THROW(v.at("key"), FatalError);
     EXPECT_THROW(v.at(5), FatalError);
     EXPECT_THROW(json::parse("1.5").asInt(), FatalError);
+    // asInt() holds to the int64 range instead of casting past it.
+    EXPECT_THROW(json::parse("1e30").asInt(), FatalError);
+    EXPECT_THROW(json::parse("-1e30").asInt(), FatalError);
+    EXPECT_THROW(json::parse("9223372036854775808").asInt(), FatalError);
+    EXPECT_EQ(json::parse("-9223372036854775808").asInt(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(json::parse("4294967296").asInt(), 4294967296);
 }
 
 TEST(Json, DumpParseRoundTrip)

@@ -2,11 +2,11 @@
  * @file
  * Tests for the network layer behind zac_serve: the incremental HTTP
  * request parser (fragmentation-invariance, limit enforcement, clean
- * error statuses), the weighted fair-admission lanes, and the
- * CompileServer daemon end to end over real localhost sockets —
- * served records identical to offline compiles, concurrent clients,
- * connection caps, timeout reaping, interactive-lane protection
- * under a batch flood, and graceful drain with snapshot persistence.
+ * error statuses) and the CompileServer daemon end to end over real
+ * localhost sockets — served records identical to offline compiles,
+ * concurrent clients, connection caps, timeout reaping,
+ * interactive-lane protection under a batch flood, disconnects, and
+ * graceful drain with snapshot persistence.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +15,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
@@ -31,7 +31,6 @@
 #include "net/http.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
-#include "service/lanes.hpp"
 #include "service/service.hpp"
 #include "zair/serialize.hpp"
 
@@ -44,7 +43,6 @@ using net::CompileServer;
 using net::HttpRequestParser;
 using net::ServerConfig;
 using service::CompileTarget;
-using service::WeightedLaneQueue;
 
 using State = HttpRequestParser::State;
 
@@ -216,84 +214,6 @@ TEST(HttpParser, LeadingBlankLinesTolerated)
     p.feed(req.data(), req.size());
     EXPECT_EQ(p.state(), State::Complete);
     EXPECT_EQ(p.method(), "GET");
-}
-
-// ------------------------------------------------------------ lanes
-
-TEST(LaneQueue, WeightedRoundRobinAcrossLanes)
-{
-    // Lane 0 weight 2, lane 1 weight 1: the drain pattern over full
-    // lanes must serve two from lane 0 per one from lane 1.
-    WeightedLaneQueue<int> q({2, 1});
-    for (int i = 0; i < 6; ++i)
-        ASSERT_TRUE(q.push(0, /*client=*/1, 100 + i));
-    for (int i = 0; i < 3; ++i)
-        ASSERT_TRUE(q.push(1, /*client=*/2, 200 + i));
-
-    std::vector<int> order;
-    while (auto v = q.tryPop())
-        order.push_back(*v);
-    const std::vector<int> expected{100, 101, 200, 102, 103,
-                                    201, 104, 105, 202};
-    EXPECT_EQ(order, expected);
-}
-
-TEST(LaneQueue, RoundRobinAcrossClientsWithinLane)
-{
-    WeightedLaneQueue<int> q({1});
-    // Client 7 floods first; client 8 arrives later with two items.
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(q.push(0, 7, i));
-    ASSERT_TRUE(q.push(0, 8, 100));
-    ASSERT_TRUE(q.push(0, 8, 101));
-
-    std::vector<int> order;
-    while (auto v = q.tryPop())
-        order.push_back(*v);
-    // One item per client per turn: 7, 8 alternate until 8 runs dry.
-    const std::vector<int> expected{0, 100, 1, 101, 2, 3};
-    EXPECT_EQ(order, expected);
-}
-
-TEST(LaneQueue, DropClientDiscardsOnlyThatClient)
-{
-    WeightedLaneQueue<int> q({1, 1});
-    q.push(0, 1, 10);
-    q.push(0, 2, 20);
-    q.push(1, 1, 11);
-    q.push(1, 3, 30);
-    EXPECT_EQ(q.dropClient(1), 2u);
-    EXPECT_EQ(q.size(), 2u);
-    std::set<int> rest;
-    while (auto v = q.tryPop())
-        rest.insert(*v);
-    EXPECT_EQ(rest, (std::set<int>{20, 30}));
-}
-
-TEST(LaneQueue, CloseDrainsRemainingItemsThenSignalsEnd)
-{
-    WeightedLaneQueue<int> q({1});
-    q.push(0, 1, 1);
-    q.push(0, 1, 2);
-    q.close();
-    EXPECT_FALSE(q.push(0, 1, 3)); // rejected after close
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(LaneQueue, BlockingPopWakesOnPush)
-{
-    WeightedLaneQueue<int> q({1});
-    std::atomic<int> got{0};
-    std::thread consumer([&] {
-        const std::optional<int> v = q.pop();
-        got.store(v.value_or(-1));
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.push(0, 1, 42);
-    consumer.join();
-    EXPECT_EQ(got.load(), 42);
 }
 
 // ----------------------------------------------------------- server
@@ -512,31 +432,69 @@ TEST(NetServer, InvalidSubmitLinesGetInlineErrorRecords)
     cfg.include_zair = false;
     TestServer ts(cfg);
 
+    // Lines 4-6 break the manifest's job rules (one parser reads
+    // both): numbers outside their range are rejected, not compiled.
     const std::string body =
         "this is not json\n"
         "{\"circuit\": \"no_such_benchmark_xyz\"}\n"
         "{\"circuit\": \"ghz_n23\", \"target\": \"nope\"}\n"
+        "{\"circuit\": \"ghz_n23\", \"timeout_seconds\": -5}\n"
+        "{\"circuit\": \"ghz_n23\", \"target\": 4294967296}\n"
+        "{\"circuit\": \"ghz_n23\", \"seed\": 1e30}\n"
         "{\"circuit\": \"ghz_n23\"}\n";
     const std::string raw = roundTrip(ts.port, postRequest(body));
     ASSERT_EQ(statusOf(raw), 200);
     const std::vector<json::Value> records =
         parseRecords(bodyOf(raw));
-    ASSERT_EQ(records.size(), 4u); // exactly one record per line
+    ASSERT_EQ(records.size(), 7u); // exactly one record per line
 
     int errors = 0, done = 0;
-    std::set<std::int64_t> error_lines;
+    std::map<std::int64_t, std::string> error_lines;
     for (const json::Value &r : records) {
         if (r.at("status").asString() == "done") {
             ++done;
         } else {
             ++errors;
             EXPECT_EQ(r.at("type").asString(), "error");
-            error_lines.insert(r.at("line").asInt());
+            error_lines[r.at("line").asInt()] = r.at("error").asString();
         }
     }
     EXPECT_EQ(done, 1);
-    EXPECT_EQ(errors, 3);
-    EXPECT_EQ(error_lines, (std::set<std::int64_t>{1, 2, 3}));
+    EXPECT_EQ(errors, 6);
+    ASSERT_EQ(error_lines.size(), 6u);
+    EXPECT_EQ(error_lines.begin()->first, 1);
+    EXPECT_EQ(error_lines.rbegin()->first, 6);
+    EXPECT_NE(error_lines[4].find("timeout_seconds"), std::string::npos)
+        << error_lines[4];
+    EXPECT_NE(error_lines[5].find("target"), std::string::npos)
+        << error_lines[5];
+    EXPECT_NE(error_lines[6].find("range"), std::string::npos)
+        << error_lines[6];
+}
+
+TEST(NetServer, UnlabelledQasmLineIsLabelledByItsFileStem)
+{
+    // As in a manifest (one parser reads both), not by its full path.
+    const std::string path = "test_net_bell.qasm";
+    {
+        std::ofstream f(path);
+        f << "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+             "h q[0];\ncx q[0],q[1];\n";
+    }
+    ServerConfig cfg;
+    cfg.include_zair = false;
+    TestServer ts(cfg);
+    const std::string raw = roundTrip(
+        ts.port, postRequest("{\"circuit\": \"" + path + "\"}\n"));
+    std::remove(path.c_str());
+    ASSERT_EQ(statusOf(raw), 200);
+    const std::vector<json::Value> records =
+        parseRecords(bodyOf(raw));
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].at("status").asString(), "done");
+    EXPECT_EQ(records[0].at("circuit").asString(), "test_net_bell");
+    ts.stop();
+    EXPECT_TRUE(ts.clean);
 }
 
 TEST(NetServer, HealthzReportsServiceCounters)
@@ -655,12 +613,11 @@ TEST(NetServer, ConnectionCapAnswersOverloaded)
 
 TEST(NetServer, InteractiveLaneOutrunsBatchFlood)
 {
-    // One worker, a tiny service queue, no cache: almost the whole
-    // batch flood is stuck in the lanes when the interactive job
-    // arrives, so weighted round-robin is what decides its latency.
+    // One worker, no cache: almost the whole batch flood is queued
+    // when the interactive job arrives, so weighted round-robin is
+    // what decides its latency.
     ServerConfig cfg;
     cfg.service.num_workers = 1;
-    cfg.service.queue_capacity = 2;
     cfg.service.cache_capacity = 0;
     cfg.include_zair = false;
     TestServer ts(cfg);
@@ -707,6 +664,74 @@ TEST(NetServer, InteractiveLaneOutrunsBatchFlood)
     EXPECT_LT(inter_eof.time_since_epoch().count(),
               batch_eof.time_since_epoch().count());
     ts.stop();
+}
+
+TEST(NetServer, DisconnectCancelsTheClientsRemainingJobs)
+{
+    // Every compile stalls 300 ms on the one worker. Client A leaves
+    // after its first record: its other five jobs must be cancelled,
+    // not compiled, while client B's job still compiles.
+    service::FaultPlan plan;
+    plan.stall_rate = 1.0;
+    plan.stall_ms = 300.0;
+    ServerConfig cfg;
+    cfg.service.num_workers = 1;
+    cfg.service.faults = plan;
+    cfg.include_zair = false;
+    TestServer ts(cfg);
+
+    std::string body;
+    for (int i = 0; i < 6; ++i)
+        body += "{\"circuit\": \"ghz_n23\", \"seed\": " +
+                std::to_string(i) + "}\n";
+    {
+        net::Fd a = net::tcpConnect("127.0.0.1", ts.port, 30.0);
+        const std::string req = postRequest(body);
+        ASSERT_TRUE(net::sendAll(a.get(), req.data(), req.size()));
+        std::string raw;
+        char buf[4096];
+        const auto first_record = [&] {
+            const std::size_t head = raw.find("\r\n\r\n");
+            return head != std::string::npos &&
+                   raw.find('\n', head + 4) != std::string::npos;
+        };
+        while (!first_record()) {
+            const ssize_t r = ::recv(a.get(), buf, sizeof(buf), 0);
+            ASSERT_GT(r, 0);
+            raw.append(buf, static_cast<std::size_t>(r));
+        }
+        // Reset rather than close, so the server sees the disconnect
+        // at once instead of at its next write.
+        const linger reset{1, 0};
+        ::setsockopt(a.get(), SOL_SOCKET, SO_LINGER, &reset,
+                     sizeof(reset));
+    }
+
+    const std::string raw = roundTrip(
+        ts.port, postRequest("{\"circuit\": \"ghz_n23\", "
+                             "\"seed\": 100}\n"));
+    ASSERT_EQ(statusOf(raw), 200);
+    const std::vector<json::Value> recs = parseRecords(bodyOf(raw));
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].at("status").asString(), "done");
+
+    // B's record streams before the service counts it delivered.
+    json::Value h;
+    for (int i = 0; i < 200; ++i) {
+        h = json::parse(bodyOf(roundTrip(
+            ts.port, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")));
+        if (h.at("jobs").at("delivered").asInt() == 7)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(h.at("jobs").at("submitted").asInt(), 7);
+    EXPECT_EQ(h.at("jobs").at("delivered").asInt(), 7);
+    // Two compiles: A's first job and B's; A's other five were
+    // cancelled, and none of their records was streamed.
+    EXPECT_EQ(h.at("cache").at("insertions").asInt(), 2);
+    EXPECT_EQ(h.at("requests").at("records_streamed").asInt(), 2);
+    ts.stop();
+    EXPECT_TRUE(ts.clean);
 }
 
 TEST(NetServer, DrainUnderLoadDeliversEveryAdmittedRecord)

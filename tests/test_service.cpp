@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit and end-to-end tests for the batch compile service: the bounded
- * MPMC queue, the content-addressed result cache and its key
- * components, the streaming ZAIR writer, the JSONL protocol, the batch
- * manifest, and the CompileService engine itself (sharding, cache hits,
- * cancellation, timeout, determinism).
+ * Unit and end-to-end tests for the batch compile service: the
+ * weighted-lane job queue, the content-addressed result cache and its
+ * key components, the streaming ZAIR writer, the JSONL protocol, the
+ * batch manifest, and the CompileService engine itself (sharding,
+ * cache hits, cancellation, timeout, determinism).
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +15,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "arch/presets.hpp"
 #include "arch/serialize.hpp"
@@ -25,7 +26,7 @@
 #include "common/logging.hpp"
 #include "service/cache_store.hpp"
 #include "service/fault_injection.hpp"
-#include "service/job_queue.hpp"
+#include "service/lanes.hpp"
 #include "service/manifest.hpp"
 #include "service/protocol.hpp"
 #include "service/result_cache.hpp"
@@ -37,7 +38,6 @@ namespace zac
 namespace
 {
 
-using service::BoundedMpmcQueue;
 using service::CacheKey;
 using service::CompileService;
 using service::CompileTarget;
@@ -47,87 +47,69 @@ using service::JobStatus;
 using service::ResultCache;
 using service::SnapshotCorruption;
 using service::SnapshotLoadStats;
+using service::WeightedLaneQueue;
 
 // ------------------------------------------------------- job queue
 
-TEST(JobQueue, FifoOrderAndSize)
+TEST(LaneQueue, WeightedRoundRobinAcrossLanes)
 {
-    BoundedMpmcQueue<int> q(4);
-    EXPECT_TRUE(q.push(1));
-    EXPECT_TRUE(q.push(2));
-    EXPECT_TRUE(q.push(3));
-    EXPECT_EQ(q.size(), 3u);
+    // Lane 0 weight 2, lane 1 weight 1: the drain pattern over full
+    // lanes must serve two from lane 0 per one from lane 1.
+    WeightedLaneQueue<int> q({2, 1});
+    for (int i = 0; i < 6; ++i)
+        ASSERT_TRUE(q.push(0, /*client=*/1, 100 + i));
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(q.push(1, /*client=*/2, 200 + i));
+
+    std::vector<int> order;
+    while (auto v = q.tryPop())
+        order.push_back(*v);
+    const std::vector<int> expected{100, 101, 200, 102, 103,
+                                    201, 104, 105, 202};
+    EXPECT_EQ(order, expected);
+}
+
+TEST(LaneQueue, RoundRobinAcrossClientsWithinLane)
+{
+    WeightedLaneQueue<int> q({1});
+    // Client 7 floods first; client 8 arrives later with two items.
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(q.push(0, 7, i));
+    ASSERT_TRUE(q.push(0, 8, 100));
+    ASSERT_TRUE(q.push(0, 8, 101));
+
+    std::vector<int> order;
+    while (auto v = q.tryPop())
+        order.push_back(*v);
+    // One item per client per turn: 7, 8 alternate until 8 runs dry.
+    const std::vector<int> expected{0, 100, 1, 101, 2, 3};
+    EXPECT_EQ(order, expected);
+}
+
+TEST(LaneQueue, CloseDrainsRemainingItemsThenSignalsEnd)
+{
+    WeightedLaneQueue<int> q({1});
+    q.push(0, 1, 1);
+    q.push(0, 1, 2);
+    q.close();
+    EXPECT_FALSE(q.push(0, 1, 3)); // rejected after close
     EXPECT_EQ(q.pop().value(), 1);
     EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    EXPECT_EQ(q.size(), 0u);
+    EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(JobQueue, TryPushRespectsCapacity)
+TEST(LaneQueue, BlockingPopWakesOnPush)
 {
-    BoundedMpmcQueue<int> q(2);
-    int a = 1, b = 2, c = 3;
-    EXPECT_TRUE(q.tryPush(a));
-    EXPECT_TRUE(q.tryPush(b));
-    EXPECT_FALSE(q.tryPush(c)); // full
-    q.close();
-    EXPECT_FALSE(q.tryPush(c)); // closed
-}
-
-TEST(JobQueue, CloseDrainsThenStops)
-{
-    BoundedMpmcQueue<int> q(8);
-    ASSERT_TRUE(q.push(7));
-    q.close();
-    EXPECT_FALSE(q.push(8));              // refused after close
-    EXPECT_EQ(q.pop().value(), 7);        // drains the remainder
-    EXPECT_FALSE(q.pop().has_value());    // then reports end
-}
-
-TEST(JobQueue, BlockingPushUnblocksOnPop)
-{
-    BoundedMpmcQueue<int> q(1);
-    ASSERT_TRUE(q.push(1));
-    std::atomic<bool> pushed{false};
-    std::thread producer([&] {
-        ASSERT_TRUE(q.push(2)); // blocks until the consumer pops
-        pushed = true;
+    WeightedLaneQueue<int> q({1});
+    std::atomic<int> got{0};
+    std::thread consumer([&] {
+        const std::optional<int> v = q.pop();
+        got.store(v.value_or(-1));
     });
-    EXPECT_EQ(q.pop().value(), 1);
-    producer.join();
-    EXPECT_TRUE(pushed);
-    EXPECT_EQ(q.pop().value(), 2);
-}
-
-TEST(JobQueue, ConcurrentProducersConsumersLoseNothing)
-{
-    constexpr int kProducers = 4, kPerProducer = 250;
-    BoundedMpmcQueue<int> q(16);
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-            for (int i = 0; i < kPerProducer; ++i)
-                ASSERT_TRUE(q.push(p * kPerProducer + i));
-        });
-    }
-    std::mutex m;
-    std::set<int> seen;
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < 3; ++c) {
-        consumers.emplace_back([&] {
-            while (auto v = q.pop()) {
-                std::lock_guard<std::mutex> lock(m);
-                seen.insert(*v);
-            }
-        });
-    }
-    for (auto &t : producers)
-        t.join();
-    q.close();
-    for (auto &t : consumers)
-        t.join();
-    EXPECT_EQ(seen.size(),
-              static_cast<std::size_t>(kProducers * kPerProducer));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q.push(0, 1, 42);
+    consumer.join();
+    EXPECT_EQ(got.load(), 42);
 }
 
 // ----------------------------------------------- cache key components
@@ -686,6 +668,29 @@ TEST(CompileServiceTest, ZeroTimeoutTimesOut)
     EXPECT_EQ(collector.records.at(id).status, JobStatus::TimedOut);
 }
 
+TEST(CompileServiceTest, TimeoutPastTheClockRangeMeansNoDeadline)
+{
+    // submit time + 1e10 s overflows the clock's int64 nanoseconds; a
+    // deadline the clock cannot represent is no deadline at all.
+    const Architecture arch = presets::referenceZoned();
+    RecordCollector collector;
+    CompileService::Config config;
+    config.num_workers = 1;
+    config.cache_capacity = 0;
+    CompileService svc(
+        {CompileTarget{"ref", arch, ZacOptions::full()}}, config,
+        collector.sink());
+    const Circuit c = bench_circuits::paperBenchmark("ghz_n40");
+    const std::uint64_t id = svc.submit({"t", c, 0, {}, 1e10});
+    const std::uint64_t far = svc.submit({"u", c, 0, {}, 1e300});
+    svc.drain();
+    svc.shutdown();
+    EXPECT_EQ(collector.records.at(id).status, JobStatus::Done)
+        << collector.records.at(id).error;
+    EXPECT_EQ(collector.records.at(far).status, JobStatus::Done)
+        << collector.records.at(far).error;
+}
+
 TEST(CompileServiceTest, OversizedCircuitFailsCleanly)
 {
     // More qubits than the reference arch has storage traps: the
@@ -780,28 +785,6 @@ TEST(Protocol, EveryStatusAndAttemptsSurviveSerialization)
                   s);
         EXPECT_EQ(v.at("attempts").asInt(), 3);
     }
-}
-
-// ------------------------------------------------ forced admission
-
-TEST(JobQueue, ForcePushIgnoresCapacityButNotClose)
-{
-    BoundedMpmcQueue<int> q(1);
-    EXPECT_TRUE(q.push(1));
-    int a = 2, b = 3, c = 4, d = 5;
-    // Past capacity: tryPush refuses, forcePush (the retry/coalesced
-    // re-admission path) does not — a worker re-enqueueing its own job
-    // must never block on the queue it drains.
-    EXPECT_FALSE(q.tryPush(a));
-    EXPECT_TRUE(q.forcePush(a));
-    EXPECT_TRUE(q.forcePush(b));
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_FALSE(q.tryPush(c)); // still over capacity
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    q.close();
-    EXPECT_FALSE(q.forcePush(d)); // closed wins over forced
 }
 
 // ------------------------------------------------- fault injection
@@ -1027,6 +1010,51 @@ TEST(CompileServiceTest, WaiterIsRequeuedWhenLeaderIsCancelled)
     EXPECT_FALSE(b.cache_hit); // compiled itself after the requeue
     EXPECT_EQ(svc.stats().coalesced_requeued, 1u);
     EXPECT_EQ(svc.stats().coalesced_served, 0u);
+}
+
+TEST(CompileServiceTest, CancelClientCancelsOnlyThatClientsJobs)
+{
+    // One stalled worker: client A has one job running and three
+    // queued when it is cancelled; client B's job still compiles.
+    FaultPlan plan;
+    plan.stall_rate = 1.0;
+    plan.stall_ms = 400.0;
+
+    const Architecture arch = presets::referenceZoned();
+    RecordCollector collector;
+    CompileService::Config config;
+    config.num_workers = 1;
+    config.cache_capacity = 0;
+    config.faults = plan;
+    CompileService svc(
+        {CompileTarget{"ref", arch, ZacOptions::full()}}, config,
+        collector.sink());
+    const Circuit c = bench_circuits::paperBenchmark("ghz_n23");
+    constexpr std::uint64_t kClientA = 1, kClientB = 2;
+    std::vector<std::uint64_t> a_jobs;
+    for (int i = 0; i < 4; ++i)
+        a_jobs.push_back(
+            svc.submit({"a", c, 0, {}, 0.0, 0, kClientA}));
+    const std::uint64_t b_job =
+        svc.submit({"b", c, 0, {}, 0.0, 0, kClientB});
+    // Let the first of A's jobs reach the worker (and the stall).
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(svc.cancelClient(kClientA), 4u);
+    svc.drain();
+    svc.shutdown();
+
+    for (std::uint64_t id : a_jobs) {
+        const JobRecord &r = collector.records.at(id);
+        EXPECT_EQ(r.status, JobStatus::Cancelled) << id;
+        EXPECT_EQ(r.client, kClientA);
+        EXPECT_EQ(r.result, nullptr);
+    }
+    const JobRecord &b = collector.records.at(b_job);
+    EXPECT_EQ(b.status, JobStatus::Done) << b.error;
+    EXPECT_EQ(b.client, kClientB);
+    EXPECT_EQ(collector.records.size(), 5u);
+    EXPECT_EQ(svc.stats().submitted, svc.stats().delivered);
+    EXPECT_EQ(svc.cancelClient(kClientA), 0u); // nothing left to cancel
 }
 
 // ---------------------------------------------- admission control
@@ -1327,6 +1355,17 @@ TEST(ManifestTest, RejectsOutOfRangeNumericsNamingTheCulprit)
     EXPECT_NE(bad_timeout.find("timeout_seconds"), std::string::npos)
         << bad_timeout;
 
+    // Integers past their range are rejected, not narrowed or wrapped.
+    const std::string huge_target = manifestFatalMessage(R"({
+      "jobs": [{"circuit": "ghz_n23", "target": 4294967296}]
+    })");
+    EXPECT_NE(huge_target.find("target"), std::string::npos)
+        << huge_target;
+    const std::string huge_seed = manifestFatalMessage(R"({
+      "jobs": [{"circuit": "ghz_n23", "seed": 1e30}]
+    })");
+    EXPECT_NE(huge_seed.find("range"), std::string::npos) << huge_seed;
+
     // The boundary values stay legal.
     EXPECT_EQ(manifestFatalMessage(R"({
       "targets": [{"name": "a", "arch": "reference",
@@ -1334,6 +1373,21 @@ TEST(ManifestTest, RejectsOutOfRangeNumericsNamingTheCulprit)
       "jobs": [{"circuit": "ghz_n23", "timeout_seconds": 0.0}]
     })"),
               "");
+}
+
+TEST(ManifestTest, UnlabelledQasmJobIsLabelledByItsFileStem)
+{
+    const std::string path = "test_service_bell.qasm";
+    {
+        std::ofstream f(path);
+        f << "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+             "h q[0];\ncx q[0],q[1];\n";
+    }
+    const service::Manifest m = service::manifestFromJson(json::parse(
+        R"({"jobs": [{"circuit": ")" + path + R"("}]})"));
+    std::remove(path.c_str());
+    ASSERT_EQ(m.jobs.size(), 1u);
+    EXPECT_EQ(m.jobs[0].name, "test_service_bell");
 }
 
 TEST(ManifestTest, UnknownKeysWarnButParse)
