@@ -202,7 +202,8 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
         }
         const std::vector<TrapRef> dests =
             opts.use_dynamic_placement
-                ? placeQubitsInStorage(state, qreq)
+                ? placeQubitsInStorage(
+                      state, qreq, profile ? &profile->qubit_placer : nullptr)
                 : returnQubitsHome(state, qreq.leaving);
         result.move_out.reserve(qreq.leaving.size());
         for (std::size_t i = 0; i < qreq.leaving.size(); ++i) {

@@ -19,6 +19,7 @@
 #include "core/gate_placer.hpp"
 #include "core/options.hpp"
 #include "core/placement_state.hpp"
+#include "core/qubit_placer.hpp"
 #include "transpile/stages.hpp"
 
 namespace zac
@@ -81,6 +82,7 @@ struct PlacementProfile
     double move_build_seconds = 0.0;      ///< move-ins + cost + rollback
     double check_seconds = 0.0;           ///< final plan replay check
     GatePlacerStats gate_placer;          ///< window/fallback counters
+    QubitPlacerStats qubit_placer;        ///< storage-placement counters
 
     double
     movementSeconds() const

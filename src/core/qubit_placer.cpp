@@ -104,14 +104,20 @@ candidateTraps(const PlacementState &state, int q,
     }
 }
 
-/** TrapId-returning core of nearestEmptyStorageTraps(). */
-std::vector<TrapId>
-nearestEmptyTraps(const PlacementState &state, Point p, std::size_t count)
+/**
+ * TrapId-returning core of nearestEmptyStorageTraps(): the @p count
+ * empty storage traps nearest to @p p by (distance, trap), written to
+ * @p out in no particular order.
+ */
+void
+nearestEmptyTraps(const PlacementState &state, Point p, std::size_t count,
+                  std::vector<TrapId> &out)
 {
+    out.clear();
     const Architecture &arch = state.arch();
     const std::size_t num_storage = arch.allStorageTraps().size();
     if (num_storage == 0)
-        return {};
+        return;
 
     double base_pitch = 3.0;
     for (const ZoneSpec &z : arch.storageZones())
@@ -148,19 +154,17 @@ nearestEmptyTraps(const PlacementState &state, Point p, std::size_t count)
         radius *= 2.0;
     }
 
-    std::sort(ranked.begin(), ranked.end(),
-              [](const Ranked &a, const Ranked &b) {
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second < b.second;
-              });
-    if (ranked.size() > count)
+    // (distance, trap) is a strict total order, so selecting the first
+    // `count` picks exactly the set a full sort would keep.
+    if (ranked.size() > count) {
+        std::nth_element(ranked.begin(),
+                         ranked.begin() +
+                             static_cast<std::ptrdiff_t>(count),
+                         ranked.end());
         ranked.resize(count);
-    std::vector<TrapId> out;
-    out.reserve(ranked.size());
+    }
     for (const Ranked &r : ranked)
         out.push_back(r.second);
-    return out;
 }
 
 } // namespace
@@ -170,7 +174,9 @@ nearestEmptyStorageTraps(const PlacementState &state, Point p,
                          std::size_t count)
 {
     const Architecture &arch = state.arch();
-    const std::vector<TrapId> ids = nearestEmptyTraps(state, p, count);
+    std::vector<TrapId> ids;
+    nearestEmptyTraps(state, p, count, ids);
+    std::sort(ids.begin(), ids.end());
     std::vector<TrapRef> out;
     out.reserve(ids.size());
     for (TrapId t : ids)
@@ -180,67 +186,119 @@ nearestEmptyStorageTraps(const PlacementState &state, Point p,
 
 std::vector<TrapRef>
 placeQubitsInStorage(const PlacementState &state,
-                     const QubitPlacementRequest &req)
+                     const QubitPlacementRequest &req,
+                     QubitPlacerStats *stats)
 {
     const Architecture &arch = state.arch();
     const std::size_t n = req.leaving.size();
     if (req.related.size() != n)
         panic("placeQubitsInStorage: request vectors out of shape");
+    if (stats)
+        ++stats->calls;
     if (n == 0)
         return {};
 
     int k = req.k;
     thread_local std::vector<std::vector<TrapId>> cands;
-    thread_local std::vector<TrapId> cols;
+    thread_local std::vector<TrapId> extra, cols;
+    // Column index per TrapId - base over the candidates' TrapId span
+    // (a few storage rows in a small call); every entry is -1 between
+    // calls.
+    thread_local std::vector<int> col_of;
+    thread_local SparseCostGraph graph;
     cands.resize(std::max(cands.size(), n));
     for (int attempt = 0; attempt < 8; ++attempt, k *= 2) {
-        // Per-qubit candidates and the union column space.
-        cols.clear();
-        std::size_t total = 0;
+        // Per-qubit candidates and their TrapId span.
+        TrapId base = arch.numTraps();
+        TrapId top = 0;
         for (std::size_t i = 0; i < n; ++i) {
             candidateTraps(state, req.leaving[i], req.related[i], k,
                            cands[i]);
-            if (attempt > 0) {
-                // Expansion: add globally nearest empty traps too.
-                const auto extra = nearestEmptyTraps(
-                    state, state.posOf(req.leaving[i]),
-                    n * static_cast<std::size_t>(attempt + 1));
-                cands[i].insert(cands[i].end(), extra.begin(),
-                                extra.end());
-                std::sort(cands[i].begin(), cands[i].end());
-                cands[i].erase(
-                    std::unique(cands[i].begin(), cands[i].end()),
-                    cands[i].end());
+            std::vector<TrapId> &row = cands[i];
+            if (!row.empty()) {
+                base = std::min(base, row.front());
+                top = std::max(top, row.back());
             }
-            total += cands[i].size();
+            if (attempt > 0) {
+                // Expansion: add globally nearest empty traps too. The
+                // local list is ascending, so a binary search drops the
+                // duplicates; the row needs no order (costs sort it).
+                nearestEmptyTraps(state, state.posOf(req.leaving[i]),
+                                  n * static_cast<std::size_t>(attempt + 1),
+                                  extra);
+                const auto local = static_cast<std::ptrdiff_t>(row.size());
+                for (TrapId t : extra) {
+                    if (std::binary_search(row.begin(), row.begin() + local,
+                                           t))
+                        continue;
+                    row.push_back(t);
+                    base = std::min(base, t);
+                    top = std::max(top, t);
+                }
+            }
         }
-        cols.reserve(total);
+        // Their union, as columns in TrapId order: the dense matrix's
+        // column order, which decides the solver's ties.
+        if (base <= top &&
+            col_of.size() < static_cast<std::size_t>(top - base + 1))
+            col_of.resize(static_cast<std::size_t>(top - base + 1), -1);
+        auto colOf = [&](TrapId t) -> int & {
+            return col_of[static_cast<std::size_t>(t - base)];
+        };
+        cols.clear();
         for (std::size_t i = 0; i < n; ++i)
-            cols.insert(cols.end(), cands[i].begin(), cands[i].end());
+            for (TrapId t : cands[i]) {
+                int &c = colOf(t);
+                if (c < 0) {
+                    c = 0;
+                    cols.push_back(t);
+                }
+            }
         std::sort(cols.begin(), cols.end());
-        cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-        if (cols.size() < n)
+        for (std::size_t c = 0; c < cols.size(); ++c)
+            colOf(cols[c]) = static_cast<int>(c);
+
+        // One sparse row per qubit: its candidates at their Eq. 3 cost,
+        // cheapest first.
+        const bool enough_cols = cols.size() >= n;
+        if (enough_cols) {
+            graph.reset(static_cast<int>(cols.size()));
+            for (std::size_t i = 0; i < n; ++i) {
+                const Point cur = state.posOf(req.leaving[i]);
+                const std::size_t first = graph.edges.size();
+                for (TrapId t : cands[i]) {
+                    const Point tp = arch.trapPosition(t);
+                    double w = sqrtDistance(tp, cur);
+                    if (req.related[i].has_value())
+                        w += req.alpha *
+                             sqrtDistance(tp, *req.related[i]);
+                    graph.edges.push_back({w, colOf(t)});
+                }
+                std::sort(graph.edges.begin() +
+                              static_cast<std::ptrdiff_t>(first),
+                          graph.edges.end(),
+                          [](const SparseEdge &a, const SparseEdge &b) {
+                              return a.cost < b.cost;
+                          });
+                graph.row_start.push_back(graph.edges.size());
+            }
+        }
+        for (TrapId t : cols)
+            colOf(t) = -1;
+        if (!enough_cols)
             continue;
 
-        thread_local CostMatrix cost(0, 0);
-        cost.reset(static_cast<int>(n), static_cast<int>(cols.size()));
-        for (std::size_t i = 0; i < n; ++i) {
-            const Point cur = state.posOf(req.leaving[i]);
-            // cands[i] and cols are both ascending: a merge walk
-            // replaces the per-candidate binary search.
-            std::size_t j = 0;
-            for (TrapId t : cands[i]) {
-                while (cols[j] != t)
-                    ++j;
-                const Point tp = arch.trapPosition(t);
-                double w = sqrtDistance(tp, cur);
-                if (req.related[i].has_value())
-                    w += req.alpha *
-                         sqrtDistance(tp, *req.related[i]);
-                cost.at(static_cast<int>(i), static_cast<int>(j)) = w;
-            }
+        if (stats) {
+            ++stats->solves;
+            if (attempt > 0)
+                ++stats->expanded_solves;
+            stats->rows += static_cast<std::int64_t>(n);
+            stats->cols += static_cast<std::int64_t>(cols.size());
+            stats->candidate_cells +=
+                static_cast<std::int64_t>(graph.edges.size());
         }
-        const Assignment assign = minWeightFullMatching(cost);
+        const Assignment assign = minWeightSparseMatching(
+            graph, stats ? &stats->edges_relaxed : nullptr);
         if (!assign.feasible)
             continue;
         std::vector<TrapRef> out(n);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -18,8 +21,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
  * the SciPy rectangular LSAP implementation. Relaxation and column
  * selection share one fused pass over the unscanned columns: splitting
  * them (a CSR edge walk plus a selection pass) measured slower on the
- * pipeline's matrices, and a heap would change the tie-breaking pop
- * order (and hence which of several equal-cost optima is returned).
+ * gate placer's small dense matrices. A plain heap would change the
+ * tie-breaking pop order (and hence which of several equal-cost optima
+ * is returned); sparseAugmentingPath() keeps it by resolving each tie
+ * against this loop's `remaining` order.
  *
  * @return the sink column, or -1 if no augmenting path exists.
  */
@@ -80,6 +85,276 @@ augmentingPath(const CostMatrix &cost, std::vector<double> &u,
     }
     min_val_out = min_val;
     return sink;
+}
+
+// ---------------------------------------------------------------- sparse
+
+/** Min-heap entry (key, index); the smallest key is on top. */
+using HeapEntry = std::pair<double, int>;
+
+void
+heapPush(std::vector<HeapEntry> &heap, double key, int index)
+{
+    heap.emplace_back(key, index);
+    std::push_heap(heap.begin(), heap.end(), std::greater<HeapEntry>());
+}
+
+int
+heapPop(std::vector<HeapEntry> &heap)
+{
+    std::pop_heap(heap.begin(), heap.end(), std::greater<HeapEntry>());
+    const int index = heap.back().second;
+    heap.pop_back();
+    return index;
+}
+
+/**
+ * Per-thread scratch of minWeightSparseMatching(). Per-column and
+ * per-row arrays are sized once per call; between augmenting paths
+ * only the entries a path touched are reset, so a path costs what it
+ * touches, not O(columns).
+ */
+struct SparseScratch
+{
+    std::vector<double> shortest;  ///< per column; inf when untouched
+    std::vector<int> path;         ///< per column: predecessor row
+    std::vector<double> path_cost; ///< per column: cost of that edge
+    std::vector<int> row4col;      ///< per column: matched row or -1
+    std::vector<char> sc;          ///< per column: settled this path
+    /**
+     * SciPy's `remaining` array, stored as overrides of its initial
+     * order (position p holds column nc - 1 - p; -1 = not overridden).
+     */
+    std::vector<int> col_at, pos_of;
+    std::vector<int> order;           ///< per row: visit rank, or -1
+    std::vector<double> row_min;      ///< per row: min_val at its visit
+    std::vector<std::size_t> next_edge; ///< per row: first unrelaxed
+    std::vector<int> touched, visited_rows, settled_cols, ties;
+    std::vector<std::pair<int, int>> moved; ///< (position, column)
+    std::vector<HeapEntry> col_heap;  ///< (shortest, column), lazy
+    std::vector<HeapEntry> row_heap;  ///< (bound, row), one per row
+
+    void
+    reset(int nr, int nc)
+    {
+        // An infeasible call returns mid-path: clear its marks while
+        // the arrays still have that call's sizes.
+        endPath();
+        const auto r = static_cast<std::size_t>(nr);
+        const auto c = static_cast<std::size_t>(nc);
+        shortest.assign(c, kInf);
+        path.assign(c, -1);
+        path_cost.assign(c, 0.0);
+        row4col.assign(c, -1);
+        sc.assign(c, 0);
+        col_at.assign(c, -1);
+        pos_of.assign(c, -1);
+        order.assign(r, -1);
+        row_min.assign(r, 0.0);
+        next_edge.assign(r, 0);
+    }
+
+    /** Undo one path's marks (its visited rows, touched columns). */
+    void
+    endPath()
+    {
+        for (int j : touched)
+            shortest[static_cast<std::size_t>(j)] = kInf;
+        for (int j : settled_cols)
+            sc[static_cast<std::size_t>(j)] = 0;
+        for (const auto &[p, c] : moved) {
+            col_at[static_cast<std::size_t>(p)] = -1;
+            pos_of[static_cast<std::size_t>(c)] = -1;
+        }
+        for (int i : visited_rows)
+            order[static_cast<std::size_t>(i)] = -1;
+        touched.clear();
+        visited_rows.clear();
+        settled_cols.clear();
+        moved.clear();
+        col_heap.clear();
+        row_heap.clear();
+    }
+};
+
+/**
+ * Relax row @p r's unrelaxed edges, cheapest first, until the next
+ * edge's lower bound exceeds @p best (the cheapest tentative column,
+ * lowered as edges land), then re-file the row under that bound.
+ *
+ * The reduced cost is computed exactly as the dense solver computes it
+ * at the row's visit (min_val + cost - u - v, left to right), so every
+ * value is bit-equal. A column already reached at the same value keeps
+ * the earlier-visited predecessor, as the dense solver's strict `<`
+ * does when rows relax in visit order.
+ */
+void
+relaxRow(const SparseCostGraph &g, const std::vector<double> &u,
+         const std::vector<double> &v, double v_max, SparseScratch &s,
+         int r, double &best, std::int64_t &relaxed)
+{
+    const auto ri = static_cast<std::size_t>(r);
+    const std::size_t end = g.row_start[ri + 1];
+    const double base = s.row_min[ri];
+    const double ur = u[ri];
+    const int rank = s.order[ri];
+    std::size_t k = s.next_edge[ri];
+    for (;;) {
+        const SparseEdge &e = g.edges[k];
+        const auto j = static_cast<std::size_t>(e.col);
+        if (!s.sc[j]) {
+            ++relaxed;
+            const double d = base + e.cost - ur - v[j];
+            double &sj = s.shortest[j];
+            if (d < sj) {
+                if (sj == kInf)
+                    s.touched.push_back(e.col);
+                sj = d;
+                s.path[j] = r;
+                s.path_cost[j] = e.cost;
+                heapPush(s.col_heap, d, e.col);
+                best = std::min(best, d);
+            } else if (d == sj &&
+                       rank < s.order[static_cast<std::size_t>(
+                                  s.path[j])]) {
+                s.path[j] = r;
+                s.path_cost[j] = e.cost;
+            }
+        }
+        if (++k == end)
+            break;
+        // Costs ascend and v[j] <= v_max, and rounding is monotone, so
+        // this bounds every later edge's reduced cost from below.
+        const double bound = base + g.edges[k].cost - ur - v_max;
+        if (bound > best) {
+            heapPush(s.row_heap, bound, r);
+            break;
+        }
+    }
+    s.next_edge[ri] = k;
+}
+
+/**
+ * The sparse twin of augmentingPath(): the same Dijkstra search, with
+ * the `remaining` array's order kept as overrides and each visited
+ * row's edges relaxed lazily behind its bound in the row heap.
+ *
+ * @return the sink column, or -1 if no augmenting path exists.
+ */
+int
+sparseAugmentingPath(const SparseCostGraph &g, const std::vector<double> &u,
+                     const std::vector<double> &v, double v_max,
+                     SparseScratch &s, int start_row, double &min_val_out,
+                     std::int64_t &relaxed)
+{
+    const int nc = g.cols;
+    auto colAt = [&s, nc](int p) {
+        const int c = s.col_at[static_cast<std::size_t>(p)];
+        return c < 0 ? nc - 1 - p : c;
+    };
+    auto posOf = [&s, nc](int j) {
+        const int p = s.pos_of[static_cast<std::size_t>(j)];
+        return p < 0 ? nc - 1 - j : p;
+    };
+    int num_remaining = nc;
+    double min_val = 0.0;
+    int i = start_row;
+    for (;;) {
+        // Visit row i at distance min_val.
+        const auto ii = static_cast<std::size_t>(i);
+        s.order[ii] = static_cast<int>(s.visited_rows.size());
+        s.visited_rows.push_back(i);
+        s.row_min[ii] = min_val;
+        s.next_edge[ii] = g.row_start[ii];
+        if (g.row_start[ii] < g.row_start[ii + 1])
+            heapPush(s.row_heap,
+                     min_val + g.edges[g.row_start[ii]].cost - u[ii] -
+                         v_max,
+                     i);
+
+        // The cheapest tentative column, made exact: relax every edge
+        // whose bound could still reach (or tie) it.
+        while (!s.col_heap.empty()) {
+            const auto [d, j] = s.col_heap.front();
+            if (!s.sc[static_cast<std::size_t>(j)] &&
+                s.shortest[static_cast<std::size_t>(j)] == d)
+                break;
+            heapPop(s.col_heap); // stale
+        }
+        double best = s.col_heap.empty() ? kInf : s.col_heap.front().first;
+        while (!s.row_heap.empty() && s.row_heap.front().first <= best)
+            relaxRow(g, u, v, v_max, s, heapPop(s.row_heap), best,
+                     relaxed);
+        if (best == kInf)
+            return -1; // infeasible
+
+        // SciPy's tie order over the `remaining` array: the last free
+        // column at the minimum, else the first.
+        s.ties.clear();
+        while (!s.col_heap.empty() && s.col_heap.front().first == best) {
+            const int j = heapPop(s.col_heap);
+            if (!s.sc[static_cast<std::size_t>(j)] &&
+                s.shortest[static_cast<std::size_t>(j)] == best)
+                s.ties.push_back(j);
+        }
+        int pick = -1;
+        int pick_pos = 0;
+        bool pick_free = false;
+        for (int j : s.ties) {
+            const int p = posOf(j);
+            const bool free = s.row4col[static_cast<std::size_t>(j)] == -1;
+            if (pick < 0 || (free && (!pick_free || p > pick_pos)) ||
+                (!free && !pick_free && p < pick_pos)) {
+                pick = j;
+                pick_pos = p;
+                pick_free = free;
+            }
+        }
+        for (int j : s.ties)
+            if (j != pick)
+                heapPush(s.col_heap, best, j);
+
+        min_val = best;
+        s.sc[static_cast<std::size_t>(pick)] = 1;
+        s.settled_cols.push_back(pick);
+        const int last = --num_remaining;
+        const int moved = colAt(last);
+        s.col_at[static_cast<std::size_t>(pick_pos)] = moved;
+        s.pos_of[static_cast<std::size_t>(moved)] = pick_pos;
+        s.moved.emplace_back(pick_pos, moved);
+        if (pick_free) {
+            min_val_out = min_val;
+            return pick;
+        }
+        i = s.row4col[static_cast<std::size_t>(pick)];
+    }
+}
+
+void
+checkSparseGraph(const SparseCostGraph &g)
+{
+    const std::vector<std::size_t> &rs = g.row_start;
+    if (rs.empty() || rs.front() != 0 || rs.back() != g.edges.size())
+        fatal("minWeightSparseMatching: row offsets do not span the "
+              "edge list");
+    for (std::size_t r = 0; r + 1 < rs.size(); ++r) {
+        if (rs[r + 1] < rs[r])
+            fatal("minWeightSparseMatching: row offsets decrease at "
+                  "row " + std::to_string(r));
+        double prev = -kInf;
+        for (std::size_t k = rs[r]; k < rs[r + 1]; ++k) {
+            const SparseEdge &e = g.edges[k];
+            if (e.col < 0 || e.col >= g.cols)
+                fatal("minWeightSparseMatching: column " +
+                      std::to_string(e.col) + " out of range in row " +
+                      std::to_string(r));
+            if (!std::isfinite(e.cost) || e.cost < prev)
+                fatal("minWeightSparseMatching: row " +
+                      std::to_string(r) +
+                      " costs are not finite and ascending");
+            prev = e.cost;
+        }
+    }
 }
 
 } // namespace
@@ -156,6 +431,83 @@ minWeightFullMatching(const CostMatrix &cost)
     for (int i = 0; i < nr; ++i)
         result.total_cost +=
             cost.at(i, result.row_to_col[static_cast<std::size_t>(i)]);
+    result.row_duals = std::move(u);
+    result.col_duals = std::move(v);
+    return result;
+}
+
+Assignment
+minWeightSparseMatching(const SparseCostGraph &graph,
+                        std::int64_t *edges_relaxed)
+{
+    checkSparseGraph(graph);
+    const int nr = graph.rows();
+    const int nc = graph.cols;
+    if (nr > nc)
+        fatal("minWeightSparseMatching: more rows than columns (" +
+              std::to_string(nr) + " > " + std::to_string(nc) + ")");
+
+    Assignment result;
+    if (nr == 0) {
+        result.feasible = true;
+        return result;
+    }
+
+    // Thread-local like the dense solver's scratch: compile() is
+    // re-entrant across threads.
+    thread_local SparseScratch s;
+    s.reset(nr, nc);
+    std::vector<double> u(static_cast<std::size_t>(nr), 0.0);
+    std::vector<double> v(static_cast<std::size_t>(nc), 0.0);
+    std::vector<int> col4row(static_cast<std::size_t>(nr), -1);
+    std::vector<double> matched_cost(static_cast<std::size_t>(nr), 0.0);
+    double v_max = 0.0; // running max of v; v starts at 0
+    std::int64_t relaxed = 0;
+
+    for (int cur_row = 0; cur_row < nr; ++cur_row) {
+        double min_val = 0.0;
+        const int sink = sparseAugmentingPath(graph, u, v, v_max, s,
+                                              cur_row, min_val, relaxed);
+        if (sink < 0) {
+            if (edges_relaxed)
+                *edges_relaxed += relaxed;
+            return result; // feasible == false
+        }
+
+        // Update dual variables, as the dense solver does.
+        u[static_cast<std::size_t>(cur_row)] += min_val;
+        for (int i : s.visited_rows)
+            if (i != cur_row)
+                u[static_cast<std::size_t>(i)] +=
+                    min_val -
+                    s.shortest[static_cast<std::size_t>(
+                        col4row[static_cast<std::size_t>(i)])];
+        for (int j : s.settled_cols) {
+            double &vj = v[static_cast<std::size_t>(j)];
+            vj -= min_val - s.shortest[static_cast<std::size_t>(j)];
+            v_max = std::max(v_max, vj);
+        }
+
+        // Augment along the alternating path back to cur_row.
+        int j = sink;
+        while (true) {
+            const int i = s.path[static_cast<std::size_t>(j)];
+            s.row4col[static_cast<std::size_t>(j)] = i;
+            matched_cost[static_cast<std::size_t>(i)] =
+                s.path_cost[static_cast<std::size_t>(j)];
+            std::swap(col4row[static_cast<std::size_t>(i)], j);
+            if (i == cur_row)
+                break;
+        }
+        s.endPath();
+    }
+    if (edges_relaxed)
+        *edges_relaxed += relaxed;
+
+    result.feasible = true;
+    result.row_to_col = std::move(col4row);
+    for (double c : matched_cost)
+        result.total_cost += c;
     result.row_duals = std::move(u);
     result.col_duals = std::move(v);
     return result;

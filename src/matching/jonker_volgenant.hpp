@@ -1,17 +1,39 @@
 /**
  * @file
  * Jonker–Volgenant shortest-augmenting-path minimum-weight full matching
- * for rectangular cost matrices.
+ * for rectangular problems, in two forms that return the same bits.
  *
  * This is the algorithm the paper uses (via SciPy) for gate placement
  * and non-reuse qubit placement (Sec. V-B2/V-B3). Every row (gate or
  * qubit) must be assigned to a distinct column (site or trap); columns
- * may outnumber rows. Runs in O(n^2 m).
+ * may outnumber rows.
+ *
+ *  - minWeightFullMatching() takes a dense cost matrix and follows
+ *    SciPy's rectangular LSAP line by line: each augmenting path scans
+ *    every remaining column per visited row, O(n^2 m) for n rows and
+ *    m columns. Gate placement uses it.
+ *  - minWeightSparseMatching() takes each row's candidate columns as
+ *    compressed sparse rows sorted by cost and relaxes a visited row's
+ *    edges lazily, cheapest first, only while they can still reach the
+ *    next column to settle. Memory is O(E + n + m) for E edges; a path
+ *    costs O(R log R) for the R edges it relaxes (R <= E), where the
+ *    dense path scans m columns per visited row. Storage placement
+ *    uses it: its expanded graphs are ~2n^2 edges over ~10n columns.
+ *
+ * Bit-identity contract: on the same graph (a dense cell is feasible
+ * exactly when the sparse row lists that column, with the same cost),
+ * the sparse solver makes every choice the dense one makes — the same
+ * column settled at each step, including SciPy's tie order, and the
+ * same predecessor row per column — so `feasible`, `row_to_col`, the
+ * duals and `total_cost` are bit-equal. tests/test_matching.cpp checks
+ * this on seeded instances full of exact ties.
  */
 
 #ifndef ZAC_MATCHING_JONKER_VOLGENANT_HPP
 #define ZAC_MATCHING_JONKER_VOLGENANT_HPP
 
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -99,6 +121,58 @@ struct Assignment
  *         admit no full matching (callers expand candidates and retry).
  */
 Assignment minWeightFullMatching(const CostMatrix &cost);
+
+/** One candidate (column, cost) pair of a SparseCostGraph row. */
+struct SparseEdge
+{
+    double cost = 0.0;
+    int col = -1;
+};
+
+/**
+ * Rectangular cost graph in compressed sparse rows: row r's candidates
+ * are edges[row_start[r] .. row_start[r + 1]). Within a row the costs
+ * are finite and ascending (equal costs in any order) and each column
+ * appears at most once; a column a row does not list is infeasible for
+ * that row.
+ */
+struct SparseCostGraph
+{
+    int cols = 0;
+    std::vector<std::size_t> row_start{0}; ///< rows() + 1 offsets
+    std::vector<SparseEdge> edges;
+
+    int rows() const { return static_cast<int>(row_start.size()) - 1; }
+
+    /** Empty the graph, keeping the buffers (scratch reuse). */
+    void
+    reset(int num_cols)
+    {
+        cols = num_cols;
+        row_start.assign(1, 0);
+        edges.clear();
+    }
+};
+
+/**
+ * The sparse solver: bit-equal to minWeightFullMatching() on the dense
+ * matrix of the same graph (see the file comment).
+ *
+ * Each visited row keeps one heap entry holding a lower bound on the
+ * reduced cost of its cheapest unrelaxed edge; the bound subtracts the
+ * largest column dual seen so far, so it holds in floating point too.
+ * An edge is relaxed only once its bound could reach the cheapest
+ * tentative column, so a path that settles after a few columns touches
+ * a few edges per row instead of the whole row.
+ *
+ * @param graph rows() <= cols required.
+ * @param edges_relaxed optional counter, incremented by the number of
+ *        reduced costs evaluated.
+ * @return Assignment with feasible == false when the graph admits no
+ *         full matching.
+ */
+Assignment minWeightSparseMatching(const SparseCostGraph &graph,
+                                   std::int64_t *edges_relaxed = nullptr);
 
 } // namespace zac
 

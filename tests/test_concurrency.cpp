@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "arch/presets.hpp"
+#include "arch/scaling.hpp"
 #include "circuit/generators.hpp"
+#include "circuit/scaling.hpp"
 #include "core/compiler.hpp"
 #include "zair/serialize.hpp"
 
@@ -43,29 +45,48 @@ signatureOf(const ZacResult &r)
 
 TEST(CompileReentrancy, BitIdenticalAcrossThreadsAndPresets)
 {
-    const Architecture arch = presets::referenceZoned();
     const std::vector<std::pair<const char *, ZacOptions>> presets_{
         {"vanilla", ZacOptions::vanilla()},
         {"dynplace", ZacOptions::dynPlace()},
         {"dynplace_reuse", ZacOptions::dynPlaceReuse()},
         {"full", ZacOptions::full()},
     };
-    const std::vector<std::string> circuits{"ghz_n23", "qft_n18",
-                                            "ising_n42"};
+    // Paper circuits on the reference architecture, plus a scaled
+    // ising whose storage placement takes the expanded sparse solve
+    // (128 rows), so the threads race its scratch too.
+    const std::vector<Architecture> archs{presets::referenceZoned(),
+                                          scaledZoned(128)};
+    std::vector<std::pair<std::size_t, Circuit>> cases;
+    for (const char *name : {"ghz_n23", "qft_n18", "ising_n42"})
+        cases.emplace_back(0, bench_circuits::paperBenchmark(name));
+    cases.emplace_back(1,
+                       scaling::generate(scaling::Family::Ising, 128));
 
-    // One compiler per preset, shared by every thread (compile() is
-    // const and documented re-entrant).
-    std::vector<ZacCompiler> compilers;
-    for (const auto &[name, opts] : presets_)
-        compilers.emplace_back(arch, opts);
+    // One compiler per (architecture, preset), shared by every thread
+    // (compile() is const and documented re-entrant).
+    std::vector<std::vector<ZacCompiler>> compilers(archs.size());
+    for (std::size_t a = 0; a < archs.size(); ++a)
+        for (const auto &[name, opts] : presets_)
+            compilers[a].emplace_back(archs[a], opts);
+    auto compile = [&](int p, const std::pair<std::size_t, Circuit> &c) {
+        return compilers[c.first][static_cast<std::size_t>(p)].compile(
+            c.second);
+    };
 
     // Single-threaded reference signatures.
     std::map<std::pair<int, std::string>, std::string> reference;
     for (std::size_t p = 0; p < presets_.size(); ++p)
-        for (const std::string &c : circuits)
-            reference[{static_cast<int>(p), c}] = signatureOf(
-                compilers[p].compile(
-                    bench_circuits::paperBenchmark(c)));
+        for (const auto &c : cases) {
+            const ZacResult r = compile(static_cast<int>(p), c);
+            reference[{static_cast<int>(p), c.second.name()}] =
+                signatureOf(r);
+            // With reuse, whole stages leave for storage together.
+            if (c.first == 1 && presets_[p].second.use_reuse) {
+                EXPECT_GT(r.phases.placement.qubit_placer.expanded_solves,
+                          0)
+                    << presets_[p].first;
+            }
+        }
 
     constexpr int kThreads = 8;
     constexpr int kRepsPerThread = 2;
@@ -76,21 +97,18 @@ TEST(CompileReentrancy, BitIdenticalAcrossThreadsAndPresets)
             // Each thread walks the (preset, circuit) grid from a
             // different offset so distinct presets overlap in time.
             const int n =
-                static_cast<int>(presets_.size() * circuits.size());
+                static_cast<int>(presets_.size() * cases.size());
             for (int rep = 0; rep < kRepsPerThread; ++rep) {
                 for (int k = 0; k < n; ++k) {
                     const int i = (k + t) % n;
-                    const int p =
-                        i / static_cast<int>(circuits.size());
-                    const std::string &c =
-                        circuits[static_cast<std::size_t>(i) %
-                                 circuits.size()];
-                    const ZacResult r = compilers[
-                        static_cast<std::size_t>(p)]
-                        .compile(bench_circuits::paperBenchmark(c));
+                    const int p = i / static_cast<int>(cases.size());
+                    const auto &c =
+                        cases[static_cast<std::size_t>(i) % cases.size()];
+                    const ZacResult r = compile(p, c);
                     // .at(): a concurrent-read-safe const lookup
                     // (operator[] could default-insert, a data race).
-                    if (signatureOf(r) != reference.at({p, c}))
+                    if (signatureOf(r) !=
+                        reference.at({p, c.second.name()}))
                         ++mismatches;
                 }
             }

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "common/logging.hpp"
@@ -131,6 +133,64 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HkRandomProperty,
 
 // ------------------------------------------------------ Jonker-Volgenant
 
+/**
+ * The sparse graph of @p cost: each row's finite cells sorted by cost,
+ * equal costs in a seeded random order (the solver must not care).
+ */
+SparseCostGraph
+sparseGraphOf(const CostMatrix &cost, std::uint64_t tie_seed = 1)
+{
+    Rng rng(tie_seed);
+    SparseCostGraph g;
+    g.reset(cost.cols());
+    for (int r = 0; r < cost.rows(); ++r) {
+        std::vector<SparseEdge> row;
+        for (int c = 0; c < cost.cols(); ++c)
+            if (cost.at(r, c) < kAssignInfeasible)
+                row.push_back({cost.at(r, c), c});
+        for (std::size_t i = row.size(); i > 1; --i)
+            std::swap(row[i - 1], row[rng.nextBelow(i)]);
+        std::stable_sort(row.begin(), row.end(),
+                         [](const SparseEdge &a, const SparseEdge &b) {
+                             return a.cost < b.cost;
+                         });
+        g.edges.insert(g.edges.end(), row.begin(), row.end());
+        g.row_start.push_back(g.edges.size());
+    }
+    return g;
+}
+
+std::vector<std::uint64_t>
+bitsOf(const std::vector<double> &xs)
+{
+    std::vector<std::uint64_t> out;
+    for (double x : xs)
+        out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+}
+
+/** The sparse solver's result must bit-equal the dense solver's. */
+void
+expectSameAssignment(const Assignment &sparse, const Assignment &dense)
+{
+    ASSERT_EQ(sparse.feasible, dense.feasible);
+    EXPECT_EQ(sparse.row_to_col, dense.row_to_col);
+    EXPECT_EQ(bitsOf(sparse.row_duals), bitsOf(dense.row_duals));
+    EXPECT_EQ(bitsOf(sparse.col_duals), bitsOf(dense.col_duals));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sparse.total_cost),
+              std::bit_cast<std::uint64_t>(dense.total_cost));
+}
+
+/** Solve @p cost with both solvers; check they agree; return dense. */
+Assignment
+solveBoth(const CostMatrix &cost)
+{
+    const Assignment dense = minWeightFullMatching(cost);
+    expectSameAssignment(minWeightSparseMatching(sparseGraphOf(cost)),
+                         dense);
+    return dense;
+}
+
 TEST(JonkerVolgenant, SolvesKnownInstance)
 {
     CostMatrix cost(3, 3, 0.0);
@@ -139,7 +199,7 @@ TEST(JonkerVolgenant, SolvesKnownInstance)
     for (int r = 0; r < 3; ++r)
         for (int c = 0; c < 3; ++c)
             cost.at(r, c) = data[r][c];
-    const Assignment a = minWeightFullMatching(cost);
+    const Assignment a = solveBoth(cost);
     ASSERT_TRUE(a.feasible);
     EXPECT_DOUBLE_EQ(a.total_cost, 5.0);
     EXPECT_EQ(a.row_to_col, (std::vector<int>{1, 0, 2}));
@@ -152,7 +212,7 @@ TEST(JonkerVolgenant, RectangularUsesCheapColumns)
     cost.at(0, 3) = 2.0;
     cost.at(1, 2) = 2.0;
     cost.at(1, 3) = 30.0;
-    const Assignment a = minWeightFullMatching(cost);
+    const Assignment a = solveBoth(cost);
     ASSERT_TRUE(a.feasible);
     // Optimal: row0->3 (2), row1->2 (2).
     EXPECT_DOUBLE_EQ(a.total_cost, 4.0);
@@ -163,7 +223,7 @@ TEST(JonkerVolgenant, DetectsInfeasibility)
     CostMatrix cost(2, 2); // all infeasible
     cost.at(0, 0) = 1.0;
     cost.at(1, 0) = 1.0; // both rows need column 0
-    const Assignment a = minWeightFullMatching(cost);
+    const Assignment a = solveBoth(cost);
     EXPECT_FALSE(a.feasible);
 }
 
@@ -171,14 +231,91 @@ TEST(JonkerVolgenant, RejectsMoreRowsThanCols)
 {
     CostMatrix cost(3, 2, 1.0);
     EXPECT_THROW(minWeightFullMatching(cost), FatalError);
+    EXPECT_THROW(minWeightSparseMatching(sparseGraphOf(cost)), FatalError);
 }
 
 TEST(JonkerVolgenant, EmptyProblemIsFeasible)
 {
     CostMatrix cost(0, 5);
-    const Assignment a = minWeightFullMatching(cost);
+    const Assignment a = solveBoth(cost);
     EXPECT_TRUE(a.feasible);
     EXPECT_DOUBLE_EQ(a.total_cost, 0.0);
+}
+
+TEST(JonkerVolgenant, SparseRejectsMalformedGraphs)
+{
+    SparseCostGraph g;
+    g.reset(3);
+    g.edges = {{2.0, 0}, {1.0, 1}}; // descending
+    g.row_start.push_back(2);
+    EXPECT_THROW(minWeightSparseMatching(g), FatalError);
+    g.edges = {{1.0, 0}, {2.0, 3}}; // column out of range
+    EXPECT_THROW(minWeightSparseMatching(g), FatalError);
+    g.edges = {{1.0, 0}, {kAssignInfeasible, 1}}; // not finite
+    EXPECT_THROW(minWeightSparseMatching(g), FatalError);
+    g.edges = {{1.0, 0}}; // offsets past the edge list
+    EXPECT_THROW(minWeightSparseMatching(g), FatalError);
+}
+
+/**
+ * Solver equivalence on seeded rectangular instances: each row lists
+ * 1..m random columns at small-integer costs, so exact ties in both
+ * the reduced costs and the predecessor choice are common, and sparse
+ * rows make some instances infeasible. The sparse solver must return
+ * the dense solver's bits.
+ */
+TEST(JonkerVolgenant, SparseBitEqualsDenseOnRandomInstances)
+{
+    int feasible = 0;
+    int infeasible = 0;
+    std::int64_t relaxed = 0;
+    for (int seed = 0; seed < 600; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(seed) * 6151 + 17);
+        const int rows = 1 + static_cast<int>(rng.nextBelow(40));
+        const int cols = rows + static_cast<int>(rng.nextBelow(
+                                    static_cast<std::uint64_t>(rows) + 4));
+        const int max_cost = 1 + static_cast<int>(rng.nextBelow(6));
+        // Every third instance uses the pipeline's kind of costs:
+        // square roots of distances, with ties only by symmetry.
+        const bool sqrt_costs = seed % 3 == 2;
+        // Half the instances cap the row degree at 1..4 candidates,
+        // which often violates Hall's condition.
+        const int max_degree =
+            seed % 2 == 0 ? cols : 1 + static_cast<int>(rng.nextBelow(4));
+        CostMatrix cost(rows, cols);
+        std::vector<int> perm(static_cast<std::size_t>(cols));
+        std::iota(perm.begin(), perm.end(), 0);
+        for (int r = 0; r < rows; ++r) {
+            const int degree =
+                1 + static_cast<int>(rng.nextBelow(
+                        static_cast<std::uint64_t>(
+                            std::min(cols, max_degree))));
+            for (int i = 0; i < degree; ++i) {
+                const std::size_t pick =
+                    static_cast<std::size_t>(i) +
+                    rng.nextBelow(static_cast<std::uint64_t>(cols - i));
+                std::swap(perm[static_cast<std::size_t>(i)], perm[pick]);
+                const int c = perm[static_cast<std::size_t>(i)];
+                cost.at(r, c) =
+                    sqrt_costs
+                        ? std::sqrt(std::hypot(r % 7 - c % 7, c / 7))
+                        : static_cast<double>(rng.nextBelow(
+                              static_cast<std::uint64_t>(max_cost) + 1));
+            }
+        }
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const Assignment dense = minWeightFullMatching(cost);
+        for (std::uint64_t tie_seed : {1u, 2u})
+            expectSameAssignment(
+                minWeightSparseMatching(sparseGraphOf(cost, tie_seed),
+                                        &relaxed),
+                dense);
+        ++(dense.feasible ? feasible : infeasible);
+    }
+    // The sweep must exercise both outcomes.
+    EXPECT_GT(feasible, 200);
+    EXPECT_GT(infeasible, 100);
+    EXPECT_GT(relaxed, 0);
 }
 
 class JvRandomProperty : public ::testing::TestWithParam<int>
@@ -196,7 +333,7 @@ TEST_P(JvRandomProperty, MatchesBruteForceCost)
             if (rng.nextBool(0.8))
                 cost.at(r, c) =
                     std::floor(rng.nextDouble() * 100.0) / 10.0;
-    const Assignment a = minWeightFullMatching(cost);
+    const Assignment a = solveBoth(cost);
     const double brute = bruteAssignment(cost);
     if (brute == kAssignInfeasible) {
         EXPECT_FALSE(a.feasible);

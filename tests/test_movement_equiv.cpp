@@ -10,7 +10,8 @@
  *  - the rewritten runDynamicPlacement() must produce bit-identical
  *    placement plans — and hence bit-identical ZAIR + fidelity through
  *    the unchanged scheduler — to the frozen zac::legacy driver on all
- *    17 paper circuits with a fixed seed.
+ *    17 paper circuits with a fixed seed, and on scaled ising circuits
+ *    whose storage placement takes the expanded sparse solve.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,9 @@
 #include <algorithm>
 
 #include "arch/presets.hpp"
+#include "arch/scaling.hpp"
 #include "circuit/generators.hpp"
+#include "circuit/scaling.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
@@ -355,6 +358,40 @@ TEST(DynamicPlacementEquiv, MultiZonePlansMatchLegacy)
                       legacy::runDynamicPlacement(arch, staged, initial,
                                                   opts))
                 << arch.name();
+        }
+    }
+}
+
+/**
+ * A wide ising stage sends its qubits to the same storage edge, so the
+ * local candidates violate Hall's condition and storage placement takes
+ * the nearest-empty expansion (at n=256: 256 rows x ~2.7k traps). The
+ * sparse solve over that graph must reproduce the legacy dense plan.
+ */
+TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
+{
+    ZacOptions opts;
+    opts.sa_iterations = 300;
+    for (const int n : {128, 256}) {
+        const Architecture arch = scaledZoned(n);
+        const StagedCircuit staged = scheduleStages(
+            preprocess(scaling::generate(scaling::Family::Ising, n)),
+            arch.numSites());
+        SaOptions sa;
+        sa.max_iterations = opts.sa_iterations;
+        sa.seed = opts.seed;
+        for (const bool use_sa : {true, false}) {
+            const std::vector<TrapRef> initial =
+                use_sa ? saInitialPlacement(arch, staged, sa)
+                       : trivialInitialPlacement(arch, staged.numQubits);
+            const std::string label =
+                "n=" + std::to_string(n) + (use_sa ? " sa" : " trivial");
+            PlacementProfile profile;
+            EXPECT_EQ(
+                runDynamicPlacement(arch, staged, initial, opts, &profile),
+                legacy::runDynamicPlacement(arch, staged, initial, opts))
+                << label;
+            EXPECT_GT(profile.qubit_placer.expanded_solves, 0) << label;
         }
     }
 }
