@@ -387,9 +387,9 @@ main(int argc, char **argv)
             ? static_cast<double>(gp_stats.window_cells) /
                   static_cast<double>(gp_stats.full_cells)
             : 0.0;
-    std::printf("\ngate placer: %lld calls, %.1f%% window-certified, "
-                "%.1f%% of dense cells costed, %lld dense-direct, "
-                "%lld fallbacks\n\n",
+    std::printf("\ngate placer: %lld calls, %.1f%% settled on windows, "
+                "%.1f%% of dense cells costed, %lld contested (dense), "
+                "%lld grown to full\n\n",
                 static_cast<long long>(gp_stats.calls),
                 100.0 * certified_share, 100.0 * cell_share,
                 static_cast<long long>(gp_stats.dense_direct),

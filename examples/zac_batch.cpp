@@ -44,6 +44,7 @@
 #include <set>
 #include <tuple>
 
+#include "cli_flags.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "service/manifest.hpp"
@@ -150,28 +151,32 @@ main(int argc, char **argv)
     double backoff_ms = 1.0;
     std::size_t admission = 0;
     double drain_timeout = 0.0;
+    const cli::FlagParser flags{"zac_batch", usage};
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--out" && i + 1 < argc)
             out_path = argv[++i];
         else if (arg == "--workers" && i + 1 < argc)
-            workers = std::atoi(argv[++i]);
+            workers = static_cast<int>(
+                flags.intFlag("--workers", argv[++i], 1, 4096));
         else if (arg == "--cache" && i + 1 < argc)
-            cache_capacity =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            cache_capacity = static_cast<std::size_t>(
+                flags.intFlag("--cache", argv[++i], 0, 1 << 24));
         else if (arg == "--repeat" && i + 1 < argc)
-            rounds = std::atoi(argv[++i]);
+            rounds = static_cast<int>(
+                flags.intFlag("--repeat", argv[++i], 1, 1 << 24));
         else if (arg == "--snapshot" && i + 1 < argc)
             snapshot_path = argv[++i];
         else if (arg == "--retries" && i + 1 < argc)
-            max_retries = std::atoi(argv[++i]);
+            max_retries = static_cast<int>(
+                flags.intFlag("--retries", argv[++i], 0, 1000));
         else if (arg == "--backoff-ms" && i + 1 < argc)
-            backoff_ms = std::atof(argv[++i]);
+            backoff_ms = flags.realFlag("--backoff-ms", argv[++i]);
         else if (arg == "--admission" && i + 1 < argc)
-            admission =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            admission = static_cast<std::size_t>(
+                flags.intFlag("--admission", argv[++i], 0, 1 << 24));
         else if (arg == "--drain-timeout" && i + 1 < argc)
-            drain_timeout = std::atof(argv[++i]);
+            drain_timeout = flags.realFlag("--drain-timeout", argv[++i]);
         else if (arg == "--dedup")
             dedup = true;
         else if (arg == "--no-zair")
@@ -185,8 +190,6 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if (rounds < 1)
-        rounds = 1;
 
     try {
         Manifest manifest = loadManifest(manifest_path);

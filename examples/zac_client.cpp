@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "net/http.hpp"
@@ -52,55 +53,6 @@ usage()
         "usage: zac_client --port P [--host H] [--healthz]\n"
         "                  [--manifest f | --in f] [--lane L]\n"
         "                  [--out f] [--timeout S]\n");
-}
-
-/**
- * Parse an integer flag value, rejecting malformed, partial, or
- * out-of-range input with a diagnostic naming the flag (exit 2) —
- * `--port foo` must not escape as an uncaught std::invalid_argument.
- */
-long long
-intFlag(const char *flag, const std::string &value, long long lo,
-        long long hi)
-{
-    long long v = 0;
-    std::size_t used = 0;
-    try {
-        v = std::stoll(value, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != value.size() || value.empty() || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "zac_client: %s: invalid value '%s' (expected an "
-                     "integer in [%lld, %lld])\n",
-                     flag, value.c_str(), lo, hi);
-        usage();
-        std::exit(2);
-    }
-    return v;
-}
-
-/** Parse a real-valued flag, same contract as intFlag(). */
-double
-realFlag(const char *flag, const std::string &value)
-{
-    double v = 0.0;
-    std::size_t used = 0;
-    try {
-        v = std::stod(value, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != value.size() || value.empty() || v < 0.0) {
-        std::fprintf(stderr,
-                     "zac_client: %s: invalid value '%s' (expected a "
-                     "non-negative number)\n",
-                     flag, value.c_str());
-        usage();
-        std::exit(2);
-    }
-    return v;
 }
 
 /** Expand a manifest's "jobs" array into JSONL submit lines. */
@@ -164,6 +116,7 @@ main(int argc, char **argv)
     bool healthz = false;
     std::string manifest_path, in_path, lane, out_path;
     double timeout = 300.0;
+    const zac::cli::FlagParser flags{"zac_client", usage};
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -180,7 +133,7 @@ main(int argc, char **argv)
             host = next("--host");
         else if (arg == "--port")
             port = static_cast<int>(
-                intFlag("--port", next("--port"), 1, 65535));
+                flags.intFlag("--port", next("--port"), 1, 65535));
         else if (arg == "--healthz")
             healthz = true;
         else if (arg == "--manifest")
@@ -192,7 +145,7 @@ main(int argc, char **argv)
         else if (arg == "--out")
             out_path = next("--out");
         else if (arg == "--timeout")
-            timeout = realFlag("--timeout", next("--timeout"));
+            timeout = flags.realFlag("--timeout", next("--timeout"));
         else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;

@@ -44,6 +44,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
 #include "net/server.hpp"
@@ -76,56 +77,6 @@ usage()
         "                 [--no-zair]\n");
 }
 
-/**
- * Parse an integer flag value, rejecting malformed, partial, or
- * out-of-range input with a diagnostic naming the flag (exit 2).
- * std::stoi would otherwise escape main() as an uncaught
- * std::invalid_argument on e.g. `zac_serve --port foo`.
- */
-long long
-intFlag(const char *flag, const std::string &value, long long lo,
-        long long hi)
-{
-    long long v = 0;
-    std::size_t used = 0;
-    try {
-        v = std::stoll(value, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != value.size() || value.empty() || v < lo || v > hi) {
-        std::fprintf(stderr,
-                     "zac_serve: %s: invalid value '%s' (expected an "
-                     "integer in [%lld, %lld])\n",
-                     flag, value.c_str(), lo, hi);
-        usage();
-        std::exit(2);
-    }
-    return v;
-}
-
-/** Parse a real-valued flag, same contract as intFlag(). */
-double
-realFlag(const char *flag, const std::string &value)
-{
-    double v = 0.0;
-    std::size_t used = 0;
-    try {
-        v = std::stod(value, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != value.size() || value.empty() || v < 0.0) {
-        std::fprintf(stderr,
-                     "zac_serve: %s: invalid value '%s' (expected a "
-                     "non-negative number)\n",
-                     flag, value.c_str());
-        usage();
-        std::exit(2);
-    }
-    return v;
-}
-
 /** Load compile targets from a manifest-style JSON document. */
 std::vector<zac::service::CompileTarget>
 loadTargets(const std::string &path)
@@ -152,6 +103,7 @@ main(int argc, char **argv)
     std::string targets_path;
     ServerConfig cfg;
     cfg.port = 8080;
+    const zac::cli::FlagParser flags{"zac_serve", usage};
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -168,48 +120,52 @@ main(int argc, char **argv)
             cfg.host = next("--host");
         else if (arg == "--port")
             cfg.port = static_cast<std::uint16_t>(
-                intFlag("--port", next("--port"), 0, 65535));
+                flags.intFlag("--port", next("--port"), 0, 65535));
         else if (arg == "--workers")
             cfg.service.num_workers = static_cast<int>(
-                intFlag("--workers", next("--workers"), 1, 4096));
+                flags.intFlag("--workers", next("--workers"), 1,
+                              4096));
         else if (arg == "--cache")
             cfg.service.cache_capacity = static_cast<std::size_t>(
-                intFlag("--cache", next("--cache"), 0, 1 << 24));
+                flags.intFlag("--cache", next("--cache"), 0,
+                              1 << 24));
         else if (arg == "--snapshot")
             cfg.service.snapshot_path = next("--snapshot");
         else if (arg == "--retries")
             cfg.service.max_retries = static_cast<int>(
-                intFlag("--retries", next("--retries"), 0, 1000));
+                flags.intFlag("--retries", next("--retries"), 0,
+                              1000));
         else if (arg == "--backoff-ms")
             cfg.service.retry_backoff_ms =
-                realFlag("--backoff-ms", next("--backoff-ms"));
+                flags.realFlag("--backoff-ms", next("--backoff-ms"));
         else if (arg == "--admission")
             cfg.service.admission_high_water =
-                static_cast<std::size_t>(intFlag(
+                static_cast<std::size_t>(flags.intFlag(
                     "--admission", next("--admission"), 0, 1 << 24));
         else if (arg == "--max-connections")
             cfg.max_connections = static_cast<std::size_t>(
-                intFlag("--max-connections",
-                        next("--max-connections"), 0, 1 << 24));
+                flags.intFlag("--max-connections",
+                              next("--max-connections"), 0, 1 << 24));
         else if (arg == "--read-timeout")
-            cfg.read_timeout_seconds =
-                realFlag("--read-timeout", next("--read-timeout"));
+            cfg.read_timeout_seconds = flags.realFlag(
+                "--read-timeout", next("--read-timeout"));
         else if (arg == "--write-timeout")
-            cfg.write_timeout_seconds =
-                realFlag("--write-timeout", next("--write-timeout"));
+            cfg.write_timeout_seconds = flags.realFlag(
+                "--write-timeout", next("--write-timeout"));
         else if (arg == "--drain-timeout")
-            cfg.drain_deadline_seconds =
-                realFlag("--drain-timeout", next("--drain-timeout"));
+            cfg.drain_deadline_seconds = flags.realFlag(
+                "--drain-timeout", next("--drain-timeout"));
         else if (arg == "--interactive-weight")
             cfg.service.lane_weights[zac::net::kLaneInteractive] =
                 static_cast<int>(
-                    intFlag("--interactive-weight",
-                            next("--interactive-weight"), 1, 1 << 20));
+                    flags.intFlag("--interactive-weight",
+                                  next("--interactive-weight"), 1,
+                                  1 << 20));
         else if (arg == "--batch-weight")
             cfg.service.lane_weights[zac::net::kLaneBatch] =
-                static_cast<int>(intFlag("--batch-weight",
-                                         next("--batch-weight"), 1,
-                                         1 << 20));
+                static_cast<int>(flags.intFlag("--batch-weight",
+                                               next("--batch-weight"),
+                                               1, 1 << 20));
         else if (arg == "--no-zair")
             cfg.include_zair = false;
         else if (arg == "--help" || arg == "-h") {

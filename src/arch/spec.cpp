@@ -373,31 +373,6 @@ Architecture::sitesInDisk(Point center, double radius,
     }
 }
 
-int
-Architecture::countSitesInDisk(Point center, double radius) const
-{
-    if (radius < 0.0)
-        return 0;
-    int count = 0;
-    for (const SiteGrid &g : siteGrids_) {
-        const GridRange rows =
-            gridRange(center.y - radius, center.y + radius, g.oy, g.sy,
-                      g.rows);
-        for (int r = rows.lo; r <= rows.hi; ++r) {
-            const double dy = g.oy + r * g.sy - center.y;
-            const double span2 = radius * radius - dy * dy;
-            if (span2 < 0.0)
-                continue;
-            const double span = std::sqrt(span2);
-            const GridRange cols = gridRange(
-                center.x - span, center.x + span, g.ox, g.sx, g.cols);
-            if (cols.hi >= cols.lo)
-                count += cols.hi - cols.lo + 1;
-        }
-    }
-    return count;
-}
-
 double
 Architecture::maxSitePitch() const
 {

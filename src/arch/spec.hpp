@@ -32,6 +32,13 @@ using TrapId = std::int32_t;
 /** Sentinel for "no trap" in TrapId-keyed structures. */
 inline constexpr TrapId kInvalidTrapId = -1;
 
+/**
+ * Architecture::sitesInDisk() appends every site at least this far
+ * inside the disk's edge (um): far above rounding (~x * 1e-16 for
+ * coordinates of magnitude x) for coordinates up to ~1e6 um.
+ */
+inline constexpr double kDiskEdgeTolUm = 1e-6;
+
 /** An acousto-optic deflector array (<aodArray> in Fig. 3). */
 struct AodSpec
 {
@@ -194,17 +201,17 @@ class Architecture
     int nearestSite(Point p) const;
     /**
      * Append every site whose reference position lies within Euclidean
-     * distance @p radius of @p center (boundary inclusive up to a small
-     * epsilon), walking the per-zone site grids row by row instead of
-     * scanning all sites. Ids are appended in ascending order within
-     * each zone; the output is globally ascending because zones are
-     * visited in id order. This is the candidate-window iterator of the
-     * pruned gate placement (paper Sec. V-B2's Omega_cand).
+     * distance @p radius of @p center, walking the per-zone site grids
+     * row by row instead of scanning all sites. Rounding decides sites
+     * within a few ulps of the edge either way; every site whose
+     * distance() is at most radius - kDiskEdgeTolUm is appended. Ids
+     * are appended in ascending order within each zone; the output is
+     * globally ascending because zones are visited in id order. This
+     * is the candidate-window iterator of gate placement (paper
+     * Sec. V-B2's Omega_cand).
      */
     void sitesInDisk(Point center, double radius,
                      std::vector<int> &out) const;
-    /** Count-only companion of sitesInDisk() (no allocation). */
-    int countSitesInDisk(Point center, double radius) const;
     /** The maximum site pitch (x or y) over all entanglement zones. */
     double maxSitePitch() const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/cost.hpp"
@@ -14,17 +15,6 @@ namespace
 {
 
 /**
- * Strict-margin epsilon for the optimality/uniqueness certificate.
- * Safely above the JV solver's accumulated floating-point noise and the
- * disk iterator's boundary slop, and far below any genuine cost
- * difference between distinct site geometries.
- */
-constexpr double kCertEps = 1e-7;
-
-/** Windowed-solve rounds before handing the call to the reference. */
-constexpr int kMaxWindowAttempts = 3;
-
-/**
  * Initial radius headroom, in sqrt-um cost units: the window admits
  * every site whose cost lower bound is within this margin of the
  * gate's near-site cost, absorbing moderate assignment conflicts
@@ -32,16 +22,6 @@ constexpr int kMaxWindowAttempts = 3;
  */
 constexpr double kCostMargin = 1.5;
 
-/**
- * Dense problems where windowing cannot pay: below this many cells the
- * dense solve is already cheap, and once the candidate union reaches
- * this share of the free sites the "window" is the full problem plus
- * overhead.
- */
-constexpr std::size_t kDenseCellCutoff = 96;
-constexpr double kDenseUnionShare = 0.55;
-/** Window cells beyond this share of the dense matrix go dense too. */
-constexpr double kDenseWindowShare = 0.5;
 /**
  * Stages with this many unpinned gates are contention-bound: the
  * matching's duals grow with the conflicts, the windows they demand
@@ -60,7 +40,9 @@ struct Prologue
 {
     std::vector<int> result;       ///< per gate: site id (-1 pending)
     std::vector<char> site_taken;  ///< per site: pinned by reuse
+    std::vector<int> pinned_sites; ///< the pinned sites, ascending
     std::vector<int> free_gates;   ///< indices of unpinned gates
+    int num_free_sites = 0;        ///< sites not pinned
 };
 
 void
@@ -76,6 +58,7 @@ applyPins(const PlacementState &state, const GatePlacementRequest &req,
 
     p.result.assign(num_gates, -1);
     p.site_taken.assign(static_cast<std::size_t>(arch.numSites()), 0);
+    p.pinned_sites.clear();
     p.free_gates.clear();
     for (std::size_t i = 0; i < num_gates; ++i) {
         const int pin = req.pinned_site[i];
@@ -85,11 +68,31 @@ applyPins(const PlacementState &state, const GatePlacementRequest &req,
             if (p.site_taken[static_cast<std::size_t>(pin)])
                 panic("placeGates: two gates pinned to one site");
             p.site_taken[static_cast<std::size_t>(pin)] = 1;
+            p.pinned_sites.push_back(pin);
             p.result[i] = pin;
         } else {
             p.free_gates.push_back(static_cast<int>(i));
         }
     }
+    std::sort(p.pinned_sites.begin(), p.pinned_sites.end());
+    p.num_free_sites =
+        arch.numSites() - static_cast<int>(p.pinned_sites.size());
+    if (static_cast<std::size_t>(p.num_free_sites) < p.free_gates.size())
+        fatal("placeGates: stage has " +
+              std::to_string(p.free_gates.size()) +
+              " unpinned gates but only " +
+              std::to_string(p.num_free_sites) + " free sites");
+}
+
+/** Edge weight of a gate at @p site_pos: Eq. 1 plus the lookahead. */
+double
+edgeWeight(Point site_pos, Point p0, Point p1,
+           const std::optional<Point> &look)
+{
+    double w = gateCost(site_pos, p0, p1);
+    if (look.has_value())
+        w += sqrtDistance(site_pos, *look);
+    return w;
 }
 
 /**
@@ -109,11 +112,6 @@ solveFullMatrix(const PlacementState &state,
     for (int s = 0; s < arch.numSites(); ++s)
         if (!p.site_taken[static_cast<std::size_t>(s)])
             free_sites.push_back(s);
-    if (free_sites.size() < p.free_gates.size())
-        fatal("placeGates: stage has " +
-              std::to_string(p.free_gates.size()) +
-              " unpinned gates but only " +
-              std::to_string(free_sites.size()) + " free sites");
 
     thread_local CostMatrix cost(0, 0);
     cost.reset(static_cast<int>(p.free_gates.size()),
@@ -125,13 +123,10 @@ solveFullMatrix(const PlacementState &state,
         const Point p1 = state.posOf(g.q1);
         const auto &look =
             req.lookahead[static_cast<std::size_t>(p.free_gates[gi])];
-        for (std::size_t si = 0; si < free_sites.size(); ++si) {
-            const Point site_pos = arch.sitePosition(free_sites[si]);
-            double w = gateCost(site_pos, p0, p1);
-            if (look.has_value())
-                w += sqrtDistance(site_pos, *look);
-            cost.at(static_cast<int>(gi), static_cast<int>(si)) = w;
-        }
+        for (std::size_t si = 0; si < free_sites.size(); ++si)
+            cost.at(static_cast<int>(gi), static_cast<int>(si)) =
+                edgeWeight(arch.sitePosition(free_sites[si]), p0, p1,
+                           look);
     }
 
     const Assignment assign = minWeightFullMatching(cost);
@@ -145,134 +140,147 @@ solveFullMatrix(const PlacementState &state,
     }
 }
 
-/** Candidate window of one free gate. */
+/**
+ * Candidate window of one free gate: the free sites within `radius` of
+ * its qubits or its lookahead point. It lists those cheaper than
+ * `tail`, a lower bound on the cost of every free site it does not
+ * list; once the disks cover every free site it lists them all and
+ * has no tail.
+ */
 struct GateWindow
 {
     Point p0, p1;
     const std::optional<Point> *look = nullptr;
     /**
-     * Divisor turning a cost bound into a disk radius: a site outside
-     * every disk of radius R is farther than R from both qubits and
-     * (when a lookahead exists) from the lookahead point, so its edge
-     * weight exceeds cost_k * sqrt(R) — max-combined qubit terms
-     * contribute one sqrt(R), sum-combined two, the lookahead one more.
+     * A site farther than R from both qubits and the lookahead point
+     * costs at least cost_k * sqrt(R): max-combined qubit terms (same
+     * row) add one sqrt(R), summed ones two, the lookahead one more.
+     * Rounding is monotone and 2x and 3x round like those sums, so the
+     * bound holds in floating point.
      */
     double cost_k = 2.0;
     double radius = 0.0;
-    std::vector<int> cand;    ///< free candidate sites, ascending
-    std::vector<int> col_idx; ///< per candidate: its column index
-    bool dirty = true;        ///< candidates need a rebuild
-
-    /** Radius that excludes every site costing more than @p bound. */
-    double
-    radiusForCost(double bound) const
-    {
-        const double root = bound / cost_k;
-        return root * root;
-    }
+    double tail = kAssignInfeasible;
+    std::vector<SparseEdge> edges; ///< listed sites, ascending cost
 };
 
 /**
- * True if the eps-tight cell graph admits an optimal matching other
- * than the one found. Complementary slackness forces every optimum
- * onto tight cells and every column with a strictly negative dual to
- * stay matched, so an alternative optimum exists exactly when the
- * graph has an M-alternating cycle, or an M-alternating path from a
- * releasable matched column (dual ~ 0) to an unmatched column.
- * (A plain "any tight unmatched cell" test would reject almost every
- * call: the shortest-path duals legitimately leave many tight cells
- * that admit no alternating structure.)
- *
- * @param tight per row: tight column indices, excluding the matched one.
- * @param row4col inverse matching (-1 for unmatched columns).
+ * List @p w's sites at its current radius, as columns of the dense
+ * reference: free sites in ascending id, so a site's column is its id
+ * minus the pinned sites below it. Adds the sites costed to @p cells.
  */
-bool
-hasAlternativeOptimum(const std::vector<std::vector<int>> &tight,
-                      const std::vector<int> &row_to_col,
-                      const std::vector<int> &row4col,
-                      const std::vector<double> &col_duals,
-                      double eps)
+void
+buildWindow(const Architecture &arch, const Prologue &p, GateWindow &w,
+            std::int64_t &cells)
 {
-    const int nr = static_cast<int>(tight.size());
+    thread_local std::vector<int> disk;
+    thread_local std::vector<std::uint64_t> seen; // per site: stamp
+    thread_local std::uint64_t stamp = 0;
+    ++stamp;
+    if (seen.size() < static_cast<std::size_t>(arch.numSites()))
+        seen.resize(static_cast<std::size_t>(arch.numSites()), 0);
+    disk.clear();
+    arch.sitesInDisk(w.p0, w.radius, disk);
+    arch.sitesInDisk(w.p1, w.radius, disk);
+    if (w.look->has_value())
+        arch.sitesInDisk(**w.look, w.radius, disk);
 
-    // (a) alternating cycle: DFS over the row graph (row -> tight col
-    // -> that col's matched row); a gray-on-gray hit is a cycle.
-    thread_local std::vector<int> color;
-    thread_local std::vector<std::pair<int, std::size_t>> stack;
-    color.assign(static_cast<std::size_t>(nr), 0);
-    stack.clear();
-    for (int r0 = 0; r0 < nr; ++r0) {
-        if (color[static_cast<std::size_t>(r0)] != 0)
+    w.edges.clear();
+    for (int s : disk) {
+        const auto si = static_cast<std::size_t>(s);
+        if (seen[si] == stamp || p.site_taken[si])
             continue;
-        color[static_cast<std::size_t>(r0)] = 1;
-        stack.push_back({r0, 0});
-        while (!stack.empty()) {
-            const int r = stack.back().first;
-            const auto &edges = tight[static_cast<std::size_t>(r)];
-            if (stack.back().second >= edges.size()) {
-                color[static_cast<std::size_t>(r)] = 2;
-                stack.pop_back();
-                continue;
-            }
-            const int j = edges[stack.back().second++];
-            const int nxt = row4col[static_cast<std::size_t>(j)];
-            if (nxt < 0)
-                continue; // unmatched column: handled in (b)
-            if (color[static_cast<std::size_t>(nxt)] == 1)
-                return true;
-            if (color[static_cast<std::size_t>(nxt)] == 0) {
-                color[static_cast<std::size_t>(nxt)] = 1;
-                stack.push_back({nxt, 0});
-            }
-        }
+        seen[si] = stamp;
+        const auto below = std::lower_bound(p.pinned_sites.begin(),
+                                            p.pinned_sites.end(), s) -
+                           p.pinned_sites.begin();
+        w.edges.push_back(
+            {edgeWeight(arch.sitePosition(s), w.p0, w.p1, *w.look),
+             s - static_cast<int>(below)});
     }
+    cells += static_cast<std::int64_t>(w.edges.size());
 
-    // (b) alternating path: BFS from every row whose matched column
-    // could be released (dual ~ 0) toward an unmatched column.
-    thread_local std::vector<char> seen;
-    thread_local std::vector<int> queue;
-    seen.assign(static_cast<std::size_t>(nr), 0);
-    queue.clear();
-    for (int r = 0; r < nr; ++r) {
-        const int m = row_to_col[static_cast<std::size_t>(r)];
-        if (col_duals[static_cast<std::size_t>(m)] >= -eps) {
-            seen[static_cast<std::size_t>(r)] = 1;
-            queue.push_back(r);
-        }
-    }
-    while (!queue.empty()) {
-        const int r = queue.back();
-        queue.pop_back();
-        for (int j : tight[static_cast<std::size_t>(r)]) {
-            const int nxt = row4col[static_cast<std::size_t>(j)];
-            if (nxt < 0)
-                return true; // reaches an unmatched column
-            if (!seen[static_cast<std::size_t>(nxt)]) {
-                seen[static_cast<std::size_t>(nxt)] = 1;
-                queue.push_back(nxt);
-            }
-        }
-    }
-    return false;
+    // A site sitesInDisk() left out is farther than the shrunk radius
+    // from every center. With every free site found there is no tail.
+    w.tail = std::cmp_equal(w.edges.size(), p.num_free_sites)
+                 ? kAssignInfeasible
+                 : w.cost_k * std::sqrt(std::max(
+                                  0.0, w.radius - kDiskEdgeTolUm));
+    std::erase_if(w.edges,
+                  [&w](const SparseEdge &e) { return !(e.cost < w.tail); });
+    std::sort(w.edges.begin(), w.edges.end(),
+              [](const SparseEdge &a, const SparseEdge &b) {
+                  return a.cost < b.cost;
+              });
 }
 
+/**
+ * The windowed path: solve the free gates' windows with the sparse
+ * solver on the reference's columns. When the solver reaches a
+ * window's tail, that window grows and the solve repeats, so the solve
+ * that finishes makes the reference's choices, ties included.
+ */
 void
-buildCandidates(const Architecture &arch, const Prologue &p,
-                GateWindow &w, std::vector<int> &scratch)
+solveWindows(const PlacementState &state, const GatePlacementRequest &req,
+             Prologue &p, GatePlacerStats &st)
 {
-    scratch.clear();
-    arch.sitesInDisk(w.p0, w.radius, scratch);
-    arch.sitesInDisk(w.p1, w.radius, scratch);
-    if (w.look->has_value())
-        arch.sitesInDisk(**w.look, w.radius, scratch);
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                  scratch.end());
-    w.cand.clear();
-    for (int s : scratch)
-        if (!p.site_taken[static_cast<std::size_t>(s)])
-            w.cand.push_back(s);
-    w.dirty = false;
+    const Architecture &arch = state.arch();
+    const std::vector<StagedGate> &gates = *req.gates;
+    const std::size_t num_free = p.free_gates.size();
+
+    // Initial windows admit every site whose cost lower bound is
+    // within kCostMargin of the gate's near-site cost.
+    thread_local std::vector<GateWindow> wins;
+    wins.resize(num_free);
+    for (std::size_t gi = 0; gi < num_free; ++gi) {
+        const auto gate = static_cast<std::size_t>(p.free_gates[gi]);
+        const StagedGate &g = gates[gate];
+        GateWindow &w = wins[gi];
+        w.p0 = state.posOf(g.q0);
+        w.p1 = state.posOf(g.q1);
+        w.look = &req.lookahead[gate];
+        w.cost_k = (std::abs(w.p0.y - w.p1.y) < kSameRowTolUm ? 1.0 : 2.0) +
+                   (w.look->has_value() ? 1.0 : 0.0);
+        const int near = nearestSiteForGate(arch, state.trapIdOf(g.q0),
+                                            state.trapIdOf(g.q1));
+        const double root =
+            (edgeWeight(arch.sitePosition(near), w.p0, w.p1, *w.look) +
+             kCostMargin) /
+            w.cost_k;
+        w.radius = root * root;
+        buildWindow(arch, p, w, st.window_cells);
+    }
+
+    thread_local SparseCostGraph graph;
+    bool grew_full = false;
+    for (;;) {
+        graph.reset(p.num_free_sites);
+        for (const GateWindow &w : wins) {
+            graph.edges.insert(graph.edges.end(), w.edges.begin(),
+                               w.edges.end());
+            graph.row_start.push_back(graph.edges.size());
+            graph.tail.push_back(w.tail);
+        }
+        ++st.pruned_solves;
+        const Assignment assign = minWeightSparseMatching(graph);
+        if (assign.feasible) {
+            for (std::size_t gi = 0; gi < num_free; ++gi) {
+                int site = assign.row_to_col[gi]; // skip pinned sites
+                for (int pin : p.pinned_sites)
+                    site += pin <= site ? 1 : 0;
+                p.result[static_cast<std::size_t>(p.free_gates[gi])] = site;
+            }
+            ++(grew_full ? st.fallbacks : st.certified);
+            return;
+        }
+        if (assign.short_row < 0)
+            panic("placeGates: windows without tails must be feasible");
+        GateWindow &w = wins[static_cast<std::size_t>(assign.short_row)];
+        w.radius = std::max(2.0 * w.radius, w.radius + arch.maxSitePitch());
+        buildWindow(arch, p, w, st.window_cells);
+        grew_full = grew_full || w.tail == kAssignInfeasible;
+        ++st.window_growths;
+    }
 }
 
 } // namespace
@@ -306,246 +314,23 @@ std::vector<int>
 placeGates(const PlacementState &state, const GatePlacementRequest &req,
            GatePlacerStats *stats)
 {
-    const Architecture &arch = state.arch();
-    const std::vector<StagedGate> &gates = *req.gates;
     thread_local Prologue p;
     applyPins(state, req, p);
-    if (stats)
-        ++stats->calls;
-    if (p.free_gates.empty())
-        return std::move(p.result);
-
-    const std::size_t num_free = p.free_gates.size();
-    if (stats)
-        stats->full_cells += static_cast<std::int64_t>(num_free) *
-                             arch.numSites();
-    std::size_t num_free_sites = 0;
-    for (char taken : p.site_taken)
-        if (!taken)
-            ++num_free_sites;
-
-    // Problems where the window cannot pay go dense immediately.
-    const std::size_t dense_cells = num_free * num_free_sites;
-    bool dense = dense_cells <= kDenseCellCutoff ||
-                 num_free >= kContestedGateCutoff ||
-                 static_cast<double>(num_free) >
-                     kDenseUnionShare *
-                         static_cast<double>(num_free_sites);
-
-    // ---- initial windows: admit every site whose cost lower bound is
-    // within kCostMargin of the gate's near-site cost. A count-only
-    // pass estimates the total window size first, so saturated stages
-    // (windows tiling the whole zone) skip construction entirely.
-    thread_local std::vector<GateWindow> wins;
-    // Count-only estimate of the total window size at the current
-    // radii, so saturated stages (windows tiling most of the zone)
-    // skip window construction — both up front and after any growth.
-    auto windowsLookDense = [&]() {
-        const double limit =
-            kDenseWindowShare * static_cast<double>(dense_cells);
-        std::size_t est_cells = 0;
-        for (const GateWindow &w : wins) {
-            std::size_t est =
-                static_cast<std::size_t>(
-                    arch.countSitesInDisk(w.p0, w.radius)) +
-                static_cast<std::size_t>(
-                    arch.countSitesInDisk(w.p1, w.radius));
-            if (w.look->has_value())
-                est += static_cast<std::size_t>(
-                    arch.countSitesInDisk(**w.look, w.radius));
-            est_cells += std::min(est, num_free_sites);
-            if (static_cast<double>(est_cells) > limit)
-                return true;
+    GatePlacerStats st;
+    st.calls = 1;
+    const auto num_free = static_cast<std::int64_t>(p.free_gates.size());
+    if (num_free > 0) {
+        st.full_cells = num_free * state.arch().numSites();
+        if (p.free_gates.size() >= kContestedGateCutoff) {
+            solveFullMatrix(state, req, p);
+            st.dense_direct = 1;
+            st.window_cells = num_free * p.num_free_sites;
+        } else {
+            solveWindows(state, req, p, st);
         }
-        return false;
-    };
-    if (!dense) {
-        wins.resize(num_free);
-        for (std::size_t gi = 0; gi < num_free; ++gi) {
-            const StagedGate &g =
-                gates[static_cast<std::size_t>(p.free_gates[gi])];
-            GateWindow &w = wins[gi];
-            w.p0 = state.posOf(g.q0);
-            w.p1 = state.posOf(g.q1);
-            w.look = &req.lookahead[static_cast<std::size_t>(
-                p.free_gates[gi])];
-            const bool same_row =
-                std::abs(w.p0.y - w.p1.y) < kSameRowTolUm;
-            w.cost_k = (same_row ? 1.0 : 2.0) +
-                       (w.look->has_value() ? 1.0 : 0.0);
-            const int near = nearestSiteForGate(
-                arch, state.trapIdOf(g.q0), state.trapIdOf(g.q1));
-            const Point near_pos = arch.sitePosition(near);
-            double near_cost = gateCost(near_pos, w.p0, w.p1);
-            if (w.look->has_value())
-                near_cost += sqrtDistance(near_pos, **w.look);
-            w.radius = w.radiusForCost(near_cost + kCostMargin);
-            w.dirty = true; // thread-local reuse: invalidate candidates
-        }
-        dense = windowsLookDense();
     }
-    if (dense) {
-        solveFullMatrix(state, req, p);
-        if (stats) {
-            ++stats->dense_direct;
-            stats->window_cells +=
-                static_cast<std::int64_t>(dense_cells);
-        }
-        return std::move(p.result);
-    }
-
-    thread_local std::vector<int> scratch, cols;
-    for (int attempt = 0; attempt < kMaxWindowAttempts; ++attempt) {
-        // ---- candidate columns (union of the per-gate windows).
-        cols.clear();
-        bool any_empty = false;
-        std::size_t total_cells = 0;
-        for (GateWindow &w : wins) {
-            if (w.dirty)
-                buildCandidates(arch, p, w, scratch);
-            if (w.cand.empty())
-                any_empty = true;
-            total_cells += w.cand.size();
-            cols.insert(cols.end(), w.cand.begin(), w.cand.end());
-        }
-        std::sort(cols.begin(), cols.end());
-        cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-        if (any_empty || cols.size() < num_free) {
-            for (GateWindow &w : wins) {
-                w.radius = std::max(2.0 * w.radius,
-                                    w.radius + arch.maxSitePitch());
-                w.dirty = true;
-            }
-            if (stats)
-                ++stats->window_growths;
-            if (windowsLookDense())
-                break;
-            continue;
-        }
-        // Windows that degenerated into (most of) the full problem
-        // can only add overhead on top of the dense solve.
-        if (static_cast<double>(cols.size()) >
-                kDenseUnionShare * static_cast<double>(num_free_sites) ||
-            static_cast<double>(total_cells) >
-                kDenseWindowShare *
-                    static_cast<double>(num_free * num_free_sites))
-            break;
-
-        // ---- windowed cost matrix (absent cells stay infeasible).
-        // cand and cols are both ascending, so a merge walk assigns
-        // column indices without binary searches.
-        thread_local CostMatrix cost(0, 0);
-        cost.reset(static_cast<int>(num_free),
-                   static_cast<int>(cols.size()));
-        for (std::size_t gi = 0; gi < num_free; ++gi) {
-            GateWindow &w = wins[gi];
-            w.col_idx.resize(w.cand.size());
-            std::size_t j = 0;
-            for (std::size_t ci = 0; ci < w.cand.size(); ++ci) {
-                const int s = w.cand[ci];
-                while (cols[j] != s)
-                    ++j;
-                w.col_idx[ci] = static_cast<int>(j);
-                const Point site_pos = arch.sitePosition(s);
-                double weight = gateCost(site_pos, w.p0, w.p1);
-                if (w.look->has_value())
-                    weight += sqrtDistance(site_pos, **w.look);
-                cost.at(static_cast<int>(gi), static_cast<int>(j)) =
-                    weight;
-            }
-            if (stats)
-                stats->window_cells +=
-                    static_cast<std::int64_t>(w.cand.size());
-        }
-
-        if (stats)
-            ++stats->pruned_solves;
-        const Assignment assign = minWeightFullMatching(cost);
-        if (!assign.feasible) {
-            for (GateWindow &w : wins) {
-                w.radius = std::max(2.0 * w.radius,
-                                    w.radius + arch.maxSitePitch());
-                w.dirty = true;
-            }
-            if (stats)
-                ++stats->window_growths;
-            if (windowsLookDense())
-                break;
-            continue;
-        }
-
-        // ---- certificate part 1: every site outside gate gi's window
-        // costs more than cost_k * sqrt(radius) (it is farther than
-        // radius from both qubits and from the lookahead point). With
-        // col_duals == 0 on those columns, u_i below that bound makes
-        // every out-of-window cell strictly slack. A violating row's
-        // window jumps directly to the radius its dual demands.
-        bool grew = false;
-        for (std::size_t gi = 0; gi < num_free; ++gi) {
-            GateWindow &w = wins[gi];
-            if (w.cand.size() == num_free_sites)
-                continue; // no excluded cells for this row
-            const double bound = w.cost_k * std::sqrt(w.radius);
-            if (!(assign.row_duals[gi] <= bound - kCertEps)) {
-                w.radius = w.radiusForCost(
-                    assign.row_duals[gi] + kCostMargin);
-                w.dirty = true;
-                grew = true;
-            }
-        }
-        if (grew) {
-            if (stats)
-                ++stats->window_growths;
-            if (windowsLookDense())
-                break;
-            continue;
-        }
-
-        // ---- certificate part 2: uniqueness inside the window. Any
-        // alternative optimum lives on eps-tight cells; if the tight
-        // graph admits no alternating cycle or release path, this
-        // matching is the unique optimum. Otherwise the reference's
-        // own tie-break must decide.
-        thread_local std::vector<std::vector<int>> tight;
-        thread_local std::vector<int> row4col;
-        tight.resize(num_free);
-        for (std::size_t gi = 0; gi < num_free; ++gi)
-            tight[gi].clear();
-        row4col.assign(cols.size(), -1);
-        for (std::size_t gi = 0; gi < num_free; ++gi)
-            row4col[static_cast<std::size_t>(assign.row_to_col[gi])] =
-                static_cast<int>(gi);
-        for (std::size_t gi = 0; gi < num_free; ++gi) {
-            const GateWindow &w = wins[gi];
-            const int chosen = assign.row_to_col[gi];
-            for (int j : w.col_idx) {
-                if (j == chosen)
-                    continue;
-                const double reduced =
-                    cost.at(static_cast<int>(gi), j) -
-                    assign.row_duals[gi] -
-                    assign.col_duals[static_cast<std::size_t>(j)];
-                if (reduced <= kCertEps)
-                    tight[gi].push_back(j);
-            }
-        }
-        if (hasAlternativeOptimum(tight, assign.row_to_col, row4col,
-                                  assign.col_duals, kCertEps))
-            break;
-
-        // Certified: the windowed matching is the unique optimum over
-        // the full free-site set, hence identical to the reference.
-        if (stats)
-            ++stats->certified;
-        for (std::size_t gi = 0; gi < num_free; ++gi)
-            p.result[static_cast<std::size_t>(p.free_gates[gi])] =
-                cols[static_cast<std::size_t>(assign.row_to_col[gi])];
-        return std::move(p.result);
-    }
-
     if (stats)
-        ++stats->fallbacks;
-    solveFullMatrix(state, req, p);
+        *stats += st;
     return std::move(p.result);
 }
 

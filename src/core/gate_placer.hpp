@@ -8,19 +8,21 @@
  * cost plus the reuse-lookahead cost (the distance of the next stage's
  * incoming partner qubit to the candidate site).
  *
- * Two implementations share the semantics:
- *  - placeGatesReference() builds the dense |gates| x |free sites|
- *    matrix and matches over every free site (the original path, kept
- *    as the semantic reference and tie-break fallback);
- *  - placeGates() restricts each gate to a candidate window Omega_cand
- *    (sites within an adaptive radius of the gate's qubits and its
- *    lookahead point) and certifies via the matching's dual potentials
- *    that the windowed optimum is the unique optimum of the full
- *    problem, so its assignment is bit-identical to the reference.
- *    When the certificate fails (window too small or a cost tie) the
- *    window grows and, ultimately, the reference path decides — the
- *    tie-break rule is therefore "the reference solver's" by
- *    construction.
+ * placeGatesReference() builds the dense |gates| x |free sites| matrix
+ * and matches over every free site: the original path, and the
+ * semantic reference. placeGates() returns the same sites by one of
+ * two paths:
+ *  - contested stages (16 or more free gates, whose windows would tile
+ *    the zone) take the dense solve itself;
+ *  - every other stage is solved exactly on windows. Each gate lists
+ *    the free sites of its window Omega_cand (sites near its qubits
+ *    and its lookahead point) cheaper than a tail, a lower bound on
+ *    the cost of every free site it does not list, on the dense
+ *    path's columns. The sparse Jonker–Volgenant solver stops where
+ *    the full matrix could choose a site outside a window; that window
+ *    grows and the solve repeats. A solve that finishes makes the
+ *    dense solver's choices, so ties resolve exactly as the reference
+ *    resolves them, with no certificate and no dense fallback.
  */
 
 #ifndef ZAC_CORE_GATE_PLACER_HPP
@@ -54,27 +56,31 @@ struct GatePlacementRequest
     std::vector<std::optional<Point>> lookahead;
 };
 
-/** Counters describing how the pruned placeGates() resolved its calls. */
+/**
+ * Counters describing how placeGates() resolved its calls. A call with
+ * a free gate is exactly one of: certified (settled on windows),
+ * fallbacks (settled on windows after one grew to cover every free
+ * site) or dense_direct (contested).
+ */
 struct GatePlacerStats
 {
-    std::int64_t calls = 0;            ///< placeGates() invocations
-    std::int64_t pruned_solves = 0;    ///< windowed JV solves run
-    std::int64_t certified = 0;        ///< calls settled by the window
-    std::int64_t window_growths = 0;   ///< radius-growth rounds
-    std::int64_t dense_direct = 0;     ///< dense-by-choice calls (small
-                                       ///< or saturated problems)
-    std::int64_t fallbacks = 0;        ///< certificate failures decided
-                                       ///< by the reference
-    std::int64_t window_cells = 0;     ///< candidate cells costed
-    std::int64_t full_cells = 0;       ///< |free gates| x |free sites|
+    std::int64_t calls = 0;          ///< placeGates() invocations
+    std::int64_t pruned_solves = 0;  ///< windowed JV solves run
+    std::int64_t certified = 0;      ///< settled on windows
+    std::int64_t window_growths = 0; ///< windows grown at their tail
+    std::int64_t dense_direct = 0;   ///< contested calls, solved dense
+    std::int64_t fallbacks = 0;      ///< a window grew to all sites
+    std::int64_t window_cells = 0;   ///< sites costed per window built,
+                                     ///< all cells of contested calls
+    std::int64_t full_cells = 0;     ///< |free gates| x |sites|
 
     GatePlacerStats &operator+=(const GatePlacerStats &o);
 };
 
 /**
- * Compute the site id for every gate of the stage (windowed path with
- * certified fallback; the result is bit-identical to
- * placeGatesReference()).
+ * Compute the site id for every gate of the stage (exact windows, or
+ * the dense solve for contested stages; the result is bit-identical
+ * to placeGatesReference()).
  *
  * @param stats optional counters, accumulated across calls.
  * @throws zac::FatalError if the stage has more gates than sites.

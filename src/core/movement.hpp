@@ -77,11 +77,11 @@ struct PlacementPlan
 struct PlacementProfile
 {
     double reuse_matching_seconds = 0.0;  ///< Hopcroft–Karp matchings
-    double gate_placement_seconds = 0.0;  ///< placeGates (windowed JV)
+    double gate_placement_seconds = 0.0;  ///< placeGates (exact windows)
     double qubit_placement_seconds = 0.0; ///< storage placement / homes
     double move_build_seconds = 0.0;      ///< move-ins + cost + rollback
     double check_seconds = 0.0;           ///< final plan replay check
-    GatePlacerStats gate_placer;          ///< window/fallback counters
+    GatePlacerStats gate_placer;          ///< window/growth/dense counters
     QubitPlacerStats qubit_placer;        ///< storage-placement counters
 
     double

@@ -109,10 +109,11 @@ heapPop(std::vector<HeapEntry> &heap)
 }
 
 /**
- * Per-thread scratch of minWeightSparseMatching(). Per-column and
- * per-row arrays are sized once per call; between augmenting paths
- * only the entries a path touched are reset, so a path costs what it
- * touches, not O(columns).
+ * Per-thread scratch of minWeightSparseMatching(). The per-column and
+ * per-row arrays only grow, and between calls every entry is neutral
+ * (shortest inf, marks 0, overrides and row4col -1): a path resets the
+ * entries it touched and a call the columns it matched, so neither a
+ * path nor a call pays O(columns) for its scratch.
  */
 struct SparseScratch
 {
@@ -134,24 +135,39 @@ struct SparseScratch
     std::vector<HeapEntry> col_heap;  ///< (shortest, column), lazy
     std::vector<HeapEntry> row_heap;  ///< (bound, row), one per row
 
+    /** Grow the arrays to a call's size, new entries neutral. */
     void
-    reset(int nr, int nc)
+    grow(int nr, int nc)
     {
-        // An infeasible call returns mid-path: clear its marks while
-        // the arrays still have that call's sizes.
-        endPath();
         const auto r = static_cast<std::size_t>(nr);
         const auto c = static_cast<std::size_t>(nc);
-        shortest.assign(c, kInf);
-        path.assign(c, -1);
-        path_cost.assign(c, 0.0);
-        row4col.assign(c, -1);
-        sc.assign(c, 0);
-        col_at.assign(c, -1);
-        pos_of.assign(c, -1);
-        order.assign(r, -1);
-        row_min.assign(r, 0.0);
-        next_edge.assign(r, 0);
+        if (shortest.size() < c) {
+            shortest.resize(c, kInf);
+            path.resize(c, -1);
+            path_cost.resize(c, 0.0);
+            row4col.resize(c, -1);
+            sc.resize(c, 0);
+            col_at.resize(c, -1);
+            pos_of.resize(c, -1);
+        }
+        if (order.size() < r) {
+            order.resize(r, -1);
+            row_min.resize(r, 0.0);
+            next_edge.resize(r, 0);
+        }
+    }
+
+    /**
+     * Return to neutral at the end of a call, which may stop mid-path;
+     * @p col4row holds the columns it matched.
+     */
+    void
+    endCall(const std::vector<int> &col4row)
+    {
+        endPath();
+        for (int j : col4row)
+            if (j >= 0)
+                row4col[static_cast<std::size_t>(j)] = -1;
     }
 
     /** Undo one path's marks (its visited rows, touched columns). */
@@ -177,10 +193,18 @@ struct SparseScratch
     }
 };
 
+/** Row @p ri's tail, or kInf when the graph has none. */
+double
+tailOf(const SparseCostGraph &g, std::size_t ri)
+{
+    return g.tail.empty() ? kInf : g.tail[ri];
+}
+
 /**
  * Relax row @p r's unrelaxed edges, cheapest first, until the next
  * edge's lower bound exceeds @p best (the cheapest tentative column,
- * lowered as edges land), then re-file the row under that bound.
+ * lowered as edges land), then re-file the row under that bound. Past
+ * its last edge the row is re-filed under its tail's bound, if any.
  *
  * The reduced cost is computed exactly as the dense solver computes it
  * at the row's visit (min_val + cost - u - v, left to right), so every
@@ -221,10 +245,15 @@ relaxRow(const SparseCostGraph &g, const std::vector<double> &u,
                 s.path_cost[j] = e.cost;
             }
         }
-        if (++k == end)
+        // Costs ascend up to the tail and v[j] <= v_max, and rounding
+        // is monotone, so this bounds every later edge's (and every
+        // unlisted column's) reduced cost from below.
+        if (++k == end) {
+            const double tail = tailOf(g, ri);
+            if (tail < kInf)
+                heapPush(s.row_heap, base + tail - ur - v_max, r);
             break;
-        // Costs ascend and v[j] <= v_max, and rounding is monotone, so
-        // this bounds every later edge's reduced cost from below.
+        }
         const double bound = base + g.edges[k].cost - ur - v_max;
         if (bound > best) {
             heapPush(s.row_heap, bound, r);
@@ -239,13 +268,15 @@ relaxRow(const SparseCostGraph &g, const std::vector<double> &u,
  * the `remaining` array's order kept as overrides and each visited
  * row's edges relaxed lazily behind its bound in the row heap.
  *
- * @return the sink column, or -1 if no augmenting path exists.
+ * @param short_row set to the row whose tail the search reached.
+ * @return the sink column, or -1 if no augmenting path exists or a
+ *         tail was reached.
  */
 int
 sparseAugmentingPath(const SparseCostGraph &g, const std::vector<double> &u,
                      const std::vector<double> &v, double v_max,
                      SparseScratch &s, int start_row, double &min_val_out,
-                     std::int64_t &relaxed)
+                     int &short_row, std::int64_t &relaxed)
 {
     const int nc = g.cols;
     auto colAt = [&s, nc](int p) {
@@ -266,14 +297,16 @@ sparseAugmentingPath(const SparseCostGraph &g, const std::vector<double> &u,
         s.visited_rows.push_back(i);
         s.row_min[ii] = min_val;
         s.next_edge[ii] = g.row_start[ii];
-        if (g.row_start[ii] < g.row_start[ii + 1])
-            heapPush(s.row_heap,
-                     min_val + g.edges[g.row_start[ii]].cost - u[ii] -
-                         v_max,
-                     i);
+        const double first = g.row_start[ii] < g.row_start[ii + 1]
+                                 ? g.edges[g.row_start[ii]].cost
+                                 : tailOf(g, ii);
+        if (first < kInf)
+            heapPush(s.row_heap, min_val + first - u[ii] - v_max, i);
 
         // The cheapest tentative column, made exact: relax every edge
-        // whose bound could still reach (or tie) it.
+        // whose bound could still reach (or tie) it. A row whose edges
+        // are spent was filed under its tail: a column it does not
+        // list could reach (or tie) it, so only the full graph knows.
         while (!s.col_heap.empty()) {
             const auto [d, j] = s.col_heap.front();
             if (!s.sc[static_cast<std::size_t>(j)] &&
@@ -282,9 +315,15 @@ sparseAugmentingPath(const SparseCostGraph &g, const std::vector<double> &u,
             heapPop(s.col_heap); // stale
         }
         double best = s.col_heap.empty() ? kInf : s.col_heap.front().first;
-        while (!s.row_heap.empty() && s.row_heap.front().first <= best)
-            relaxRow(g, u, v, v_max, s, heapPop(s.row_heap), best,
-                     relaxed);
+        while (!s.row_heap.empty() && s.row_heap.front().first <= best) {
+            const int r = heapPop(s.row_heap);
+            const auto ri = static_cast<std::size_t>(r);
+            if (s.next_edge[ri] == g.row_start[ri + 1]) {
+                short_row = r;
+                return -1;
+            }
+            relaxRow(g, u, v, v_max, s, r, best, relaxed);
+        }
         if (best == kInf)
             return -1; // infeasible
 
@@ -337,6 +376,10 @@ checkSparseGraph(const SparseCostGraph &g)
     if (rs.empty() || rs.front() != 0 || rs.back() != g.edges.size())
         fatal("minWeightSparseMatching: row offsets do not span the "
               "edge list");
+    if (!g.tail.empty() && g.tail.size() + 1 != rs.size())
+        fatal("minWeightSparseMatching: " +
+              std::to_string(g.tail.size()) + " tails for " +
+              std::to_string(rs.size() - 1) + " rows");
     for (std::size_t r = 0; r + 1 < rs.size(); ++r) {
         if (rs[r + 1] < rs[r])
             fatal("minWeightSparseMatching: row offsets decrease at "
@@ -354,6 +397,9 @@ checkSparseGraph(const SparseCostGraph &g)
                       " costs are not finite and ascending");
             prev = e.cost;
         }
+        if (!g.tail.empty() && !(g.tail[r] >= prev))
+            fatal("minWeightSparseMatching: row " + std::to_string(r) +
+                  " lists a cost above its tail");
     }
 }
 
@@ -456,7 +502,7 @@ minWeightSparseMatching(const SparseCostGraph &graph,
     // Thread-local like the dense solver's scratch: compile() is
     // re-entrant across threads.
     thread_local SparseScratch s;
-    s.reset(nr, nc);
+    s.grow(nr, nc);
     std::vector<double> u(static_cast<std::size_t>(nr), 0.0);
     std::vector<double> v(static_cast<std::size_t>(nc), 0.0);
     std::vector<int> col4row(static_cast<std::size_t>(nr), -1);
@@ -466,9 +512,11 @@ minWeightSparseMatching(const SparseCostGraph &graph,
 
     for (int cur_row = 0; cur_row < nr; ++cur_row) {
         double min_val = 0.0;
-        const int sink = sparseAugmentingPath(graph, u, v, v_max, s,
-                                              cur_row, min_val, relaxed);
+        const int sink =
+            sparseAugmentingPath(graph, u, v, v_max, s, cur_row, min_val,
+                                 result.short_row, relaxed);
         if (sink < 0) {
+            s.endCall(col4row);
             if (edges_relaxed)
                 *edges_relaxed += relaxed;
             return result; // feasible == false
@@ -501,6 +549,7 @@ minWeightSparseMatching(const SparseCostGraph &graph,
         }
         s.endPath();
     }
+    s.endCall(col4row);
     if (edges_relaxed)
         *edges_relaxed += relaxed;
 

@@ -11,14 +11,16 @@
  *  - minWeightFullMatching() takes a dense cost matrix and follows
  *    SciPy's rectangular LSAP line by line: each augmenting path scans
  *    every remaining column per visited row, O(n^2 m) for n rows and
- *    m columns. Gate placement uses it.
+ *    m columns. Gate placement uses it for contested stages (16 or
+ *    more free gates).
  *  - minWeightSparseMatching() takes each row's candidate columns as
  *    compressed sparse rows sorted by cost and relaxes a visited row's
  *    edges lazily, cheapest first, only while they can still reach the
  *    next column to settle. Memory is O(E + n + m) for E edges; a path
  *    costs O(R log R) for the R edges it relaxes (R <= E), where the
  *    dense path scans m columns per visited row. Storage placement
- *    uses it: its expanded graphs are ~2n^2 edges over ~10n columns.
+ *    uses it on its expanded graphs (~2n^2 edges over ~10n columns),
+ *    gate placement on per-gate windows with tails (below).
  *
  * Bit-identity contract: on the same graph (a dense cell is feasible
  * exactly when the sparse row lists that column, with the same cost),
@@ -27,6 +29,15 @@
  * same predecessor row per column — so `feasible`, `row_to_col`, the
  * duals and `total_cost` are bit-equal. tests/test_matching.cpp checks
  * this on seeded instances full of exact ties.
+ *
+ * Tails extend the contract to a truncated graph. A row's tail is a
+ * lower bound on the cost of every column it does not list; the solver
+ * files it like one more edge and stops with Assignment::short_row
+ * when it would have to relax it, i.e. when an unlisted column could
+ * reach or tie the next column to settle. A solve that finishes has
+ * therefore made exactly the choices the dense solver makes on the
+ * full matrix (every unlisted cell at its true cost), bit for bit.
+ * The caller grows the short row's list and solves again.
  */
 
 #ifndef ZAC_MATCHING_JONKER_VOLGENANT_HPP
@@ -99,9 +110,7 @@ class CostMatrix
  * cost(r,c) - row_duals[r] - col_duals[c] >= 0 for every feasible pair,
  * with equality on matched pairs, col_duals <= 0 everywhere, and
  * col_duals == 0 on unmatched columns (an unmatched column is only ever
- * scanned as the augmenting-path sink, which matches it). Callers use
- * them to certify that a solution over a pruned column subset is also
- * optimal — and unique, hence identical — over the full column set.
+ * scanned as the augmenting-path sink, which matches it).
  */
 struct Assignment
 {
@@ -110,6 +119,12 @@ struct Assignment
     double total_cost = 0.0;
     std::vector<double> row_duals; ///< u, one per row (when feasible)
     std::vector<double> col_duals; ///< v, one per column (when feasible)
+    /**
+     * Sparse solves with tails: the row whose tail the search reached
+     * (feasible == false); the full graph's answer needs a column that
+     * row does not list. -1 otherwise.
+     */
+    int short_row = -1;
 };
 
 /**
@@ -133,14 +148,17 @@ struct SparseEdge
  * Rectangular cost graph in compressed sparse rows: row r's candidates
  * are edges[row_start[r] .. row_start[r + 1]). Within a row the costs
  * are finite and ascending (equal costs in any order) and each column
- * appears at most once; a column a row does not list is infeasible for
- * that row.
+ * appears at most once. A column a row does not list is infeasible for
+ * it, unless the graph has tails: then tail[r], at least row r's last
+ * cost, bounds the cost of every column row r does not list from
+ * below (kAssignInfeasible: the row has no other column).
  */
 struct SparseCostGraph
 {
     int cols = 0;
     std::vector<std::size_t> row_start{0}; ///< rows() + 1 offsets
     std::vector<SparseEdge> edges;
+    std::vector<double> tail; ///< empty, or one bound per row
 
     int rows() const { return static_cast<int>(row_start.size()) - 1; }
 
@@ -151,6 +169,7 @@ struct SparseCostGraph
         cols = num_cols;
         row_start.assign(1, 0);
         edges.clear();
+        tail.clear();
     }
 };
 
@@ -159,17 +178,20 @@ struct SparseCostGraph
  * matrix of the same graph (see the file comment).
  *
  * Each visited row keeps one heap entry holding a lower bound on the
- * reduced cost of its cheapest unrelaxed edge; the bound subtracts the
- * largest column dual seen so far, so it holds in floating point too.
- * An edge is relaxed only once its bound could reach the cheapest
- * tentative column, so a path that settles after a few columns touches
- * a few edges per row instead of the whole row.
+ * reduced cost of its cheapest unrelaxed edge, or of its tail once its
+ * edges are spent; the bound subtracts the largest column dual seen so
+ * far, so it holds in floating point too. An edge is relaxed only once
+ * its bound could reach the cheapest tentative column, so a path that
+ * settles after a few columns touches a few edges per row instead of
+ * the whole row. A call costs O(R log R) for the R edges its paths
+ * relax, plus O(rows + cols) for the result; per-column scratch is
+ * kept between calls and only the entries a call touched are reset.
  *
  * @param graph rows() <= cols required.
  * @param edges_relaxed optional counter, incremented by the number of
  *        reduced costs evaluated.
  * @return Assignment with feasible == false when the graph admits no
- *         full matching.
+ *         full matching, or when a tail was reached (short_row >= 0).
  */
 Assignment minWeightSparseMatching(const SparseCostGraph &graph,
                                    std::int64_t *edges_relaxed = nullptr);

@@ -397,24 +397,6 @@ TEST(ArchQueryEquivalence, StorageTrapIdsInBoxMatchesRefEnumeration)
     }
 }
 
-TEST(ArchQueryEquivalence, CountSitesInDiskMatchesEnumeration)
-{
-    Rng rng(888);
-    for (const Architecture &arch : allPresets()) {
-        Point lo, hi;
-        archBounds(arch, lo, hi);
-        for (int i = 0; i < 100; ++i) {
-            const Point c = randomPoint(rng, lo, hi);
-            const double radius = rng.nextDouble() * 120.0;
-            std::vector<int> sites;
-            arch.sitesInDisk(c, radius, sites);
-            EXPECT_EQ(arch.countSitesInDisk(c, radius),
-                      static_cast<int>(sites.size()))
-                << arch.name();
-        }
-    }
-}
-
 TEST(ArchQueryEquivalence, StorageNeighborsMatchesReference)
 {
     Rng rng(4242);

@@ -255,6 +255,13 @@ TEST(JonkerVolgenant, SparseRejectsMalformedGraphs)
     EXPECT_THROW(minWeightSparseMatching(g), FatalError);
     g.edges = {{1.0, 0}}; // offsets past the edge list
     EXPECT_THROW(minWeightSparseMatching(g), FatalError);
+    g.edges = {{1.0, 0}, {2.0, 1}};
+    g.tail = {3.0, 3.0}; // two tails for one row
+    EXPECT_THROW(minWeightSparseMatching(g), FatalError);
+    g.tail = {1.5}; // a listed cost above the tail
+    EXPECT_THROW(minWeightSparseMatching(g), FatalError);
+    g.tail = {2.0}; // a tail may equal the last listed cost
+    EXPECT_TRUE(minWeightSparseMatching(g).feasible);
 }
 
 /**
@@ -316,6 +323,77 @@ TEST(JonkerVolgenant, SparseBitEqualsDenseOnRandomInstances)
     EXPECT_GT(feasible, 200);
     EXPECT_GT(infeasible, 100);
     EXPECT_GT(relaxed, 0);
+}
+
+/**
+ * Tails on seeded dense instances: each row lists a random prefix of
+ * its cells by ascending cost (equal costs in seeded order) and files
+ * a tail between its last listed cost and its first unlisted one. A
+ * solve either stops at a short row or bit-equals the dense solver on
+ * the full matrix. Costs are small integers (exact ties everywhere) or
+ * square roots of distances (ties by symmetry).
+ */
+TEST(JonkerVolgenant, SparseWithTailsStopsOrBitEqualsFull)
+{
+    int equal = 0;
+    int stopped = 0;
+    for (int seed = 0; seed < 3000; ++seed) {
+        Rng rng(static_cast<std::uint64_t>(seed) * 7877 + 5);
+        const int rows = 1 + static_cast<int>(rng.nextBelow(30));
+        const int cols = rows + static_cast<int>(rng.nextBelow(
+                                    static_cast<std::uint64_t>(rows) + 4));
+        const int max_cost = 1 + static_cast<int>(rng.nextBelow(6));
+        const bool sqrt_costs = seed % 2 == 1;
+        CostMatrix cost(rows, cols);
+        for (int r = 0; r < rows; ++r)
+            for (int c = 0; c < cols; ++c)
+                cost.at(r, c) =
+                    sqrt_costs
+                        ? std::sqrt(std::hypot(r % 7 - c % 7, c / 7))
+                        : static_cast<double>(rng.nextBelow(
+                              static_cast<std::uint64_t>(max_cost) + 1));
+        // Truncate every row of the full sparse graph.
+        const SparseCostGraph full = sparseGraphOf(cost, seed + 1);
+        const double keep = 0.2 * static_cast<double>(1 + seed % 4);
+        bool truncated = false;
+        SparseCostGraph g;
+        g.reset(cols);
+        for (int r = 0; r < rows; ++r) {
+            const std::size_t lo = full.row_start[static_cast<std::size_t>(r)];
+            const auto len = static_cast<std::size_t>(cols);
+            const std::size_t listed = std::min<std::size_t>(
+                len, static_cast<std::size_t>(keep * cols) +
+                         rng.nextBelow(3));
+            g.edges.insert(g.edges.end(), full.edges.begin() + lo,
+                           full.edges.begin() + lo + listed);
+            g.row_start.push_back(g.edges.size());
+            double tail = kAssignInfeasible;
+            if (listed < len) {
+                const double hi = full.edges[lo + listed].cost;
+                const double last = listed > 0
+                                        ? full.edges[lo + listed - 1].cost
+                                        : hi - 1.0;
+                tail = std::clamp(last + rng.nextDouble() * (hi - last),
+                                  last, hi);
+                truncated = true;
+            }
+            g.tail.push_back(tail);
+        }
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const Assignment got = minWeightSparseMatching(g);
+        if (got.short_row >= 0) {
+            EXPECT_FALSE(got.feasible);
+            EXPECT_LT(got.short_row, rows);
+            ++stopped;
+        } else {
+            expectSameAssignment(got, minWeightFullMatching(cost));
+            equal += truncated ? 1 : 0;
+        }
+    }
+    // The sweep must exercise both outcomes, finishing on truncated
+    // rows as well as stopping.
+    EXPECT_GT(equal, 300);
+    EXPECT_GT(stopped, 300);
 }
 
 class JvRandomProperty : public ::testing::TestWithParam<int>

@@ -4,7 +4,8 @@
  *
  *  - the windowed placeGates() must return the bit-identical assignment
  *    of the retained full-matrix reference on randomized stages over
- *    every preset architecture;
+ *    every preset architecture, including mirror-symmetric stages
+ *    whose cost ties leave several optimal assignments;
  *  - the journaled PlacementState undo must reproduce the
  *    snapshot/restore semantics bit-exactly (including home traps);
  *  - the rewritten runDynamicPlacement() must produce bit-identical
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "arch/presets.hpp"
 #include "arch/scaling.hpp"
@@ -157,6 +159,144 @@ TEST(GatePlacerEquiv, WindowedMatchesReferenceOnAllPresets)
     }
 }
 
+/** Per site column x: the trap pairs on one row at x - d and x + d. */
+using MirrorPairs =
+    std::map<double, std::vector<std::pair<TrapRef, TrapRef>>>;
+
+MirrorPairs
+mirrorPairs(const Architecture &arch)
+{
+    std::map<std::pair<double, double>, TrapRef> traps;
+    for (const TrapRef &t : arch.allStorageTraps())
+        traps[{arch.trapPosition(t).x, arch.trapPosition(t).y}] = t;
+    for (const RydbergSite &s : arch.sites()) {
+        traps[{s.pos_left.x, s.pos_left.y}] = s.left;
+        traps[{s.pos_right.x, s.pos_right.y}] = s.right;
+    }
+    MirrorPairs pairs;
+    for (const RydbergSite &s : arch.sites())
+        pairs[s.pos_left.x];
+    for (auto &[x, list] : pairs)
+        for (const auto &[pos, t] : traps) {
+            const auto mirror = traps.find({2.0 * x - pos.first, pos.second});
+            if (mirror != traps.end() && pos.first < x)
+                list.push_back({t, mirror->second});
+        }
+    return pairs;
+}
+
+/**
+ * A stage symmetric about one site column: every gate's qubits sit on
+ * one row at x - d and x + d, pins are on the axis and lookahead points
+ * on it too. The preset coordinates are exact in binary, so a site and
+ * its mirror image cost exactly the same for every gate, and any
+ * assignment with a gate off the axis has a mirror-image twin of equal
+ * cost. The windowed result must still be the reference's. Counts in
+ * @p tied_on_windows the calls with such a twin that settled on
+ * windows, none of which covers every free site (the call costed fewer
+ * cells than one full window has).
+ */
+void
+mirrorPlaceGatesRound(const Architecture &arch, const MirrorPairs &pairs,
+                      Rng &rng, GatePlacerStats &stats,
+                      int &tied_on_windows)
+{
+    auto axis = pairs.begin();
+    std::advance(axis, static_cast<long>(rng.nextBelow(pairs.size())));
+    const double x = axis->first;
+    std::vector<std::pair<TrapRef, TrapRef>> cand = axis->second;
+    for (std::size_t i = cand.size(); i > 1; --i)
+        std::swap(cand[i - 1], cand[rng.nextBelow(i)]);
+    const int max_gates = std::min<int>(
+        static_cast<int>(cand.size()), std::min(8, arch.numSites() / 2));
+    if (max_gates < 2)
+        return;
+    const int num_gates =
+        2 + static_cast<int>(rng.nextBelow(
+                static_cast<std::uint64_t>(max_gates - 1)));
+
+    PlacementState st(arch, 2 * num_gates);
+    std::vector<StagedGate> gates;
+    for (const auto &[a, b] : cand) {
+        if (static_cast<int>(gates.size()) == num_gates)
+            break;
+        if (!st.isEmpty(a) || !st.isEmpty(b))
+            continue;
+        const int g = static_cast<int>(gates.size());
+        st.place(2 * g, a);
+        st.place(2 * g + 1, b);
+        gates.push_back({g, 2 * g, 2 * g + 1});
+    }
+
+    std::map<std::pair<double, double>, int> site_at;
+    std::vector<int> axis_sites;
+    for (int s = 0; s < arch.numSites(); ++s) {
+        const Point p = arch.sitePosition(s);
+        site_at[{p.x, p.y}] = s;
+        if (p.x == x)
+            axis_sites.push_back(s);
+    }
+    GatePlacementRequest req;
+    req.gates = &gates;
+    req.pinned_site.assign(gates.size(), -1);
+    req.lookahead.assign(gates.size(), std::nullopt);
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        if (rng.nextBool(0.2) && !axis_sites.empty()) {
+            req.pinned_site[i] = axis_sites.back();
+            axis_sites.pop_back();
+        } else if (rng.nextBool(0.3)) {
+            const Point p = arch.sitePosition(static_cast<int>(
+                rng.nextBelow(static_cast<std::uint64_t>(arch.numSites()))));
+            req.lookahead[i] = Point{x, p.y};
+        }
+    }
+
+    const GatePlacerStats before = stats;
+    const std::vector<int> reference = placeGatesReference(st, req);
+    const std::vector<int> windowed = placeGates(st, req, &stats);
+    EXPECT_EQ(windowed, reference)
+        << arch.name() << " axis x=" << x << " gates=" << gates.size();
+
+    // The mirror image of the reference's assignment is a second
+    // optimum when it exists and moves a gate.
+    bool twin = false;
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        const Point p = arch.sitePosition(reference[i]);
+        const auto m = site_at.find({2.0 * x - p.x, p.y});
+        if (m == site_at.end()) {
+            twin = false;
+            break;
+        }
+        twin = twin || m->second != reference[i];
+    }
+    const auto num_free_sites = static_cast<std::int64_t>(
+        arch.numSites() -
+        std::count_if(req.pinned_site.begin(), req.pinned_site.end(),
+                      [](int s) { return s >= 0; }));
+    if (twin && stats.certified > before.certified &&
+        stats.window_cells - before.window_cells < num_free_sites)
+        ++tied_on_windows;
+}
+
+TEST(GatePlacerEquiv, MirrorSymmetricTiesMatchReference)
+{
+    const Architecture presets[] = {
+        presets::referenceZoned(), presets::multiZoneArch1(),
+        presets::multiZoneArch2(), presets::logicalBlockArch(),
+        presets::monolithic()};
+    int tied_on_windows = 0;
+    for (const Architecture &arch : presets) {
+        const MirrorPairs pairs = mirrorPairs(arch);
+        Rng rng(515);
+        GatePlacerStats stats;
+        for (int round = 0; round < 60; ++round)
+            mirrorPlaceGatesRound(arch, pairs, rng, stats,
+                                  tied_on_windows);
+    }
+    // Second optima settle on windows, without a full window.
+    EXPECT_GT(tied_on_windows, 0);
+}
+
 TEST(GatePlacerEquiv, SitesInDiskMatchesFullScan)
 {
     for (const Architecture &arch :
@@ -167,6 +307,26 @@ TEST(GatePlacerEquiv, SitesInDiskMatchesFullScan)
             const Point c{rng.nextDouble() * 400.0 - 50.0,
                           rng.nextDouble() * 400.0 - 50.0};
             const double radius = rng.nextDouble() * 150.0;
+            std::vector<int> got;
+            arch.sitesInDisk(c, radius, got);
+            std::vector<int> expected;
+            for (int s = 0; s < arch.numSites(); ++s)
+                if (distance(arch.sitePosition(s), c) <= radius + 1e-9)
+                    expected.push_back(s);
+            EXPECT_EQ(got, expected) << arch.name() << " r=" << radius;
+        }
+        // Edge cases: centers at sites, radii at exact site distances.
+        // Window tails need every site within radius - kDiskEdgeTolUm.
+        for (int i = 0; i < 200; ++i) {
+            const auto site = [&] {
+                return arch.sitePosition(static_cast<int>(rng.nextBelow(
+                    static_cast<std::uint64_t>(arch.numSites()))));
+            };
+            const Point c =
+                i % 2 == 0 ? site()
+                           : Point{rng.nextDouble() * 400.0 - 50.0,
+                                   rng.nextDouble() * 400.0 - 50.0};
+            const double radius = distance(site(), c);
             std::vector<int> got;
             arch.sitesInDisk(c, radius, got);
             std::vector<int> expected;
