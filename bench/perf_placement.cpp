@@ -388,11 +388,11 @@ main(int argc, char **argv)
                   static_cast<double>(gp_stats.full_cells)
             : 0.0;
     std::printf("\ngate placer: %lld calls, %.1f%% settled on windows, "
-                "%.1f%% of dense cells costed, %lld contested (dense), "
+                "%.1f%% of dense cells costed, %lld windows grown, "
                 "%lld grown to full\n\n",
                 static_cast<long long>(gp_stats.calls),
                 100.0 * certified_share, 100.0 * cell_share,
-                static_cast<long long>(gp_stats.dense_direct),
+                static_cast<long long>(gp_stats.window_growths),
                 static_cast<long long>(gp_stats.fallbacks));
 
     // --------------------------------------------- full compile timing
@@ -489,13 +489,9 @@ main(int argc, char **argv)
     };
     doc["gate_placer"] = json::Object{
         {"calls", static_cast<std::int64_t>(gp_stats.calls)},
-        {"pruned_solves",
-         static_cast<std::int64_t>(gp_stats.pruned_solves)},
         {"certified", static_cast<std::int64_t>(gp_stats.certified)},
         {"window_growths",
          static_cast<std::int64_t>(gp_stats.window_growths)},
-        {"dense_direct",
-         static_cast<std::int64_t>(gp_stats.dense_direct)},
         {"fallbacks", static_cast<std::int64_t>(gp_stats.fallbacks)},
         {"window_cells",
          static_cast<std::int64_t>(gp_stats.window_cells)},

@@ -1,6 +1,7 @@
 #include "circuit/qasm_parser.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <numbers>
@@ -74,9 +75,15 @@ class Parser
     [[noreturn]] void
     error(const std::string &msg) const
     {
-        fatal("qasm parse error at line " + std::to_string(cur().line) +
-              ", col " + std::to_string(cur().col) + ": " + msg +
-              " (near '" + cur().text + "')");
+        errorAt(cur(), msg);
+    }
+
+    [[noreturn]] static void
+    errorAt(const Token &t, const std::string &msg)
+    {
+        fatal("qasm parse error at line " + std::to_string(t.line) +
+              ", col " + std::to_string(t.col) + ": " + msg +
+              " (near '" + t.text + "')");
     }
 
     Token
@@ -367,7 +374,14 @@ class Parser
         const Token &t = toks[p];
         if (t.kind == TokKind::Real || t.kind == TokKind::Integer) {
             ++p;
-            return std::stod(t.text);
+            // strtod, not std::stod, which throws std::out_of_range
+            // past the FatalError contract (see expectInt()): an
+            // underflowing literal takes its rounded value, an
+            // overflowing one is an error at its line and column.
+            const double v = std::strtod(t.text.c_str(), nullptr);
+            if (std::isinf(v))
+                errorAt(t, "real literal out of range");
+            return v;
         }
         if (t.kind == TokKind::Symbol && t.text == "(") {
             ++p;

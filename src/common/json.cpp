@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -509,7 +510,16 @@ class Parser
                    std::isdigit(static_cast<unsigned char>(text_[pos_])))
                 ++pos_;
         }
-        return Value(std::stod(text_.substr(start, pos_ - start)));
+        // strtod, not std::stod, which throws std::out_of_range past
+        // the parser's FatalError contract: an underflowing literal
+        // takes its rounded value, an overflowing one is an error.
+        const double value =
+            std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+        if (std::isinf(value)) {
+            pos_ = start;
+            error("number out of range");
+        }
+        return Value(value);
     }
 
     const std::string &text_;

@@ -23,14 +23,6 @@ namespace
 constexpr double kCostMargin = 1.5;
 
 /**
- * Stages with this many unpinned gates are contention-bound: the
- * matching's duals grow with the conflicts, the windows they demand
- * tile most of the zone, and the windowed rounds only delay the dense
- * solve they end up needing.
- */
-constexpr std::size_t kContestedGateCutoff = 16;
-
-/**
  * Pin handling shared by the windowed and reference paths. Instances
  * live in thread-local storage (the pipeline calls placeGates a few
  * thousand times per compile and compile() is re-entrant per thread);
@@ -160,18 +152,21 @@ struct GateWindow
      */
     double cost_k = 2.0;
     double radius = 0.0;
-    double tail = kAssignInfeasible;
-    std::vector<SparseEdge> edges; ///< listed sites, ascending cost
+    double tail = -kAssignInfeasible; ///< nothing listed yet
+    std::vector<SparseEdge> edges;    ///< listed sites, ascending cost
 };
 
 /**
- * List @p w's sites at its current radius, as columns of the dense
+ * Grow @p w's list to its current radius, as columns of the dense
  * reference: free sites in ascending id, so a site's column is its id
- * minus the pinned sites below it. Adds the sites costed to @p cells.
+ * minus the pinned sites below it. The sites cheaper than its old tail
+ * are listed already (an unlisted site costs at least that much); the
+ * free sites in its disks at or above the old tail and below the new
+ * one are appended, cheapest first. Adds the sites costed to @p cells.
  */
 void
-buildWindow(const Architecture &arch, const Prologue &p, GateWindow &w,
-            std::int64_t &cells)
+growWindow(const Architecture &arch, const Prologue &p, GateWindow &w,
+           std::int64_t &cells)
 {
     thread_local std::vector<int> disk;
     thread_local std::vector<std::uint64_t> seen; // per site: stamp
@@ -185,40 +180,46 @@ buildWindow(const Architecture &arch, const Prologue &p, GateWindow &w,
     if (w.look->has_value())
         arch.sitesInDisk(**w.look, w.radius, disk);
 
-    w.edges.clear();
+    const std::size_t listed = w.edges.size();
+    int costed = 0;
     for (int s : disk) {
         const auto si = static_cast<std::size_t>(s);
         if (seen[si] == stamp || p.site_taken[si])
             continue;
         seen[si] = stamp;
+        ++costed;
+        const double cost =
+            edgeWeight(arch.sitePosition(s), w.p0, w.p1, *w.look);
+        if (cost < w.tail)
+            continue; // listed already
         const auto below = std::lower_bound(p.pinned_sites.begin(),
                                             p.pinned_sites.end(), s) -
                            p.pinned_sites.begin();
-        w.edges.push_back(
-            {edgeWeight(arch.sitePosition(s), w.p0, w.p1, *w.look),
-             s - static_cast<int>(below)});
+        w.edges.push_back({cost, s - static_cast<int>(below)});
     }
-    cells += static_cast<std::int64_t>(w.edges.size());
+    cells += costed;
 
     // A site sitesInDisk() left out is farther than the shrunk radius
     // from every center. With every free site found there is no tail.
-    w.tail = std::cmp_equal(w.edges.size(), p.num_free_sites)
+    w.tail = costed == p.num_free_sites
                  ? kAssignInfeasible
                  : w.cost_k * std::sqrt(std::max(
                                   0.0, w.radius - kDiskEdgeTolUm));
-    std::erase_if(w.edges,
-                  [&w](const SparseEdge &e) { return !(e.cost < w.tail); });
-    std::sort(w.edges.begin(), w.edges.end(),
-              [](const SparseEdge &a, const SparseEdge &b) {
-                  return a.cost < b.cost;
-              });
+    const auto added = w.edges.begin() + static_cast<std::ptrdiff_t>(listed);
+    const auto kept = std::remove_if(
+        added, w.edges.end(),
+        [&w](const SparseEdge &e) { return !(e.cost < w.tail); });
+    std::sort(added, kept, [](const SparseEdge &a, const SparseEdge &b) {
+        return a.cost < b.cost;
+    });
+    w.edges.erase(kept, w.edges.end());
 }
 
 /**
- * The windowed path: solve the free gates' windows with the sparse
- * solver on the reference's columns. When the solver reaches a
- * window's tail, that window grows and the solve repeats, so the solve
- * that finishes makes the reference's choices, ties included.
+ * The windowed path: one sparse solve over the free gates' windows on
+ * the reference's columns. When the solver reaches a window's tail,
+ * the window grows and the solve continues, so it makes the
+ * reference's choices, ties included.
  */
 void
 solveWindows(const PlacementState &state, const GatePlacementRequest &req,
@@ -231,7 +232,9 @@ solveWindows(const PlacementState &state, const GatePlacementRequest &req,
     // Initial windows admit every site whose cost lower bound is
     // within kCostMargin of the gate's near-site cost.
     thread_local std::vector<GateWindow> wins;
+    thread_local SparseCostGraph graph;
     wins.resize(num_free);
+    graph.reset(p.num_free_sites);
     for (std::size_t gi = 0; gi < num_free; ++gi) {
         const auto gate = static_cast<std::size_t>(p.free_gates[gi]);
         const StagedGate &g = gates[gate];
@@ -248,39 +251,37 @@ solveWindows(const PlacementState &state, const GatePlacementRequest &req,
              kCostMargin) /
             w.cost_k;
         w.radius = root * root;
-        buildWindow(arch, p, w, st.window_cells);
+        w.tail = -kAssignInfeasible;
+        w.edges.clear();
+        growWindow(arch, p, w, st.window_cells);
+        graph.edges.insert(graph.edges.end(), w.edges.begin(),
+                           w.edges.end());
+        graph.row_start.push_back(graph.edges.size());
+        graph.tail.push_back(w.tail);
     }
 
-    thread_local SparseCostGraph graph;
     bool grew_full = false;
-    for (;;) {
-        graph.reset(p.num_free_sites);
-        for (const GateWindow &w : wins) {
-            graph.edges.insert(graph.edges.end(), w.edges.begin(),
-                               w.edges.end());
-            graph.row_start.push_back(graph.edges.size());
-            graph.tail.push_back(w.tail);
-        }
-        ++st.pruned_solves;
-        const Assignment assign = minWeightSparseMatching(graph);
-        if (assign.feasible) {
-            for (std::size_t gi = 0; gi < num_free; ++gi) {
-                int site = assign.row_to_col[gi]; // skip pinned sites
-                for (int pin : p.pinned_sites)
-                    site += pin <= site ? 1 : 0;
-                p.result[static_cast<std::size_t>(p.free_gates[gi])] = site;
-            }
-            ++(grew_full ? st.fallbacks : st.certified);
-            return;
-        }
-        if (assign.short_row < 0)
-            panic("placeGates: windows without tails must be feasible");
-        GateWindow &w = wins[static_cast<std::size_t>(assign.short_row)];
+    auto grow = [&](int row) {
+        GateWindow &w = wins[static_cast<std::size_t>(row)];
         w.radius = std::max(2.0 * w.radius, w.radius + arch.maxSitePitch());
-        buildWindow(arch, p, w, st.window_cells);
+        growWindow(arch, p, w, st.window_cells);
         grew_full = grew_full || w.tail == kAssignInfeasible;
         ++st.window_growths;
+        return SparseRowGrowth{w.edges, w.tail};
+    };
+    // std::ref: the hook holds a pointer to the lambda, no allocation.
+    const Assignment assign =
+        minWeightSparseMatching(graph, nullptr, std::ref(grow));
+    if (!assign.feasible)
+        panic("placeGates: windows that grow to every free site must be "
+              "feasible");
+    for (std::size_t gi = 0; gi < num_free; ++gi) {
+        int site = assign.row_to_col[gi]; // skip pinned sites
+        for (int pin : p.pinned_sites)
+            site += pin <= site ? 1 : 0;
+        p.result[static_cast<std::size_t>(p.free_gates[gi])] = site;
     }
+    ++(grew_full ? st.fallbacks : st.certified);
 }
 
 } // namespace
@@ -289,10 +290,8 @@ GatePlacerStats &
 GatePlacerStats::operator+=(const GatePlacerStats &o)
 {
     calls += o.calls;
-    pruned_solves += o.pruned_solves;
     certified += o.certified;
     window_growths += o.window_growths;
-    dense_direct += o.dense_direct;
     fallbacks += o.fallbacks;
     window_cells += o.window_cells;
     full_cells += o.full_cells;
@@ -318,16 +317,10 @@ placeGates(const PlacementState &state, const GatePlacementRequest &req,
     applyPins(state, req, p);
     GatePlacerStats st;
     st.calls = 1;
-    const auto num_free = static_cast<std::int64_t>(p.free_gates.size());
-    if (num_free > 0) {
-        st.full_cells = num_free * state.arch().numSites();
-        if (p.free_gates.size() >= kContestedGateCutoff) {
-            solveFullMatrix(state, req, p);
-            st.dense_direct = 1;
-            st.window_cells = num_free * p.num_free_sites;
-        } else {
-            solveWindows(state, req, p, st);
-        }
+    if (!p.free_gates.empty()) {
+        st.full_cells = static_cast<std::int64_t>(p.free_gates.size()) *
+                        state.arch().numSites();
+        solveWindows(state, req, p, st);
     }
     if (stats)
         *stats += st;

@@ -10,19 +10,16 @@
  *
  * placeGatesReference() builds the dense |gates| x |free sites| matrix
  * and matches over every free site: the original path, and the
- * semantic reference. placeGates() returns the same sites by one of
- * two paths:
- *  - contested stages (16 or more free gates, whose windows would tile
- *    the zone) take the dense solve itself;
- *  - every other stage is solved exactly on windows. Each gate lists
- *    the free sites of its window Omega_cand (sites near its qubits
- *    and its lookahead point) cheaper than a tail, a lower bound on
- *    the cost of every free site it does not list, on the dense
- *    path's columns. The sparse Jonker–Volgenant solver stops where
- *    the full matrix could choose a site outside a window; that window
- *    grows and the solve repeats. A solve that finishes makes the
- *    dense solver's choices, so ties resolve exactly as the reference
- *    resolves them, with no certificate and no dense fallback.
+ * semantic reference. placeGates() returns the same sites from one
+ * sparse solve on windows. Each gate lists the free sites of its
+ * window Omega_cand (sites near its qubits and its lookahead point)
+ * cheaper than a tail, a lower bound on the cost of every free site it
+ * does not list, on the dense path's columns. Where the full matrix
+ * could choose a site outside a window, the sparse Jonker–Volgenant
+ * solver has that window grown and continues the same augmenting
+ * path. It therefore makes the dense solver's choices, so ties resolve
+ * exactly as the reference resolves them, with no certificate and no
+ * dense fallback.
  */
 
 #ifndef ZAC_CORE_GATE_PLACER_HPP
@@ -58,29 +55,24 @@ struct GatePlacementRequest
 
 /**
  * Counters describing how placeGates() resolved its calls. A call with
- * a free gate is exactly one of: certified (settled on windows),
- * fallbacks (settled on windows after one grew to cover every free
- * site) or dense_direct (contested).
+ * a free gate is exactly one of: certified (settled on windows) or
+ * fallbacks (settled after a window grew to cover every free site).
  */
 struct GatePlacerStats
 {
     std::int64_t calls = 0;          ///< placeGates() invocations
-    std::int64_t pruned_solves = 0;  ///< windowed JV solves run
     std::int64_t certified = 0;      ///< settled on windows
     std::int64_t window_growths = 0; ///< windows grown at their tail
-    std::int64_t dense_direct = 0;   ///< contested calls, solved dense
     std::int64_t fallbacks = 0;      ///< a window grew to all sites
-    std::int64_t window_cells = 0;   ///< sites costed per window built,
-                                     ///< all cells of contested calls
+    std::int64_t window_cells = 0;   ///< sites costed per window built
     std::int64_t full_cells = 0;     ///< |free gates| x |sites|
 
     GatePlacerStats &operator+=(const GatePlacerStats &o);
 };
 
 /**
- * Compute the site id for every gate of the stage (exact windows, or
- * the dense solve for contested stages; the result is bit-identical
- * to placeGatesReference()).
+ * Compute the site id for every gate of the stage on exact windows
+ * (the result is bit-identical to placeGatesReference()).
  *
  * @param stats optional counters, accumulated across calls.
  * @throws zac::FatalError if the stage has more gates than sites.

@@ -109,6 +109,18 @@ heapPop(std::vector<HeapEntry> &heap)
 }
 
 /**
+ * Row r's list: `len` edges from offset `at` in the graph's edges, or
+ * in SparseScratch::pool once grown, and its tail.
+ */
+struct RowList
+{
+    std::size_t at = 0;
+    std::size_t len = 0;
+    double tail = kInf;
+    bool pooled = false;
+};
+
+/**
  * Per-thread scratch of minWeightSparseMatching(). The per-column and
  * per-row arrays only grow, and between calls every entry is neutral
  * (shortest inf, marks 0, overrides and row4col -1): a path resets the
@@ -127,20 +139,25 @@ struct SparseScratch
      * order (position p holds column nc - 1 - p; -1 = not overridden).
      */
     std::vector<int> col_at, pos_of;
+    std::vector<RowList> rows;        ///< per row: set at each call
+    std::vector<double> matched_cost; ///< per row: its matched edge
     std::vector<int> order;           ///< per row: visit rank, or -1
     std::vector<double> row_min;      ///< per row: min_val at its visit
     std::vector<std::size_t> next_edge; ///< per row: first unrelaxed
+    const SparseEdge *graph_edges = nullptr; ///< the call's graph
+    std::vector<SparseEdge> pool;     ///< grown rows' lists
+    std::vector<int> sinks;           ///< the call's matched columns
     std::vector<int> touched, visited_rows, settled_cols, ties;
     std::vector<std::pair<int, int>> moved; ///< (position, column)
     std::vector<HeapEntry> col_heap;  ///< (shortest, column), lazy
     std::vector<HeapEntry> row_heap;  ///< (bound, row), one per row
 
-    /** Grow the arrays to a call's size, new entries neutral. */
+    /** Size the arrays for a call and point its rows at @p g. */
     void
-    grow(int nr, int nc)
+    begin(const SparseCostGraph &g)
     {
-        const auto r = static_cast<std::size_t>(nr);
-        const auto c = static_cast<std::size_t>(nc);
+        const auto r = static_cast<std::size_t>(g.rows());
+        const auto c = static_cast<std::size_t>(g.cols);
         if (shortest.size() < c) {
             shortest.resize(c, kInf);
             path.resize(c, -1);
@@ -151,23 +168,35 @@ struct SparseScratch
             pos_of.resize(c, -1);
         }
         if (order.size() < r) {
+            rows.resize(r);
+            matched_cost.resize(r);
             order.resize(r, -1);
             row_min.resize(r, 0.0);
             next_edge.resize(r, 0);
         }
+        graph_edges = g.edges.data();
+        for (std::size_t i = 0; i < r; ++i)
+            rows[i] = {g.row_start[i], g.row_start[i + 1] - g.row_start[i],
+                       g.tail.empty() ? kInf : g.tail[i], false};
     }
 
-    /**
-     * Return to neutral at the end of a call, which may stop mid-path;
-     * @p col4row holds the columns it matched.
-     */
+    /** Row @p r's edges. */
+    const SparseEdge *
+    edgesOf(std::size_t r) const
+    {
+        const RowList &row = rows[r];
+        return (row.pooled ? pool.data() : graph_edges) + row.at;
+    }
+
+    /** Return to neutral at the end of a call, which may end mid-path. */
     void
-    endCall(const std::vector<int> &col4row)
+    endCall()
     {
         endPath();
-        for (int j : col4row)
-            if (j >= 0)
-                row4col[static_cast<std::size_t>(j)] = -1;
+        for (int j : sinks)
+            row4col[static_cast<std::size_t>(j)] = -1;
+        sinks.clear();
+        pool.clear();
     }
 
     /** Undo one path's marks (its visited rows, touched columns). */
@@ -193,11 +222,36 @@ struct SparseScratch
     }
 };
 
-/** Row @p ri's tail, or kInf when the graph has none. */
-double
-tailOf(const SparseCostGraph &g, std::size_t ri)
+/** Returns a call's scratch to neutral however the call ends. */
+class ScratchReset
 {
-    return g.tail.empty() ? kInf : g.tail[ri];
+  public:
+    explicit ScratchReset(SparseScratch &s) : s_(s) {}
+    ScratchReset(const ScratchReset &) = delete;
+    ScratchReset &operator=(const ScratchReset &) = delete;
+    ~ScratchReset() { s_.endCall(); }
+
+  private:
+    SparseScratch &s_;
+};
+
+/**
+ * File visited row @p r in the row heap under a lower bound on the
+ * reduced cost of its next unrelaxed edge, or of its tail once its
+ * edges are spent (nothing when that is infinite). Costs ascend up to
+ * the tail and v[j] <= v_max, and rounding is monotone, so the bound
+ * holds for every later edge and every unlisted column too.
+ */
+void
+fileRow(const std::vector<double> &u, double v_max, SparseScratch &s,
+        int r)
+{
+    const auto ri = static_cast<std::size_t>(r);
+    const RowList &row = s.rows[ri];
+    const std::size_t k = s.next_edge[ri];
+    const double next = k < row.len ? s.edgesOf(ri)[k].cost : row.tail;
+    if (next < kInf)
+        heapPush(s.row_heap, s.row_min[ri] + next - u[ri] - v_max, r);
 }
 
 /**
@@ -213,18 +267,19 @@ tailOf(const SparseCostGraph &g, std::size_t ri)
  * does when rows relax in visit order.
  */
 void
-relaxRow(const SparseCostGraph &g, const std::vector<double> &u,
-         const std::vector<double> &v, double v_max, SparseScratch &s,
-         int r, double &best, std::int64_t &relaxed)
+relaxRow(const std::vector<double> &u, const std::vector<double> &v,
+         double v_max, SparseScratch &s, int r, double &best,
+         std::int64_t &relaxed)
 {
     const auto ri = static_cast<std::size_t>(r);
-    const std::size_t end = g.row_start[ri + 1];
+    const SparseEdge *const edges = s.edgesOf(ri);
+    const std::size_t len = s.rows[ri].len;
     const double base = s.row_min[ri];
     const double ur = u[ri];
     const int rank = s.order[ri];
     std::size_t k = s.next_edge[ri];
     for (;;) {
-        const SparseEdge &e = g.edges[k];
+        const SparseEdge &e = edges[k];
         const auto j = static_cast<std::size_t>(e.col);
         if (!s.sc[j]) {
             ++relaxed;
@@ -245,16 +300,15 @@ relaxRow(const SparseCostGraph &g, const std::vector<double> &u,
                 s.path_cost[j] = e.cost;
             }
         }
-        // Costs ascend up to the tail and v[j] <= v_max, and rounding
-        // is monotone, so this bounds every later edge's (and every
-        // unlisted column's) reduced cost from below.
-        if (++k == end) {
-            const double tail = tailOf(g, ri);
+        // Re-filed under its next edge's bound, or its tail's past its
+        // last edge (see fileRow()).
+        if (++k == len) {
+            const double tail = s.rows[ri].tail;
             if (tail < kInf)
                 heapPush(s.row_heap, base + tail - ur - v_max, r);
             break;
         }
-        const double bound = base + g.edges[k].cost - ur - v_max;
+        const double bound = base + edges[k].cost - ur - v_max;
         if (bound > best) {
             heapPush(s.row_heap, bound, r);
             break;
@@ -264,19 +318,71 @@ relaxRow(const SparseCostGraph &g, const std::vector<double> &u,
 }
 
 /**
+ * Replace row @p r's list with the grow hook's longer one, after
+ * checking it against the SparseRowGrowth contract. The list goes to
+ * the end of the pool: in place when the row's list already ends it,
+ * else as a copy (the old one stays as garbage until the call ends).
+ */
+void
+growRow(const SparseRowGrower &grow, int nc, SparseScratch &s, int r)
+{
+    const auto ri = static_cast<std::size_t>(r);
+    RowList &row = s.rows[ri];
+    const SparseRowGrowth got = grow(r);
+    const std::span<const SparseEdge> e = got.edges;
+    auto fail = [r](const std::string &what) {
+        fatal("minWeightSparseMatching: grown row " + std::to_string(r) +
+              " " + what);
+    };
+    if (e.size() < row.len)
+        fail("is shorter than its list");
+    const SparseEdge *listed = s.edgesOf(ri);
+    for (std::size_t k = 0; k < row.len; ++k)
+        if (e[k].col != listed[k].col || e[k].cost != listed[k].cost)
+            fail("changed a listed edge");
+    double prev = row.tail;
+    for (std::size_t k = row.len; k < e.size(); ++k) {
+        if (e[k].col < 0 || e[k].col >= nc)
+            fail("lists column " + std::to_string(e[k].col) +
+                 ", out of range");
+        if (!std::isfinite(e[k].cost))
+            fail("lists a cost that is not finite");
+        if (e[k].cost < prev)
+            fail(k == row.len ? "lists a new cost below its old tail"
+                              : "costs are not ascending");
+        prev = e[k].cost;
+    }
+    if (!(got.tail >= (e.empty() ? -kInf : e.back().cost)))
+        fail("has a tail below its last cost");
+    if (e.size() == row.len && !(got.tail > row.tail))
+        fail("lists no new edge and does not raise its tail");
+
+    if (row.pooled && row.at + row.len == s.pool.size()) {
+        s.pool.insert(s.pool.end(),
+                      e.begin() + static_cast<std::ptrdiff_t>(row.len),
+                      e.end());
+    } else {
+        row.at = s.pool.size();
+        row.pooled = true;
+        s.pool.insert(s.pool.end(), e.begin(), e.end());
+    }
+    row.len = e.size();
+    row.tail = got.tail;
+}
+
+/**
  * The sparse twin of augmentingPath(): the same Dijkstra search, with
  * the `remaining` array's order kept as overrides and each visited
  * row's edges relaxed lazily behind its bound in the row heap.
  *
- * @param short_row set to the row whose tail the search reached.
- * @return the sink column, or -1 if no augmenting path exists or a
- *         tail was reached.
+ * @return the sink column, or -1 if no augmenting path exists.
  */
 int
-sparseAugmentingPath(const SparseCostGraph &g, const std::vector<double> &u,
+sparseAugmentingPath(const SparseCostGraph &g, const SparseRowGrower &grow,
+                     const std::vector<double> &u,
                      const std::vector<double> &v, double v_max,
                      SparseScratch &s, int start_row, double &min_val_out,
-                     int &short_row, std::int64_t &relaxed)
+                     std::int64_t &relaxed)
 {
     const int nc = g.cols;
     auto colAt = [&s, nc](int p) {
@@ -296,17 +402,14 @@ sparseAugmentingPath(const SparseCostGraph &g, const std::vector<double> &u,
         s.order[ii] = static_cast<int>(s.visited_rows.size());
         s.visited_rows.push_back(i);
         s.row_min[ii] = min_val;
-        s.next_edge[ii] = g.row_start[ii];
-        const double first = g.row_start[ii] < g.row_start[ii + 1]
-                                 ? g.edges[g.row_start[ii]].cost
-                                 : tailOf(g, ii);
-        if (first < kInf)
-            heapPush(s.row_heap, min_val + first - u[ii] - v_max, i);
+        s.next_edge[ii] = 0;
+        fileRow(u, v_max, s, i);
 
         // The cheapest tentative column, made exact: relax every edge
         // whose bound could still reach (or tie) it. A row whose edges
         // are spent was filed under its tail: a column it does not
-        // list could reach (or tie) it, so only the full graph knows.
+        // list could reach (or tie) it, so it grows, and its row_min
+        // and u are still those of its visit.
         while (!s.col_heap.empty()) {
             const auto [d, j] = s.col_heap.front();
             if (!s.sc[static_cast<std::size_t>(j)] &&
@@ -318,11 +421,12 @@ sparseAugmentingPath(const SparseCostGraph &g, const std::vector<double> &u,
         while (!s.row_heap.empty() && s.row_heap.front().first <= best) {
             const int r = heapPop(s.row_heap);
             const auto ri = static_cast<std::size_t>(r);
-            if (s.next_edge[ri] == g.row_start[ri + 1]) {
-                short_row = r;
-                return -1;
+            if (s.next_edge[ri] == s.rows[ri].len) {
+                growRow(grow, nc, s, r);
+                fileRow(u, v_max, s, r);
+            } else {
+                relaxRow(u, v, v_max, s, r, best, relaxed);
             }
-            relaxRow(g, u, v, v_max, s, r, best, relaxed);
         }
         if (best == kInf)
             return -1; // infeasible
@@ -370,7 +474,7 @@ sparseAugmentingPath(const SparseCostGraph &g, const std::vector<double> &u,
 }
 
 void
-checkSparseGraph(const SparseCostGraph &g)
+checkSparseGraph(const SparseCostGraph &g, const SparseRowGrower &grow)
 {
     const std::vector<std::size_t> &rs = g.row_start;
     if (rs.empty() || rs.front() != 0 || rs.back() != g.edges.size())
@@ -380,6 +484,9 @@ checkSparseGraph(const SparseCostGraph &g)
         fatal("minWeightSparseMatching: " +
               std::to_string(g.tail.size()) + " tails for " +
               std::to_string(rs.size() - 1) + " rows");
+    if (!g.tail.empty() && !grow)
+        fatal("minWeightSparseMatching: a graph with tails needs a grow "
+              "hook");
     for (std::size_t r = 0; r + 1 < rs.size(); ++r) {
         if (rs[r + 1] < rs[r])
             fatal("minWeightSparseMatching: row offsets decrease at "
@@ -484,9 +591,10 @@ minWeightFullMatching(const CostMatrix &cost)
 
 Assignment
 minWeightSparseMatching(const SparseCostGraph &graph,
-                        std::int64_t *edges_relaxed)
+                        std::int64_t *edges_relaxed,
+                        const SparseRowGrower &grow)
 {
-    checkSparseGraph(graph);
+    checkSparseGraph(graph, grow);
     const int nr = graph.rows();
     const int nc = graph.cols;
     if (nr > nc)
@@ -502,21 +610,21 @@ minWeightSparseMatching(const SparseCostGraph &graph,
     // Thread-local like the dense solver's scratch: compile() is
     // re-entrant across threads.
     thread_local SparseScratch s;
-    s.grow(nr, nc);
+    s.begin(graph);
+    // However the call ends (no augmenting path, or a throw from the
+    // grow hook or its check), the scratch goes back to neutral.
+    const ScratchReset reset(s);
     std::vector<double> u(static_cast<std::size_t>(nr), 0.0);
     std::vector<double> v(static_cast<std::size_t>(nc), 0.0);
     std::vector<int> col4row(static_cast<std::size_t>(nr), -1);
-    std::vector<double> matched_cost(static_cast<std::size_t>(nr), 0.0);
     double v_max = 0.0; // running max of v; v starts at 0
     std::int64_t relaxed = 0;
 
     for (int cur_row = 0; cur_row < nr; ++cur_row) {
         double min_val = 0.0;
-        const int sink =
-            sparseAugmentingPath(graph, u, v, v_max, s, cur_row, min_val,
-                                 result.short_row, relaxed);
+        const int sink = sparseAugmentingPath(graph, grow, u, v, v_max, s,
+                                              cur_row, min_val, relaxed);
         if (sink < 0) {
-            s.endCall(col4row);
             if (edges_relaxed)
                 *edges_relaxed += relaxed;
             return result; // feasible == false
@@ -537,11 +645,12 @@ minWeightSparseMatching(const SparseCostGraph &graph,
         }
 
         // Augment along the alternating path back to cur_row.
+        s.sinks.push_back(sink);
         int j = sink;
         while (true) {
             const int i = s.path[static_cast<std::size_t>(j)];
             s.row4col[static_cast<std::size_t>(j)] = i;
-            matched_cost[static_cast<std::size_t>(i)] =
+            s.matched_cost[static_cast<std::size_t>(i)] =
                 s.path_cost[static_cast<std::size_t>(j)];
             std::swap(col4row[static_cast<std::size_t>(i)], j);
             if (i == cur_row)
@@ -549,14 +658,13 @@ minWeightSparseMatching(const SparseCostGraph &graph,
         }
         s.endPath();
     }
-    s.endCall(col4row);
     if (edges_relaxed)
         *edges_relaxed += relaxed;
 
     result.feasible = true;
     result.row_to_col = std::move(col4row);
-    for (double c : matched_cost)
-        result.total_cost += c;
+    for (int i = 0; i < nr; ++i)
+        result.total_cost += s.matched_cost[static_cast<std::size_t>(i)];
     result.row_duals = std::move(u);
     result.col_duals = std::move(v);
     return result;

@@ -11,8 +11,8 @@
  *  - minWeightFullMatching() takes a dense cost matrix and follows
  *    SciPy's rectangular LSAP line by line: each augmenting path scans
  *    every remaining column per visited row, O(n^2 m) for n rows and
- *    m columns. Gate placement uses it for contested stages (16 or
- *    more free gates).
+ *    m columns. Gate placement keeps it as its reference
+ *    (placeGatesReference()).
  *  - minWeightSparseMatching() takes each row's candidate columns as
  *    compressed sparse rows sorted by cost and relaxes a visited row's
  *    edges lazily, cheapest first, only while they can still reach the
@@ -30,14 +30,16 @@
  * duals and `total_cost` are bit-equal. tests/test_matching.cpp checks
  * this on seeded instances full of exact ties.
  *
- * Tails extend the contract to a truncated graph. A row's tail is a
- * lower bound on the cost of every column it does not list; the solver
- * files it like one more edge and stops with Assignment::short_row
- * when it would have to relax it, i.e. when an unlisted column could
- * reach or tie the next column to settle. A solve that finishes has
- * therefore made exactly the choices the dense solver makes on the
- * full matrix (every unlisted cell at its true cost), bit for bit.
- * The caller grows the short row's list and solves again.
+ * Tails extend the contract to a graph listed on demand. A row's tail
+ * is a lower bound on the cost of every column it does not list; the
+ * solver files it like one more edge. When a path would have to relax
+ * it, i.e. when an unlisted column could reach or tie the next column
+ * to settle, the solver asks the caller's grow hook for the row's
+ * longer list and continues the same path: the row's visit distance
+ * and dual have not changed since its visit, so the new edges relax
+ * exactly as they would have on the full matrix (every unlisted cell
+ * at its true cost). The result is the full matrix's, bit for bit,
+ * and a growth costs the hook's work plus a copy of the row.
  */
 
 #ifndef ZAC_MATCHING_JONKER_VOLGENANT_HPP
@@ -45,7 +47,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace zac
@@ -119,12 +123,6 @@ struct Assignment
     double total_cost = 0.0;
     std::vector<double> row_duals; ///< u, one per row (when feasible)
     std::vector<double> col_duals; ///< v, one per column (when feasible)
-    /**
-     * Sparse solves with tails: the row whose tail the search reached
-     * (feasible == false); the full graph's answer needs a column that
-     * row does not list. -1 otherwise.
-     */
-    int short_row = -1;
 };
 
 /**
@@ -151,7 +149,8 @@ struct SparseEdge
  * appears at most once. A column a row does not list is infeasible for
  * it, unless the graph has tails: then tail[r], at least row r's last
  * cost, bounds the cost of every column row r does not list from
- * below (kAssignInfeasible: the row has no other column).
+ * below (kAssignInfeasible: the row has no other column), and the
+ * solve needs a grow hook.
  */
 struct SparseCostGraph
 {
@@ -174,8 +173,29 @@ struct SparseCostGraph
 };
 
 /**
+ * A row's longer list, as a grow hook returns it: every edge the row
+ * listed, unchanged and in the same order, then new edges at or above
+ * its old tail in ascending cost; and the new tail, at least the last
+ * cost. The growth must list a new edge or raise the tail. The span
+ * need only live until the hook is next called: the solver copies it.
+ */
+struct SparseRowGrowth
+{
+    std::span<const SparseEdge> edges;
+    double tail = kAssignInfeasible;
+};
+
+/**
+ * Grow hook of a solve with tails: row -> its longer list. It must not
+ * start another minWeightSparseMatching() on its thread, whose scratch
+ * the running solve holds.
+ */
+using SparseRowGrower = std::function<SparseRowGrowth(int row)>;
+
+/**
  * The sparse solver: bit-equal to minWeightFullMatching() on the dense
- * matrix of the same graph (see the file comment).
+ * matrix of the same graph, tails grown on demand to the full matrix
+ * (see the file comment).
  *
  * Each visited row keeps one heap entry holding a lower bound on the
  * reduced cost of its cheapest unrelaxed edge, or of its tail once its
@@ -184,17 +204,23 @@ struct SparseCostGraph
  * its bound could reach the cheapest tentative column, so a path that
  * settles after a few columns touches a few edges per row instead of
  * the whole row. A call costs O(R log R) for the R edges its paths
- * relax, plus O(rows + cols) for the result; per-column scratch is
- * kept between calls and only the entries a call touched are reset.
+ * relax, plus O(rows + cols) for the result. Rows are (offset,
+ * length) spans into the graph, or into a per-thread pool once grown;
+ * scratch is kept between calls and only the entries a call touched
+ * are reset, so a warm call allocates nothing but its result.
  *
  * @param graph rows() <= cols required.
  * @param edges_relaxed optional counter, incremented by the number of
  *        reduced costs evaluated.
- * @return Assignment with feasible == false when the graph admits no
- *         full matching, or when a tail was reached (short_row >= 0).
+ * @param grow required when the graph has tails: called with a row
+ *        whose tail the search reached. A list that breaks the
+ *        SparseRowGrowth contract is fatal.
+ * @return Assignment with feasible == false when the graph (grown as
+ *         far as the hook takes it) admits no full matching.
  */
 Assignment minWeightSparseMatching(const SparseCostGraph &graph,
-                                   std::int64_t *edges_relaxed = nullptr);
+                                   std::int64_t *edges_relaxed = nullptr,
+                                   const SparseRowGrower &grow = {});
 
 } // namespace zac
 

@@ -285,6 +285,30 @@ TEST(QasmParser, OverflowingIntegerLiteralsAreFatalErrors)
     }
 }
 
+// Real literals past the double range used to escape the expression
+// evaluator as std::out_of_range from std::stod.
+TEST(QasmParser, RealLiteralsPastTheDoubleRange)
+{
+    try {
+        qasm::parse("qreg q[1];\nrz(pi + 1e999) q[0];");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("qasm parse error at line 2, col 9"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+    }
+    EXPECT_THROW(qasm::parse("qreg q[1]; rz(-2e400) q[0];"), FatalError);
+    // In a gate body, evaluated at the call.
+    EXPECT_THROW(qasm::parse("qreg q[1]; gate g(a) x { rz(a * 1e999) x; }"
+                             " g(1) q[0];"),
+                 FatalError);
+    // Underflow rounds, as strtod does.
+    const Circuit c = qasm::parse("qreg q[1]; rz(1e-400) q[0];");
+    EXPECT_EQ(c[0].params[0], 0.0);
+}
+
 TEST(QasmParser, NonNumericSizeIsFatalError)
 {
     EXPECT_THROW(qasm::parse("qreg q[abc];"), FatalError);

@@ -71,6 +71,30 @@ TEST(Json, ErrorsCarryLineAndColumn)
     }
 }
 
+// std::stod used to throw std::out_of_range out of the parser on
+// numbers past the double range, in both directions.
+TEST(Json, NumbersPastTheDoubleRange)
+{
+    // Overflow is a parse error at the literal's line and column.
+    for (const char *text : {"1e999", "-1e999", "[1,\n  2e400]"}) {
+        try {
+            json::parse(text);
+            FAIL() << "expected FatalError for " << text;
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+            if (std::string(text).find('\n') != std::string::npos) {
+                EXPECT_NE(what.find("line 2, col 3"), std::string::npos)
+                    << what;
+            }
+        }
+    }
+    // Underflow rounds, as strtod does.
+    EXPECT_EQ(json::parse("1e-400").asDouble(), 0.0);
+    EXPECT_EQ(json::parse("{\"seed\": -1e-400}").at("seed").asInt(), 0);
+    EXPECT_GT(json::parse("4e-320").asDouble(), 0.0); // subnormal
+}
+
 TEST(Json, AccessorsAreKindChecked)
 {
     const json::Value v = json::parse("[1]");

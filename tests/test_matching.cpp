@@ -242,8 +242,35 @@ TEST(JonkerVolgenant, EmptyProblemIsFeasible)
     EXPECT_DOUBLE_EQ(a.total_cost, 0.0);
 }
 
+/** Hook that returns @p grown with tail @p tail for any row. */
+SparseRowGrower
+fixedGrowth(const std::vector<SparseEdge> &grown, double tail)
+{
+    return [&grown, tail](int) { return SparseRowGrowth{grown, tail}; };
+}
+
+/**
+ * Solve a one-row graph over three columns that lists @p listed under
+ * tail @p tail, with a hook that grows the row to @p grown under
+ * @p grown_tail. The tail is reached at once when the row lists
+ * nothing, or when its tail ties its last cost.
+ */
+Assignment
+solveGrown(const std::vector<SparseEdge> &listed, double tail,
+           const std::vector<SparseEdge> &grown, double grown_tail)
+{
+    SparseCostGraph g;
+    g.reset(3);
+    g.edges = listed;
+    g.row_start.push_back(listed.size());
+    g.tail = {tail};
+    return minWeightSparseMatching(g, nullptr,
+                                   fixedGrowth(grown, grown_tail));
+}
+
 TEST(JonkerVolgenant, SparseRejectsMalformedGraphs)
 {
+    const std::vector<SparseEdge> none;
     SparseCostGraph g;
     g.reset(3);
     g.edges = {{2.0, 0}, {1.0, 1}}; // descending
@@ -257,11 +284,49 @@ TEST(JonkerVolgenant, SparseRejectsMalformedGraphs)
     EXPECT_THROW(minWeightSparseMatching(g), FatalError);
     g.edges = {{1.0, 0}, {2.0, 1}};
     g.tail = {3.0, 3.0}; // two tails for one row
-    EXPECT_THROW(minWeightSparseMatching(g), FatalError);
+    EXPECT_THROW(minWeightSparseMatching(g, nullptr,
+                                         fixedGrowth(none, 3.0)),
+                 FatalError);
     g.tail = {1.5}; // a listed cost above the tail
+    EXPECT_THROW(minWeightSparseMatching(g, nullptr,
+                                         fixedGrowth(none, 3.0)),
+                 FatalError);
+    g.tail = {2.0}; // a tail may equal the last listed cost ...
+    EXPECT_TRUE(minWeightSparseMatching(g, nullptr,
+                                        fixedGrowth(none, 3.0))
+                    .feasible);
+    // ... but tails need a hook.
     EXPECT_THROW(minWeightSparseMatching(g), FatalError);
-    g.tail = {2.0}; // a tail may equal the last listed cost
-    EXPECT_TRUE(minWeightSparseMatching(g).feasible);
+
+    // The growth contract. A valid growth, from a tail that ties the
+    // last cost and from an empty list:
+    const std::vector<SparseEdge> one = {{1.0, 0}};
+    const std::vector<SparseEdge> two = {{1.0, 0}, {1.0, 1}};
+    EXPECT_TRUE(solveGrown(one, 1.0, two, kAssignInfeasible).feasible);
+    EXPECT_TRUE(solveGrown(none, 1.0, one, 1.5).feasible);
+    // A shorter list.
+    EXPECT_THROW(solveGrown(one, 1.0, none, 2.0), FatalError);
+    // A listed edge changed.
+    EXPECT_THROW(solveGrown(one, 1.0, {{1.0, 1}}, 2.0), FatalError);
+    // A new edge below the old tail.
+    EXPECT_THROW(solveGrown(none, 2.0, {{1.5, 0}}, 3.0), FatalError);
+    // Descending costs.
+    EXPECT_THROW(solveGrown(none, 1.0, {{2.0, 0}, {1.5, 1}}, 3.0),
+                 FatalError);
+    // A column out of range.
+    EXPECT_THROW(solveGrown(none, 1.0, {{2.0, 3}}, 3.0), FatalError);
+    // A tail below the row's last cost.
+    EXPECT_THROW(solveGrown(none, 1.0, {{2.0, 0}}, 1.5), FatalError);
+    // No new edge and no higher tail: the solve would not progress.
+    EXPECT_THROW(solveGrown(one, 1.0, one, 1.0), FatalError);
+    // A solve that threw mid-path left no state behind.
+    CostMatrix cost(3, 3, 0.0);
+    cost.at(0, 1) = cost.at(1, 0) = cost.at(2, 2) = -1.0;
+    EXPECT_EQ(solveBoth(cost).row_to_col, (std::vector<int>{1, 0, 2}));
+    CostMatrix grown(1, 3);
+    grown.at(0, 0) = grown.at(0, 1) = 1.0;
+    expectSameAssignment(solveGrown(one, 1.0, two, kAssignInfeasible),
+                         minWeightFullMatching(grown));
 }
 
 /**
@@ -326,17 +391,21 @@ TEST(JonkerVolgenant, SparseBitEqualsDenseOnRandomInstances)
 }
 
 /**
- * Tails on seeded dense instances: each row lists a random prefix of
- * its cells by ascending cost (equal costs in seeded order) and files
- * a tail between its last listed cost and its first unlisted one. A
- * solve either stops at a short row or bit-equals the dense solver on
- * the full matrix. Costs are small integers (exact ties everywhere) or
- * square roots of distances (ties by symmetry).
+ * Tails grown on demand, on seeded dense instances: each row lists a
+ * random prefix of its cells by ascending cost (equal costs in seeded
+ * order) and files a tail between its last listed cost and its first
+ * unlisted one. When the solver reaches a tail, the hook re-lists the
+ * row from its full sorted row: a few more edges, the rest of the row,
+ * or only a higher tail, so a row may grow several times. Every solve
+ * must bit-equal the dense solver on the full matrix. Costs are small
+ * integers (exact ties everywhere) or square roots of distances (ties
+ * by symmetry).
  */
-TEST(JonkerVolgenant, SparseWithTailsStopsOrBitEqualsFull)
+TEST(JonkerVolgenant, SparseWithTailsGrowsToBitEqualFull)
 {
-    int equal = 0;
-    int stopped = 0;
+    int grown_instances = 0;
+    int settled_on_prefixes = 0;
+    std::int64_t growths = 0;
     for (int seed = 0; seed < 3000; ++seed) {
         Rng rng(static_cast<std::uint64_t>(seed) * 7877 + 5);
         const int rows = 1 + static_cast<int>(rng.nextBelow(30));
@@ -352,48 +421,77 @@ TEST(JonkerVolgenant, SparseWithTailsStopsOrBitEqualsFull)
                         ? std::sqrt(std::hypot(r % 7 - c % 7, c / 7))
                         : static_cast<double>(rng.nextBelow(
                               static_cast<std::uint64_t>(max_cost) + 1));
-        // Truncate every row of the full sparse graph.
         const SparseCostGraph full = sparseGraphOf(cost, seed + 1);
+        const auto len = static_cast<std::size_t>(cols);
+        // A tail for row r listing its first n edges: between its last
+        // listed cost and its first unlisted one.
+        auto tailAfter = [&](Rng &tail_rng, int r, std::size_t n) {
+            if (n == len)
+                return kAssignInfeasible;
+            const std::size_t lo =
+                full.row_start[static_cast<std::size_t>(r)];
+            const double hi = full.edges[lo + n].cost;
+            const double last =
+                n > 0 ? full.edges[lo + n - 1].cost : hi - 1.0;
+            return std::clamp(last + tail_rng.nextDouble() * (hi - last),
+                              last, hi);
+        };
+
+        // Truncate every row of the full sparse graph.
         const double keep = 0.2 * static_cast<double>(1 + seed % 4);
         bool truncated = false;
+        std::vector<std::size_t> listed;
         SparseCostGraph g;
         g.reset(cols);
         for (int r = 0; r < rows; ++r) {
             const std::size_t lo = full.row_start[static_cast<std::size_t>(r)];
-            const auto len = static_cast<std::size_t>(cols);
-            const std::size_t listed = std::min<std::size_t>(
+            listed.push_back(std::min<std::size_t>(
                 len, static_cast<std::size_t>(keep * cols) +
-                         rng.nextBelow(3));
+                         rng.nextBelow(3)));
             g.edges.insert(g.edges.end(), full.edges.begin() + lo,
-                           full.edges.begin() + lo + listed);
+                           full.edges.begin() + lo + listed.back());
             g.row_start.push_back(g.edges.size());
-            double tail = kAssignInfeasible;
-            if (listed < len) {
-                const double hi = full.edges[lo + listed].cost;
-                const double last = listed > 0
-                                        ? full.edges[lo + listed - 1].cost
-                                        : hi - 1.0;
-                tail = std::clamp(last + rng.nextDouble() * (hi - last),
-                                  last, hi);
-                truncated = true;
+            g.tail.push_back(tailAfter(rng, r, listed.back()));
+            truncated = truncated || listed.back() < len;
+        }
+
+        Rng grow_rng(static_cast<std::uint64_t>(seed) + 11);
+        std::vector<double> tails = g.tail;
+        int calls = 0;
+        auto grow = [&](int r) {
+            ++calls;
+            const auto ri = static_cast<std::size_t>(r);
+            const std::size_t lo = full.row_start[ri];
+            std::size_t &n = listed[ri];
+            double &tail = tails[ri];
+            EXPECT_LT(n, len) << "row " << r << " grew past its row";
+            const double hi = full.edges[lo + n].cost;
+            if (tail < hi && grow_rng.nextBool(0.2)) {
+                tail = hi; // no new edge, a higher tail
+            } else {
+                n = grow_rng.nextBool(0.25)
+                        ? len
+                        : std::min(len, n + 1 + grow_rng.nextBelow(4));
+                tail = tailAfter(grow_rng, r, n);
             }
-            g.tail.push_back(tail);
-        }
+            return SparseRowGrowth{
+                std::span<const SparseEdge>(full.edges.data() + lo, n),
+                tail};
+        };
         SCOPED_TRACE("seed " + std::to_string(seed));
-        const Assignment got = minWeightSparseMatching(g);
-        if (got.short_row >= 0) {
-            EXPECT_FALSE(got.feasible);
-            EXPECT_LT(got.short_row, rows);
-            ++stopped;
-        } else {
-            expectSameAssignment(got, minWeightFullMatching(cost));
-            equal += truncated ? 1 : 0;
-        }
+        expectSameAssignment(minWeightSparseMatching(g, nullptr, grow),
+                             minWeightFullMatching(cost));
+        growths += calls;
+        if (calls > 0)
+            ++grown_instances;
+        else if (truncated)
+            ++settled_on_prefixes;
     }
-    // The sweep must exercise both outcomes, finishing on truncated
-    // rows as well as stopping.
-    EXPECT_GT(equal, 300);
-    EXPECT_GT(stopped, 300);
+    // Both outcomes: 949 instances reach a tail and grow, and the other
+    // 1997 truncated ones settle on their prefixes alone.
+    EXPECT_EQ(grown_instances, 949);
+    EXPECT_EQ(settled_on_prefixes, 1997);
+    EXPECT_GT(growths, grown_instances);
 }
 
 class JvRandomProperty : public ::testing::TestWithParam<int>

@@ -42,13 +42,15 @@ namespace
 // ------------------------------------------- windowed vs reference JV
 
 /**
- * Random stage generator: n distinct qubits paired into gates, qubits
- * scattered over storage traps (and occasionally parked in the zone),
- * random reuse pins and random lookahead points.
+ * Random stage generator on @p arch: min_gates..max_gates gates (as
+ * many as the zone fits) over distinct qubits, qubits scattered over
+ * storage traps (and occasionally parked in the zone), random reuse
+ * pins and random lookahead points. Checks placeGates() against the
+ * reference and returns the call's free (unpinned) gate count.
  */
-void
-randomizedPlaceGatesRound(const Architecture &arch, Rng &rng,
-                          GatePlacerStats &stats)
+int
+randomizedPlaceGatesRound(const Architecture &arch, int min_gates,
+                          int max_gates, Rng &rng, GatePlacerStats &stats)
 {
     // Qubit parking pool: the storage traps nearest the entanglement
     // zone (the region the pipeline actually populates — deep-storage
@@ -66,15 +68,15 @@ randomizedPlaceGatesRound(const Architecture &arch, Rng &rng,
                                 static_cast<std::size_t>(
                                     4 * arch.numSites())));
     }
-    const int max_gates =
-        std::min(arch.numSites(),
-                 static_cast<int>(storage.size()) / 2) /
-        2;
-    if (max_gates < 1)
-        return;
+    max_gates = std::min(max_gates,
+                         std::min(arch.numSites(),
+                                  static_cast<int>(storage.size()) / 2) /
+                             2);
+    if (max_gates < min_gates)
+        return 0;
     const int num_gates =
-        1 + static_cast<int>(rng.nextBelow(
-                static_cast<std::uint64_t>(max_gates)));
+        min_gates + static_cast<int>(rng.nextBelow(
+                        static_cast<std::uint64_t>(max_gates - min_gates + 1)));
     const int n = 2 * num_gates;
 
     // Gate pairs park near each other (like SA-placed partners do);
@@ -132,6 +134,8 @@ randomizedPlaceGatesRound(const Architecture &arch, Rng &rng,
     const std::vector<int> windowed = placeGates(st, req, &stats);
     EXPECT_EQ(windowed, reference)
         << arch.name() << " gates=" << num_gates;
+    return static_cast<int>(
+        std::count(req.pinned_site.begin(), req.pinned_site.end(), -1));
 }
 
 TEST(GatePlacerEquiv, WindowedMatchesReferenceOnAllPresets)
@@ -144,19 +148,51 @@ TEST(GatePlacerEquiv, WindowedMatchesReferenceOnAllPresets)
         Rng rng(2026);
         GatePlacerStats stats;
         for (int round = 0; round < 60; ++round)
-            randomizedPlaceGatesRound(arch, rng, stats);
+            randomizedPlaceGatesRound(arch, 1, arch.numSites(), rng,
+                                      stats);
         // On architectures with enough sites for windows to pay, the
-        // window must actually engage (not fall back every time); tiny
-        // grids legitimately resolve almost everything densely. Calls
-        // with every gate pinned settle before any counter.
+        // window must actually engage (not grow to every site every
+        // time); on tiny grids the windows legitimately cover the zone
+        // at once. Calls with every gate pinned settle before any
+        // counter.
         if (arch.numSites() >= 100) {
             EXPECT_GT(stats.certified, 0) << arch.name();
         }
-        EXPECT_LE(stats.certified + stats.fallbacks +
-                      stats.dense_direct,
-                  stats.calls)
+        EXPECT_LE(stats.certified + stats.fallbacks, stats.calls)
             << arch.name();
     }
+}
+
+/**
+ * Contested stages at scale: 16 to ~200 gates clustered next to the
+ * zone of scaledZoned(256), with pins and lookahead, so the windows
+ * overlap and the solver grows them mid-path. Every call must equal
+ * the reference. Calls with 16 or more free gates must settle on
+ * windows, apart from the most crowded ones, where a window grows to
+ * every free site; together they cost under half the full matrix's
+ * cells.
+ */
+TEST(GatePlacerEquiv, ContestedStagesMatchReferenceAtScale)
+{
+    const Architecture arch = scaledZoned(256);
+    Rng rng(1606);
+    GatePlacerStats stats;
+    int contested = 0;
+    int contested_certified = 0;
+    for (int round = 0; round < 20; ++round) {
+        const GatePlacerStats before = stats;
+        const int free_gates = randomizedPlaceGatesRound(
+            arch, 16, arch.numSites(), rng, stats);
+        if (free_gates >= 16) {
+            ++contested;
+            contested_certified += static_cast<int>(stats.certified -
+                                                    before.certified);
+        }
+    }
+    EXPECT_GE(contested, 15);
+    EXPECT_GE(3 * contested_certified, contested);
+    EXPECT_GT(stats.window_growths, contested);
+    EXPECT_LT(2 * stats.window_cells, stats.full_cells);
 }
 
 /** Per site column x: the trap pairs on one row at x - d and x + d. */

@@ -434,6 +434,8 @@ TEST(NetServer, InvalidSubmitLinesGetInlineErrorRecords)
 
     // Lines 4-6 break the manifest's job rules (one parser reads
     // both): numbers outside their range are rejected, not compiled.
+    // Line 7's seed is past the double range; line 8's underflows to
+    // seed 0 and compiles.
     const std::string body =
         "this is not json\n"
         "{\"circuit\": \"no_such_benchmark_xyz\"}\n"
@@ -441,12 +443,14 @@ TEST(NetServer, InvalidSubmitLinesGetInlineErrorRecords)
         "{\"circuit\": \"ghz_n23\", \"timeout_seconds\": -5}\n"
         "{\"circuit\": \"ghz_n23\", \"target\": 4294967296}\n"
         "{\"circuit\": \"ghz_n23\", \"seed\": 1e30}\n"
+        "{\"circuit\": \"ghz_n23\", \"seed\": 1e999}\n"
+        "{\"circuit\": \"ghz_n23\", \"seed\": 1e-400}\n"
         "{\"circuit\": \"ghz_n23\"}\n";
     const std::string raw = roundTrip(ts.port, postRequest(body));
     ASSERT_EQ(statusOf(raw), 200);
     const std::vector<json::Value> records =
         parseRecords(bodyOf(raw));
-    ASSERT_EQ(records.size(), 7u); // exactly one record per line
+    ASSERT_EQ(records.size(), 9u); // exactly one record per line
 
     int errors = 0, done = 0;
     std::map<std::int64_t, std::string> error_lines;
@@ -459,17 +463,27 @@ TEST(NetServer, InvalidSubmitLinesGetInlineErrorRecords)
             error_lines[r.at("line").asInt()] = r.at("error").asString();
         }
     }
-    EXPECT_EQ(done, 1);
-    EXPECT_EQ(errors, 6);
-    ASSERT_EQ(error_lines.size(), 6u);
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(errors, 7);
+    ASSERT_EQ(error_lines.size(), 7u);
     EXPECT_EQ(error_lines.begin()->first, 1);
-    EXPECT_EQ(error_lines.rbegin()->first, 6);
+    EXPECT_EQ(error_lines.rbegin()->first, 7);
     EXPECT_NE(error_lines[4].find("timeout_seconds"), std::string::npos)
         << error_lines[4];
     EXPECT_NE(error_lines[5].find("target"), std::string::npos)
         << error_lines[5];
     EXPECT_NE(error_lines[6].find("range"), std::string::npos)
         << error_lines[6];
+    EXPECT_NE(error_lines[7].find("out of range"), std::string::npos)
+        << error_lines[7];
+
+    // The daemon is still serving.
+    const std::string again = roundTrip(
+        ts.port, postRequest("{\"circuit\": \"ghz_n23\"}\n"));
+    ASSERT_EQ(statusOf(again), 200);
+    const std::vector<json::Value> last = parseRecords(bodyOf(again));
+    ASSERT_EQ(last.size(), 1u);
+    EXPECT_EQ(last[0].at("status").asString(), "done");
 }
 
 TEST(NetServer, UnlabelledQasmLineIsLabelledByItsFileStem)
