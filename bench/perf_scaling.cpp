@@ -24,10 +24,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <sys/resource.h>
 #include <vector>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "arch/scaling.hpp"
 #include "arch/serialize.hpp"
@@ -60,6 +64,62 @@ peakRssKb()
     struct rusage ru {};
     getrusage(RUSAGE_SELF, &ru);
     return ru.ru_maxrss;
+}
+
+/**
+ * Reset the kernel's peak-RSS mark (VmHWM) to the current RSS, so the
+ * next vmHwmKb() covers one sweep point. Free heap pages go back to the
+ * kernel first, so an earlier point's peak does not linger in the
+ * next. @return false where /proc/self/clear_refs is not writable.
+ */
+bool
+resetPeakRss()
+{
+#ifdef __GLIBC__
+    malloc_trim(0);
+#endif
+    std::FILE *f = std::fopen("/proc/self/clear_refs", "w");
+    if (f == nullptr)
+        return false;
+    const bool wrote = std::fputs("5", f) >= 0;
+    return std::fclose(f) == 0 && wrote;
+}
+
+/** VmHWM from /proc/self/status in KiB, or -1 when unavailable. */
+long
+vmHwmKb()
+{
+    std::FILE *f = std::fopen("/proc/self/status", "r");
+    if (f == nullptr)
+        return -1;
+    char line[256];
+    long kb = -1;
+    while (std::fgets(line, sizeof line, f) != nullptr)
+        if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1)
+            break;
+    std::fclose(f);
+    return kb;
+}
+
+/**
+ * Peak RSS of the point that started at the last resetPeakRss(), in
+ * KiB; the process peak (ru_maxrss) when the reset failed or VmHWM is
+ * unavailable, with a note on stderr the first time.
+ */
+long
+pointPeakRssKb(bool reset_ok)
+{
+    const long hwm = reset_ok ? vmHwmKb() : -1;
+    if (hwm >= 0)
+        return hwm;
+    static bool noted = false;
+    if (!noted) {
+        std::fprintf(stderr, "perf_scaling: per-point VmHWM unavailable; "
+                             "max_rss_kb falls back to the process peak "
+                             "(ru_maxrss)\n");
+        noted = true;
+    }
+    return peakRssKb();
 }
 
 /** The sweep grid of one family. */
@@ -187,6 +247,7 @@ main(int argc, char **argv)
         std::vector<double> secs;
         std::map<std::string, std::vector<double>> phase_secs;
         for (int n : plan.sizes) {
+            const bool rss_reset = resetPeakRss();
             const auto ctx = contextFor(n);
             const ZacCompiler compiler(ctx, zac_opts);
             const Circuit circuit =
@@ -226,7 +287,7 @@ main(int argc, char **argv)
             max_point_qubits = std::max(max_point_qubits, n);
 
             const CompilePhaseTimings &ph = r.phases;
-            const long rss_kb = peakRssKb();
+            const long rss_kb = pointPeakRssKb(rss_reset);
             sizes.push_back(n);
             secs.push_back(best);
             phase_secs["sa_seconds"].push_back(ph.sa_seconds);
@@ -266,6 +327,27 @@ main(int argc, char **argv)
                 {"fidelity_seconds", ph.fidelity_seconds},
             };
             point["max_rss_kb"] = static_cast<std::int64_t>(rss_kb);
+            // Work counters of the first compile: reported, not gated.
+            const QubitPlacerStats &qp = ph.placement.qubit_placer;
+            point["qubit_placer"] = json::Object{
+                {"calls", qp.calls},
+                {"solves", qp.solves},
+                {"expanded_solves", qp.expanded_solves},
+                {"rows", qp.rows},
+                {"cols", qp.cols},
+                {"candidate_cells", qp.candidate_cells},
+                {"window_growths", qp.window_growths},
+                {"edges_relaxed", qp.edges_relaxed},
+            };
+            const GatePlacerStats &gp = ph.placement.gate_placer;
+            point["gate_placer"] = json::Object{
+                {"calls", gp.calls},
+                {"certified", gp.certified},
+                {"window_growths", gp.window_growths},
+                {"fallbacks", gp.fallbacks},
+                {"window_cells", gp.window_cells},
+                {"full_cells", gp.full_cells},
+            };
             point["fidelity"] = r.fidelity.total;
             point["program_bytes"] =
                 static_cast<std::int64_t>(r.program_json.size());

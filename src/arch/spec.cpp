@@ -505,6 +505,72 @@ Architecture::storageTrapIdsInBox(Point lo, Point hi,
     }
 }
 
+int
+Architecture::numStorageRows() const
+{
+    int rows = 0;
+    for (int slm_id : storageSlmIds_)
+        rows += slms_[static_cast<std::size_t>(slm_id)].rows;
+    return rows;
+}
+
+void
+Architecture::storageSpansInDisk(Point center, double radius,
+                                 std::vector<StorageSpan> &out) const
+{
+    if (!(radius >= 0.0))
+        return;
+    int row_base = 0;
+    for (int slm_id : storageSlmIds_) {
+        const SlmSpec &s = slms_[static_cast<std::size_t>(slm_id)];
+        const GridRange rows = gridRange(center.y - radius,
+                                         center.y + radius, s.origin.y,
+                                         s.sep_y, s.rows);
+        const int mid = std::clamp(
+            static_cast<int>(
+                std::lround((center.x - s.origin.x) / s.sep_x)),
+            0, s.cols - 1);
+        // One row of slack each way: the predicate decides.
+        for (int r = std::max(0, rows.lo - 1);
+             r <= std::min(s.rows - 1, rows.hi + 1); ++r) {
+            const TrapId first =
+                slmTrapBase_[static_cast<std::size_t>(slm_id)] + r * s.cols;
+            const Point *pos = &trapPos_[static_cast<std::size_t>(first)];
+            auto inside = [&](int c) {
+                return distance(pos[c], center) <= radius;
+            };
+            // A column of least distance is within one of `mid`; if
+            // none of those is inside, the row misses the disk.
+            int in = -1;
+            for (int c : {mid, mid - 1, mid + 1})
+                if (c >= 0 && c < s.cols && inside(c)) {
+                    in = c;
+                    break;
+                }
+            if (in < 0)
+                continue;
+            const double dy = pos[0].y - center.y;
+            const double half =
+                std::sqrt(std::max(0.0, radius * radius - dy * dy));
+            const GridRange cols = gridRange(center.x - half,
+                                             center.x + half, s.origin.x,
+                                             s.sep_x, s.cols);
+            int lo = std::clamp(cols.lo, 0, in);
+            int hi = std::clamp(cols.hi, in, s.cols - 1);
+            while (lo > 0 && inside(lo - 1))
+                --lo;
+            while (!inside(lo))
+                ++lo;
+            while (hi < s.cols - 1 && inside(hi + 1))
+                ++hi;
+            while (!inside(hi))
+                --hi;
+            out.push_back({row_base + r, first, s.cols, lo, hi});
+        }
+        row_base += s.rows;
+    }
+}
+
 bool
 Architecture::inEntanglementZone(Point p) const
 {

@@ -104,6 +104,20 @@ struct TrapRef
 };
 
 /**
+ * Columns lo..hi of one storage row, the traps first + lo .. first + hi.
+ * Storage rows are numbered 0 .. Architecture::numStorageRows() - 1
+ * over the storage SLMs in zone order, bottom row first.
+ */
+struct StorageSpan
+{
+    int row = 0;
+    TrapId first = 0; ///< id of the row's column 0
+    int cols = 0;     ///< the row's length
+    int lo = 0;
+    int hi = 0;
+};
+
+/**
  * A Rydberg site: the pair of traps in an entanglement zone where a CZ
  * is performed (paper Fig. 2b). The left trap is the site's reference
  * location for distance computations.
@@ -246,6 +260,18 @@ class Architecture
      */
     void storageTrapIdsInBox(Point lo, Point hi,
                              std::vector<TrapId> &out) const;
+    /** Rows over all storage SLMs (see StorageSpan). */
+    int numStorageRows() const;
+    /**
+     * Append, per storage row, the span of columns whose traps t
+     * satisfy distance(trapPosition(t), center) <= radius exactly.
+     * Along a row distance() falls and then rises with the column, in
+     * floating point too, so those traps are one span; its ends are
+     * estimated from the chord and then fixed by that predicate. Rows
+     * the disk misses are skipped; spans come in ascending row order.
+     */
+    void storageSpansInDisk(Point center, double radius,
+                            std::vector<StorageSpan> &out) const;
 
     /** @return true if @p p lies within any entanglement zone bounds. */
     bool inEntanglementZone(Point p) const;

@@ -1,6 +1,7 @@
 #include "core/compiler.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -90,6 +91,15 @@ ZacCompiler::ZacCompiler(std::shared_ptr<const ArchContext> context,
 {
     if (context_ == nullptr)
         fatal("ZacCompiler: null architecture context");
+    // Eq. 3's lookahead weight; storage placement's candidate bounds
+    // also rely on it being non-negative.
+    if (!(std::isfinite(opts_.lookahead_alpha) &&
+          opts_.lookahead_alpha >= 0.0))
+        fatal("ZacCompiler: lookahead_alpha must be finite and >= 0, got " +
+              std::to_string(opts_.lookahead_alpha));
+    if (opts_.candidate_k < 0)
+        fatal("ZacCompiler: candidate_k must be >= 0, got " +
+              std::to_string(opts_.candidate_k));
 }
 
 ZacResult

@@ -207,11 +207,16 @@ struct CompileScratch
 class ZacCompiler
 {
   public:
+    /**
+     * @throws zac::FatalError naming the option when `lookahead_alpha`
+     *         is not finite and >= 0 or `candidate_k` is negative.
+     */
     explicit ZacCompiler(Architecture arch, ZacOptions opts = {});
 
     /**
      * Bind to a prebuilt (possibly pool-shared) architecture context —
-     * the warm path: no Architecture copy, no table derivation.
+     * the warm path: no Architecture copy, no table derivation. Checks
+     * the options as above.
      */
     explicit ZacCompiler(std::shared_ptr<const ArchContext> context,
                          ZacOptions opts = {});

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "core/cost.hpp"
@@ -104,67 +107,392 @@ candidateTraps(const PlacementState &state, int q,
     }
 }
 
+/** Eq. 3 cost of a trap at @p tp, @p d_cur = distance(tp, cur) away. */
+double
+storageCost(double d_cur, Point tp, const std::optional<Point> &related,
+            double alpha)
+{
+    double w = std::sqrt(d_cur);
+    if (related.has_value())
+        w += alpha * sqrtDistance(tp, *related);
+    return w;
+}
+
 /**
- * TrapId-returning core of nearestEmptyStorageTraps(): the @p count
- * empty storage traps nearest to @p p by (distance, trap), written to
- * @p out in no particular order.
+ * A storage trap's rank seen from one point: ascending distance, ties
+ * by id. The n nearest empty traps are those at or below the n-th key.
+ */
+struct TrapKey
+{
+    double d = 0.0;
+    TrapId t = 0;
+};
+
+bool
+atOrBelow(double d, TrapId t, const TrapKey &k)
+{
+    return d < k.d || (d == k.d && t <= k.t);
+}
+
+/** A key at or above every storage trap's seen from @p p. */
+TrapKey
+coverKey(const Architecture &arch, Point p)
+{
+    // distance() grows with each axis offset, so a grid's farthest
+    // trap is one of its corners.
+    TrapKey k{0.0, std::numeric_limits<TrapId>::max()};
+    for (const ZoneSpec &z : arch.storageZones())
+        for (int slm : z.slm_ids) {
+            const SlmSpec &s = arch.slms()[static_cast<std::size_t>(slm)];
+            for (int r : {0, s.rows - 1})
+                for (int c : {0, s.cols - 1})
+                    k.d = std::max(
+                        k.d, distance(arch.trapPosition(TrapRef{slm, r, c}),
+                                      p));
+        }
+    return k;
+}
+
+/** Annuli holding at most this many traps are ranked, not split. */
+constexpr std::int64_t kRankedAnnulus = 32;
+
+/**
+ * Nearest-empty-trap queries on one occupancy. The empty traps within
+ * a radius are counted over storage row spans, with per-row prefix
+ * counts for the rows the queries keep returning to: the buffers grow
+ * with the rows the queries reach, not with the storage grid.
+ */
+class NearestEmpty
+{
+  public:
+    /** Start over on @p state's occupancy. */
+    void
+    reset(const PlacementState &state)
+    {
+        const Architecture &arch = state.arch();
+        state_ = &state;
+        const auto rows = static_cast<std::size_t>(arch.numStorageRows());
+        row_offset_.assign(rows, -1);
+        row_scanned_.assign(rows, 0);
+        prefix_.clear();
+        pitch_ = 0.0;
+        for (const ZoneSpec &z : arch.storageZones())
+            for (int slm : z.slm_ids) {
+                const SlmSpec &s =
+                    arch.slms()[static_cast<std::size_t>(slm)];
+                pitch_ = std::max({pitch_, s.sep_x, s.sep_y});
+            }
+    }
+
+    /** The largest storage pitch (x or y). */
+    double pitch() const { return pitch_; }
+
+    /**
+     * The @p n-th least key (n >= 1) among the empty storage traps seen
+     * from @p p, or coverKey() when there are fewer than @p n. The
+     * search starts from the guess [@p lo, @p hi] for the n-th
+     * distance, by default from a disk that would hold n traps.
+     */
+    TrapKey
+    nthKey(Point p, std::int64_t n, double lo = -1.0, double hi = -1.0)
+    {
+        const Architecture &arch = state_->arch();
+        if (hi < 0.0)
+            hi = pitch_ * (std::sqrt(static_cast<double>(n)) + 2.0);
+        const TrapKey cover = coverKey(arch, p);
+        // Bracket the n-th distance: countWithin(lo) < n <= c_hi.
+        std::int64_t c_lo = countWithin(p, lo);
+        std::int64_t c_hi = 0;
+        if (c_lo >= n) {
+            hi = lo;
+            c_hi = c_lo;
+            lo = -1.0;
+            c_lo = 0;
+        } else {
+            c_hi = countWithin(p, hi);
+        }
+        while (c_hi < n) {
+            if (hi >= cover.d)
+                return cover; // the disk holds every storage trap
+            lo = hi;
+            c_lo = c_hi;
+            hi = 2.0 * hi + pitch_;
+            c_hi = countWithin(p, hi);
+        }
+        while (c_hi - c_lo > kRankedAnnulus) {
+            const double mid = lo + 0.5 * (hi - lo);
+            if (!(mid > lo && mid < hi))
+                break; // a tie shell: rank it whole
+            const std::int64_t c = countWithin(p, mid);
+            if (c >= n) {
+                hi = mid;
+                c_hi = c;
+            } else {
+                lo = mid;
+                c_lo = c;
+            }
+        }
+
+        // Rank the empty traps of the annulus lo < d <= hi: the spans
+        // within hi less those within lo.
+        spans_.clear();
+        inner_.clear();
+        arch.storageSpansInDisk(p, hi, spans_);
+        arch.storageSpansInDisk(p, lo, inner_);
+        ranked_.clear();
+        std::size_t j = 0;
+        for (const StorageSpan &s : spans_) {
+            while (j < inner_.size() && inner_[j].row < s.row)
+                ++j;
+            const bool has_inner = j < inner_.size() && inner_[j].row == s.row;
+            for (int c = s.lo; c <= s.hi; ++c) {
+                if (has_inner && c == inner_[j].lo) {
+                    c = inner_[j].hi;
+                    continue;
+                }
+                const TrapId t = s.first + c;
+                if (state_->isEmpty(t))
+                    ranked_.emplace_back(distance(arch.trapPosition(t), p),
+                                         t);
+            }
+        }
+        if (static_cast<std::int64_t>(ranked_.size()) != c_hi - c_lo)
+            panic("nearestEmpty: annulus count mismatch");
+        const auto nth = ranked_.begin() + (n - c_lo - 1);
+        std::nth_element(ranked_.begin(), nth, ranked_.end());
+        return {nth->first, nth->second};
+    }
+
+  private:
+    /** Empty storage traps within @p radius of @p p. */
+    std::int64_t
+    countWithin(Point p, double radius)
+    {
+        spans_.clear();
+        state_->arch().storageSpansInDisk(p, radius, spans_);
+        std::int64_t count = 0;
+        for (const StorageSpan &s : spans_)
+            count += countSpan(s);
+        return count;
+    }
+
+    /**
+     * Empty traps in span @p s: scanned directly until the scans of its
+     * row add up to the row's length, then from the row's prefix
+     * counts, so a query costs at most twice the cheaper of the two.
+     */
+    std::int64_t
+    countSpan(const StorageSpan &s)
+    {
+        const auto row = static_cast<std::size_t>(s.row);
+        int &off = row_offset_[row];
+        if (off < 0) {
+            const int len = s.hi - s.lo + 1;
+            if (row_scanned_[row] + len <= s.cols) {
+                row_scanned_[row] += len;
+                std::int64_t count = 0;
+                for (TrapId t = s.first + s.lo; t <= s.first + s.hi; ++t)
+                    count += state_->isEmpty(t) ? 1 : 0;
+                return count;
+            }
+            off = static_cast<int>(prefix_.size());
+            int count = 0;
+            prefix_.push_back(0);
+            for (int c = 0; c < s.cols; ++c) {
+                count += state_->isEmpty(s.first + c) ? 1 : 0;
+                prefix_.push_back(count);
+            }
+        }
+        const int *pre = prefix_.data() + off;
+        return pre[s.hi + 1] - pre[s.lo];
+    }
+
+    const PlacementState *state_ = nullptr;
+    double pitch_ = 0.0;
+    std::vector<int> row_offset_;  ///< per storage row: prefix_ index, -1
+    std::vector<int> row_scanned_; ///< per storage row: traps scanned
+    std::vector<int> prefix_;
+    std::vector<StorageSpan> spans_, inner_;
+    std::vector<std::pair<double, TrapId>> ranked_;
+};
+
+NearestEmpty &
+nearestEmpty()
+{
+    thread_local NearestEmpty ne;
+    return ne;
+}
+
+/** Ascending id runs [first, last]. */
+using TrapRuns = std::vector<std::pair<TrapId, TrapId>>;
+
+/**
+ * Append the traps t (empty or not) with key(t) <= @p kappa seen from
+ * @p p as id runs: per storage row, the span within kappa.d less the
+ * traps at exactly that distance above kappa.t. Runs may overlap.
  */
 void
-nearestEmptyTraps(const PlacementState &state, Point p, std::size_t count,
-                  std::vector<TrapId> &out)
+appendNearestRuns(const Architecture &arch, Point p, const TrapKey &kappa,
+                  std::vector<StorageSpan> &spans, TrapRuns &runs)
 {
-    out.clear();
-    const Architecture &arch = state.arch();
-    const std::size_t num_storage = arch.allStorageTraps().size();
-    if (num_storage == 0)
-        return;
-
-    double base_pitch = 3.0;
-    for (const ZoneSpec &z : arch.storageZones())
-        for (int slm_id : z.slm_ids) {
-            const SlmSpec &s =
-                arch.slms()[static_cast<std::size_t>(slm_id)];
-            base_pitch = std::max({base_pitch, s.sep_x, s.sep_y});
+    spans.clear();
+    arch.storageSpansInDisk(p, kappa.d, spans);
+    for (const StorageSpan &s : spans) {
+        const TrapId first = s.first;
+        if (first + s.hi <= kappa.t) {
+            runs.emplace_back(first + s.lo, first + s.hi);
+            continue;
         }
+        if (first + s.lo <= kappa.t)
+            runs.emplace_back(first + s.lo, kappa.t);
+        // The traps nearer than kappa.d: the span less its ends at
+        // exactly that distance.
+        auto onEdge = [&](int c) {
+            return !(distance(arch.trapPosition(first + c), p) < kappa.d);
+        };
+        int lo = s.lo, hi = s.hi;
+        while (lo <= hi && onEdge(lo))
+            ++lo;
+        while (hi >= lo && onEdge(hi))
+            --hi;
+        if (lo <= hi)
+            runs.emplace_back(first + lo, first + hi);
+    }
+}
 
-    using Ranked = std::pair<double, TrapId>;
-    thread_local std::vector<Ranked> ranked;
-    thread_local std::vector<TrapId> box;
-    double radius =
-        base_pitch * (std::sqrt(static_cast<double>(count)) + 2.0);
-    for (;;) {
-        ranked.clear();
-        box.clear();
-        arch.storageTrapIdsInBox({p.x - radius, p.y - radius},
-                                 {p.x + radius, p.y + radius}, box);
-        std::size_t within = 0;
-        for (TrapId t : box) {
+/** Sort @p runs and merge the overlapping and adjacent ones. */
+void
+mergeRuns(TrapRuns &runs)
+{
+    std::sort(runs.begin(), runs.end());
+    std::size_t out = 0;
+    for (const auto &r : runs) {
+        if (out > 0 && r.first <= runs[out - 1].second + 1)
+            runs[out - 1].second = std::max(runs[out - 1].second, r.second);
+        else
+            runs[out++] = r;
+    }
+    runs.resize(out);
+}
+
+/** Column per candidate trap, over the ids base..; -1 between calls. */
+struct ColumnIndex
+{
+    TrapId base = 0;
+    std::vector<int> of;
+
+    void
+    cover(TrapId lo, TrapId hi)
+    {
+        base = lo;
+        if (lo <= hi && of.size() < static_cast<std::size_t>(hi - lo + 1))
+            of.resize(static_cast<std::size_t>(hi - lo + 1), -1);
+    }
+    int &operator[](TrapId t) { return of[static_cast<std::size_t>(t - base)]; }
+};
+
+/**
+ * Candidate window of one leaving qubit in an expanded solve. Its
+ * candidates are its local traps and its N nearest empty traps (keys
+ * at or below `kappa`). It lists those within `radius` of the qubit
+ * that cost less than sqrt(radius): a candidate farther away costs at
+ * least that much, since its own distance term is at least
+ * sqrt(radius) and the lookahead term is not negative. Once the
+ * radius holds every candidate it lists them all and has no tail.
+ */
+struct StorageWindow
+{
+    Point cur;
+    const std::optional<Point> *related = nullptr;
+    const std::vector<TrapId> *local = nullptr; ///< ascending ids
+    TrapKey kappa;
+    double near = 0.0;   ///< distance to the nearest storage trap
+    double full = 0.0;   ///< a radius holding every candidate
+    double radius = 0.0;
+    double tail = -kAssignInfeasible; ///< nothing listed yet
+    std::vector<SparseEdge> edges;    ///< listed traps, ascending cost
+};
+
+/**
+ * Grow @p w's list to its current radius. The candidates cheaper than
+ * its old tail are listed already; the ones in its disk at or above
+ * the old tail and below the new one are appended, cheapest first.
+ * Adds the candidates costed to @p cells.
+ */
+void
+growStorageWindow(const PlacementState &state, double alpha,
+                  ColumnIndex &col, StorageWindow &w,
+                  std::vector<StorageSpan> &spans, std::int64_t &cells)
+{
+    const Architecture &arch = state.arch();
+    spans.clear();
+    arch.storageSpansInDisk(w.cur, w.radius, spans);
+    const double tail =
+        w.radius >= w.full ? kAssignInfeasible : std::sqrt(w.radius);
+    const std::size_t listed = w.edges.size();
+    for (const StorageSpan &s : spans) {
+        for (TrapId t = s.first + s.lo; t <= s.first + s.hi; ++t) {
             if (!state.isEmpty(t))
                 continue;
-            const double d = distance(arch.trapPosition(t), p);
-            ranked.emplace_back(d, t);
-            if (d <= radius)
-                ++within;
+            const Point tp = arch.trapPosition(t);
+            const double d = distance(tp, w.cur);
+            if (!atOrBelow(d, t, w.kappa) &&
+                !std::binary_search(w.local->begin(), w.local->end(), t))
+                continue;
+            ++cells;
+            const double cost = storageCost(d, tp, *w.related, alpha);
+            if (cost < w.tail || !(cost < tail))
+                continue; // listed already, or not yet
+            w.edges.push_back({cost, col[t]});
         }
-        // Enough empties inside the search *disk* (not just the box)
-        // guarantees the k nearest are all collected; a box covering
-        // every storage trap degenerates to the full scan.
-        if (within >= count || box.size() == num_storage)
-            break;
-        radius *= 2.0;
     }
+    w.tail = tail;
+    std::sort(w.edges.begin() + static_cast<std::ptrdiff_t>(listed),
+              w.edges.end(), [](const SparseEdge &a, const SparseEdge &b) {
+                  return a.cost < b.cost;
+              });
+}
 
-    // (distance, trap) is a strict total order, so selecting the first
-    // `count` picks exactly the set a full sort would keep.
-    if (ranked.size() > count) {
-        std::nth_element(ranked.begin(),
-                         ranked.begin() +
-                             static_cast<std::ptrdiff_t>(count),
-                         ranked.end());
-        ranked.resize(count);
+/**
+ * Every leaving qubit's @p count-nearest key (into wins[i].kappa, with
+ * wins[i].cur) and the union of those nearest sets as merged runs.
+ * Qubits are searched in position order, each from the previous one's
+ * distance: two points delta apart have n-th distances within delta.
+ */
+void
+findNearestSets(const PlacementState &state,
+                const QubitPlacementRequest &req, std::int64_t count,
+                std::vector<StorageWindow> &wins, TrapRuns &runs)
+{
+    thread_local std::vector<int> order;
+    thread_local std::vector<StorageSpan> spans;
+    NearestEmpty &ne = nearestEmpty();
+    const std::size_t n = req.leaving.size();
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        order[i] = static_cast<int>(i);
+        wins[i].cur = state.posOf(req.leaving[i]);
     }
-    for (const Ranked &r : ranked)
-        out.push_back(r.second);
+    std::sort(order.begin(), order.end(), [&wins](int a, int b) {
+        const Point pa = wins[static_cast<std::size_t>(a)].cur;
+        const Point pb = wins[static_cast<std::size_t>(b)].cur;
+        return pa.y != pb.y ? pa.y < pb.y : pa.x < pb.x;
+    });
+    const StorageWindow *prev = nullptr;
+    for (int i : order) {
+        StorageWindow &w = wins[static_cast<std::size_t>(i)];
+        if (prev == nullptr) {
+            w.kappa = ne.nthKey(w.cur, count);
+        } else {
+            const double slack = distance(w.cur, prev->cur) +
+                                 1e-9 * (1.0 + prev->kappa.d);
+            w.kappa = ne.nthKey(w.cur, count, prev->kappa.d - slack,
+                                prev->kappa.d + slack);
+        }
+        appendNearestRuns(state.arch(), w.cur, w.kappa, spans, runs);
+        prev = &w;
+    }
+    mergeRuns(runs);
 }
 
 } // namespace
@@ -174,13 +502,20 @@ nearestEmptyStorageTraps(const PlacementState &state, Point p,
                          std::size_t count)
 {
     const Architecture &arch = state.arch();
-    std::vector<TrapId> ids;
-    nearestEmptyTraps(state, p, count, ids);
-    std::sort(ids.begin(), ids.end());
+    if (count == 0)
+        return {};
+    NearestEmpty &ne = nearestEmpty();
+    ne.reset(state);
+    const TrapKey kappa = ne.nthKey(p, static_cast<std::int64_t>(count));
+    std::vector<StorageSpan> spans;
+    TrapRuns runs;
+    appendNearestRuns(arch, p, kappa, spans, runs);
+    mergeRuns(runs);
     std::vector<TrapRef> out;
-    out.reserve(ids.size());
-    for (TrapId t : ids)
-        out.push_back(arch.trapRef(t));
+    for (const auto &[first, last] : runs)
+        for (TrapId t = first; t <= last; ++t)
+            if (state.isEmpty(t))
+                out.push_back(arch.trapRef(t));
     return out;
 }
 
@@ -193,6 +528,8 @@ placeQubitsInStorage(const PlacementState &state,
     const std::size_t n = req.leaving.size();
     if (req.related.size() != n)
         panic("placeQubitsInStorage: request vectors out of shape");
+    if (!(req.alpha >= 0.0 && std::isfinite(req.alpha)))
+        fatal("placeQubitsInStorage: alpha must be finite and >= 0");
     if (stats)
         ++stats->calls;
     if (n == 0)
@@ -200,105 +537,139 @@ placeQubitsInStorage(const PlacementState &state,
 
     int k = req.k;
     thread_local std::vector<std::vector<TrapId>> cands;
-    thread_local std::vector<TrapId> extra, cols;
-    // Column index per TrapId - base over the candidates' TrapId span
-    // (a few storage rows in a small call); every entry is -1 between
-    // calls.
-    thread_local std::vector<int> col_of;
+    thread_local std::vector<TrapId> cols;
+    thread_local std::vector<StorageSpan> spans;
+    thread_local ColumnIndex col;
     thread_local SparseCostGraph graph;
     cands.resize(std::max(cands.size(), n));
+    // Per call: windows keep the lists they grew, which would pile up
+    // across calls as each slot's largest list.
+    TrapRuns runs;
+    std::vector<StorageWindow> wins;
     for (int attempt = 0; attempt < 8; ++attempt, k *= 2) {
-        // Per-qubit candidates and their TrapId span.
+        // Local candidates per qubit, plus on expansion the union of
+        // every qubit's nearest n * (attempt + 1) empty traps.
+        const bool expanded = attempt > 0;
         TrapId base = arch.numTraps();
         TrapId top = 0;
         for (std::size_t i = 0; i < n; ++i) {
             candidateTraps(state, req.leaving[i], req.related[i], k,
                            cands[i]);
-            std::vector<TrapId> &row = cands[i];
+            const std::vector<TrapId> &row = cands[i];
             if (!row.empty()) {
                 base = std::min(base, row.front());
                 top = std::max(top, row.back());
             }
-            if (attempt > 0) {
-                // Expansion: add globally nearest empty traps too. The
-                // local list is ascending, so a binary search drops the
-                // duplicates; the row needs no order (costs sort it).
-                nearestEmptyTraps(state, state.posOf(req.leaving[i]),
-                                  n * static_cast<std::size_t>(attempt + 1),
-                                  extra);
-                const auto local = static_cast<std::ptrdiff_t>(row.size());
-                for (TrapId t : extra) {
-                    if (std::binary_search(row.begin(), row.begin() + local,
-                                           t))
-                        continue;
-                    row.push_back(t);
-                    base = std::min(base, t);
-                    top = std::max(top, t);
-                }
+        }
+        runs.clear();
+        if (expanded) {
+            wins.resize(n);
+            nearestEmpty().reset(state);
+            findNearestSets(state, req,
+                            static_cast<std::int64_t>(n) * (attempt + 1),
+                            wins, runs);
+            if (!runs.empty()) {
+                base = std::min(base, runs.front().first);
+                top = std::max(top, runs.back().second);
             }
         }
         // Their union, as columns in TrapId order: the dense matrix's
         // column order, which decides the solver's ties.
-        if (base <= top &&
-            col_of.size() < static_cast<std::size_t>(top - base + 1))
-            col_of.resize(static_cast<std::size_t>(top - base + 1), -1);
-        auto colOf = [&](TrapId t) -> int & {
-            return col_of[static_cast<std::size_t>(t - base)];
-        };
+        col.cover(base, top);
         cols.clear();
-        for (std::size_t i = 0; i < n; ++i)
-            for (TrapId t : cands[i]) {
-                int &c = colOf(t);
-                if (c < 0) {
-                    c = 0;
-                    cols.push_back(t);
-                }
+        auto addColumn = [](TrapId t) {
+            int &c = col[t];
+            if (c < 0) {
+                c = 0;
+                cols.push_back(t);
             }
+        };
+        for (std::size_t i = 0; i < n; ++i)
+            for (TrapId t : cands[i])
+                addColumn(t);
+        for (const auto &[first, last] : runs)
+            for (TrapId t = first; t <= last; ++t)
+                if (state.isEmpty(t))
+                    addColumn(t);
         std::sort(cols.begin(), cols.end());
         for (std::size_t c = 0; c < cols.size(); ++c)
-            colOf(cols[c]) = static_cast<int>(c);
+            col[cols[c]] = static_cast<int>(c);
 
-        // One sparse row per qubit: its candidates at their Eq. 3 cost,
-        // cheapest first.
-        const bool enough_cols = cols.size() >= n;
-        if (enough_cols) {
+        Assignment assign;
+        if (cols.size() >= n) {
             graph.reset(static_cast<int>(cols.size()));
-            for (std::size_t i = 0; i < n; ++i) {
-                const Point cur = state.posOf(req.leaving[i]);
-                const std::size_t first = graph.edges.size();
-                for (TrapId t : cands[i]) {
-                    const Point tp = arch.trapPosition(t);
-                    double w = sqrtDistance(tp, cur);
-                    if (req.related[i].has_value())
-                        w += req.alpha *
-                             sqrtDistance(tp, *req.related[i]);
-                    graph.edges.push_back({w, colOf(t)});
+            std::int64_t cells = 0;
+            std::int64_t growths = 0;
+            if (!expanded) {
+                // One full row per qubit: its candidates at their
+                // Eq. 3 cost, cheapest first.
+                for (std::size_t i = 0; i < n; ++i) {
+                    const Point cur = state.posOf(req.leaving[i]);
+                    const std::size_t first = graph.edges.size();
+                    for (TrapId t : cands[i]) {
+                        const Point tp = arch.trapPosition(t);
+                        graph.edges.push_back(
+                            {storageCost(distance(tp, cur), tp,
+                                         req.related[i], req.alpha),
+                             col[t]});
+                    }
+                    std::sort(graph.edges.begin() +
+                                  static_cast<std::ptrdiff_t>(first),
+                              graph.edges.end(),
+                              [](const SparseEdge &a, const SparseEdge &b) {
+                                  return a.cost < b.cost;
+                              });
+                    graph.row_start.push_back(graph.edges.size());
                 }
-                std::sort(graph.edges.begin() +
-                              static_cast<std::ptrdiff_t>(first),
-                          graph.edges.end(),
-                          [](const SparseEdge &a, const SparseEdge &b) {
-                              return a.cost < b.cost;
-                          });
-                graph.row_start.push_back(graph.edges.size());
+                cells = static_cast<std::int64_t>(graph.edges.size());
+            } else {
+                // One window per qubit, grown on demand.
+                const double pitch = nearestEmpty().pitch();
+                for (std::size_t i = 0; i < n; ++i) {
+                    StorageWindow &w = wins[i];
+                    w.related = &req.related[i];
+                    w.local = &cands[i];
+                    w.near = distance(
+                        arch.trapPosition(arch.nearestStorageTrap(w.cur)),
+                        w.cur);
+                    w.full = w.kappa.d;
+                    for (TrapId t : cands[i])
+                        w.full = std::max(
+                            w.full, distance(arch.trapPosition(t), w.cur));
+                    w.radius = w.near + 4.0 * pitch;
+                    w.tail = -kAssignInfeasible;
+                    w.edges.clear();
+                    growStorageWindow(state, req.alpha, col, w, spans, cells);
+                    graph.edges.insert(graph.edges.end(), w.edges.begin(),
+                                       w.edges.end());
+                    graph.row_start.push_back(graph.edges.size());
+                    graph.tail.push_back(w.tail);
+                }
+            }
+            auto grow = [&](int row) {
+                StorageWindow &w = wins[static_cast<std::size_t>(row)];
+                w.radius = w.near + 2.0 * (w.radius - w.near);
+                growStorageWindow(state, req.alpha, col, w, spans, cells);
+                ++growths;
+                return SparseRowGrowth{w.edges, w.tail};
+            };
+            SparseRowGrower hook;
+            if (expanded)
+                hook = std::ref(grow); // no allocation
+            assign = minWeightSparseMatching(
+                graph, stats ? &stats->edges_relaxed : nullptr, hook);
+            if (stats) {
+                ++stats->solves;
+                if (expanded)
+                    ++stats->expanded_solves;
+                stats->rows += static_cast<std::int64_t>(n);
+                stats->cols += static_cast<std::int64_t>(cols.size());
+                stats->candidate_cells += cells;
+                stats->window_growths += growths;
             }
         }
         for (TrapId t : cols)
-            colOf(t) = -1;
-        if (!enough_cols)
-            continue;
-
-        if (stats) {
-            ++stats->solves;
-            if (attempt > 0)
-                ++stats->expanded_solves;
-            stats->rows += static_cast<std::int64_t>(n);
-            stats->cols += static_cast<std::int64_t>(cols.size());
-            stats->candidate_cells +=
-                static_cast<std::int64_t>(graph.edges.size());
-        }
-        const Assignment assign = minWeightSparseMatching(
-            graph, stats ? &stats->edges_relaxed : nullptr);
+            col[t] = -1;
         if (!assign.feasible)
             continue;
         std::vector<TrapRef> out(n);

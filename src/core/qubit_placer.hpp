@@ -16,10 +16,19 @@
  * assignment bit for bit, so plans match the dense-matrix formulation.
  * When the local candidates admit no full matching (a whole stage
  * leaving for the same storage edge violates Hall's condition), k
- * doubles and every qubit also gets its n * (attempt + 1) nearest
- * empty traps: the expanded graph has ~2n^2 edges, which the sparse
- * solver handles in time and memory proportional to the edges rather
- * than n x |columns|.
+ * doubles and every qubit also gets its N = n * (attempt + 1) nearest
+ * empty traps. Those rows are windows listed on demand:
+ *  - each qubit's N-th nearest (distance, trap) key is found by
+ *    counting empty traps within a radius over storage row spans, and
+ *    the columns are the exact union of the nearest sets, built from
+ *    those spans without listing any row;
+ *  - a row lists its candidates within radius R of the qubit that cost
+ *    less than sqrt(R), cheapest first, with tail sqrt(R): a candidate
+ *    beyond R costs at least that much, because alpha >= 0;
+ *  - when the solver reaches a tail, R grows and the row's longer list
+ *    resumes the same path, so the plan is the full graph's.
+ * An expanded solve thus costs the traps its paths reach, not every
+ * row in full.
  */
 
 #ifndef ZAC_CORE_QUBIT_PLACER_HPP
@@ -46,13 +55,14 @@ struct QubitPlacementRequest
     std::vector<std::optional<Point>> related;
     /** Neighbourhood radius k for candidate traps. */
     int k = 2;
-    /** Lookahead weight alpha in Eq. 3. */
+    /** Lookahead weight alpha in Eq. 3; finite and >= 0. */
     double alpha = 0.1;
 };
 
 /**
  * Counters describing how placeQubitsInStorage() resolved its calls;
- * rows, cols, candidate_cells and edges_relaxed are summed over solves.
+ * rows, cols, candidate_cells, window_growths and edges_relaxed are
+ * summed over solves.
  */
 struct QubitPlacerStats
 {
@@ -62,16 +72,19 @@ struct QubitPlacerStats
                                       ///< expansion (attempt > 0)
     std::int64_t rows = 0;            ///< leaving qubits
     std::int64_t cols = 0;            ///< traps in the candidate union
-    std::int64_t candidate_cells = 0; ///< graph edges costed
+    /** Candidate traps costed: every local candidate of a plain solve,
+     *  plus each window's candidates on every build and growth. */
+    std::int64_t candidate_cells = 0;
+    std::int64_t window_growths = 0;  ///< expanded rows grown at a tail
     std::int64_t edges_relaxed = 0;   ///< reduced costs evaluated
 };
 
 /**
  * The @p count empty storage traps nearest to @p p by ascending
- * (distance, trap), returned in TrapRef order. Found by an expanding
- * box search over the storage grids; returns every empty trap when
- * fewer than @p count exist. Used as the candidate expansion of
- * placeQubitsInStorage().
+ * (distance, trap), returned in TrapRef order; every empty trap when
+ * fewer than @p count exist. The query of placeQubitsInStorage()'s
+ * expansion: the count-th key is found by counting empty traps over
+ * storage row spans, and the set is read off those spans.
  */
 std::vector<TrapRef> nearestEmptyStorageTraps(const PlacementState &state,
                                               Point p, std::size_t count);
@@ -82,6 +95,8 @@ std::vector<TrapRef> nearestEmptyStorageTraps(const PlacementState &state,
  * full matching exists.
  *
  * @param stats optional counters, accumulated across calls.
+ * @throws zac::FatalError when alpha is negative or not finite, or
+ *         when no expansion admits a full matching.
  */
 std::vector<TrapRef> placeQubitsInStorage(
     const PlacementState &state, const QubitPlacementRequest &request,

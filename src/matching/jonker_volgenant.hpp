@@ -19,8 +19,9 @@
  *    next column to settle. Memory is O(E + n + m) for E edges; a path
  *    costs O(R log R) for the R edges it relaxes (R <= E), where the
  *    dense path scans m columns per visited row. Storage placement
- *    uses it on its expanded graphs (~2n^2 edges over ~10n columns),
- *    gate placement on per-gate windows with tails (below).
+ *    uses it on its local candidate graphs and, once those violate
+ *    Hall's condition, on nearest-empty windows with tails; gate
+ *    placement on per-gate windows with tails (below).
  *
  * Bit-identity contract: on the same graph (a dense cell is feasible
  * exactly when the sparse row lists that column, with the same cost),

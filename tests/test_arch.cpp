@@ -15,6 +15,8 @@
 #include "common/rng.hpp"
 #include "core/sa_placer_legacy.hpp"
 
+#include "test_archs.hpp"
+
 namespace zac
 {
 namespace
@@ -394,6 +396,76 @@ TEST(ArchQueryEquivalence, StorageTrapIdsInBoxMatchesRefEnumeration)
             arch.storageTrapIdsInBox(box_lo, box_hi, got);
             EXPECT_EQ(got, expected) << arch.name();
         }
+    }
+}
+
+TEST(ArchQueryEquivalence, StorageSpansInDiskMatchExactPredicate)
+{
+    // Per storage row, the span must hold exactly the traps with
+    // distance(trapPosition(t), center) <= radius, also for radii equal
+    // to a trap's distance and for centres far off the storage grid.
+    Rng rng(2024);
+    std::vector<Architecture> archs = allPresets();
+    archs.push_back(test_archs::twoPitchStorage());
+    for (const Architecture &arch : archs) {
+        // Storage rows: SLMs in zone order, bottom row first.
+        std::vector<std::pair<TrapId, int>> rows; // (column 0's id, cols)
+        for (const ZoneSpec &z : arch.storageZones())
+            for (int slm : z.slm_ids) {
+                const SlmSpec &s = arch.slms()[static_cast<std::size_t>(slm)];
+                for (int r = 0; r < s.rows; ++r)
+                    rows.emplace_back(arch.trapId(TrapRef{slm, r, 0}), s.cols);
+            }
+        ASSERT_EQ(arch.numStorageRows(), static_cast<int>(rows.size()));
+        if (rows.empty())
+            continue;
+
+        Point lo, hi;
+        archBounds(arch, lo, hi);
+        const auto &storage = arch.storageTrapIds();
+        for (int i = 0; i < 1500; ++i) {
+            // Every third centre is far away, where the chord estimate
+            // of a span's ends can miss a trap on the disk's edge.
+            Point center = randomPoint(rng, lo, hi);
+            const double far = i % 3 == 0 ? 0.0 : (i % 3 == 1 ? 1e5 : 1e7);
+            center.x += far * (rng.nextDouble() - 0.5);
+            center.y += far * (rng.nextDouble() - 0.5);
+            double radius = rng.nextDouble() * 0.5 * (hi.x - lo.x);
+            if (i % 2 == 1) // exactly a trap's distance: inclusive
+                radius = distance(
+                    arch.trapPosition(storage[rng.nextBelow(storage.size())]),
+                    center);
+            std::vector<StorageSpan> expected;
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                const auto [row_first, cols] = rows[r];
+                int first = -1, last = -1, inside = 0;
+                for (int c = 0; c < cols; ++c)
+                    if (distance(arch.trapPosition(row_first + c), center) <=
+                        radius) {
+                        first = first < 0 ? c : first;
+                        last = c;
+                        ++inside;
+                    }
+                if (inside == 0)
+                    continue;
+                ASSERT_EQ(inside, last - first + 1) << arch.name();
+                expected.push_back(
+                    {static_cast<int>(r), row_first, cols, first, last});
+            }
+            std::vector<StorageSpan> got;
+            arch.storageSpansInDisk(center, radius, got);
+            ASSERT_EQ(got.size(), expected.size()) << arch.name();
+            for (std::size_t k = 0; k < got.size(); ++k) {
+                EXPECT_EQ(got[k].row, expected[k].row) << arch.name();
+                EXPECT_EQ(got[k].first, expected[k].first) << arch.name();
+                EXPECT_EQ(got[k].cols, expected[k].cols) << arch.name();
+                EXPECT_EQ(got[k].lo, expected[k].lo) << arch.name();
+                EXPECT_EQ(got[k].hi, expected[k].hi) << arch.name();
+            }
+        }
+        std::vector<StorageSpan> none;
+        arch.storageSpansInDisk(lo, -1.0, none);
+        EXPECT_TRUE(none.empty());
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "arch/presets.hpp"
@@ -21,8 +22,11 @@
 #include "core/reuse.hpp"
 #include "core/sa_placer.hpp"
 #include "core/sa_placer_legacy.hpp"
+#include "matching/jonker_volgenant.hpp"
 #include "transpile/optimize.hpp"
 #include "zair/machine.hpp"
+
+#include "test_archs.hpp"
 
 namespace zac
 {
@@ -391,11 +395,16 @@ TEST(QubitPlacer, ExpandsWhenNeighborhoodIsFull)
 
 TEST(QubitPlacer, NearestEmptyTrapsMatchFullScan)
 {
-    // The expanding-box search must select the same set as a full
+    // The counted query must select the same set as a full
     // rank-every-empty-trap scan by (distance, trap), under random
-    // occupancy; the set comes back in TrapRef order.
+    // occupancy: from storage traps and from Rydberg sites (where
+    // leaving qubits sit), at counts whose cut falls inside a tie shell
+    // and above the number of empty traps (every empty trap), also on
+    // two storage SLMs of different pitch. The set comes back in
+    // TrapRef order.
     for (const Architecture &arch :
-         {presets::referenceZoned(), presets::multiZoneArch1()}) {
+         {presets::referenceZoned(), presets::multiZoneArch1(),
+          presets::multiZoneArch2(), test_archs::twoPitchStorage()}) {
         Rng rng(99);
         const auto &storage = arch.allStorageTraps();
         const int n = std::min<int>(
@@ -408,34 +417,180 @@ TEST(QubitPlacer, NearestEmptyTrapsMatchFullScan)
             } while (!st.isEmpty(t));
             st.place(q, t);
         }
+        const std::size_t empties =
+            storage.size() - static_cast<std::size_t>(n);
+        int tie_cuts = 0;
         for (int i = 0; i < 40; ++i) {
-            const TrapRef anchor =
-                storage[rng.nextBelow(storage.size())];
-            const Point p = arch.trapPosition(anchor);
-            for (std::size_t count : {1u, 5u, 17u, 64u}) {
-                using Ranked = std::pair<double, TrapRef>;
-                std::vector<Ranked> ranked;
-                for (const TrapRef &t : storage)
-                    if (st.isEmpty(t))
-                        ranked.emplace_back(
-                            distance(arch.trapPosition(t), p), t);
-                std::sort(ranked.begin(), ranked.end(),
-                          [](const Ranked &a, const Ranked &b) {
-                              if (a.first != b.first)
-                                  return a.first < b.first;
-                              return a.second < b.second;
-                          });
-                if (ranked.size() > count)
-                    ranked.resize(count);
+            Point p;
+            if (i % 2 == 0) {
+                p = arch.trapPosition(storage[rng.nextBelow(storage.size())]);
+            } else {
+                const auto sites =
+                    static_cast<std::uint64_t>(arch.numSites());
+                const RydbergSite &site =
+                    arch.site(static_cast<int>(rng.nextBelow(sites)));
+                p = i % 4 == 1 ? site.pos_left : site.pos_right;
+            }
+            using Ranked = std::pair<double, TrapRef>;
+            std::vector<Ranked> ranked;
+            for (const TrapRef &t : storage)
+                if (st.isEmpty(t))
+                    ranked.emplace_back(distance(arch.trapPosition(t), p), t);
+            std::sort(ranked.begin(), ranked.end());
+            ASSERT_EQ(ranked.size(), empties);
+
+            std::vector<std::size_t> counts = {1, 5, 17, 64, empties - 1,
+                                               empties, empties + 7};
+            // Counts that split a shell of equally distant traps.
+            std::vector<std::size_t> ties;
+            for (std::size_t c = 1; c < ranked.size(); ++c)
+                if (ranked[c - 1].first == ranked[c].first)
+                    ties.push_back(c);
+            if (!ties.empty()) {
+                counts.push_back(ties.front());
+                counts.push_back(ties[ties.size() / 2]);
+                counts.push_back(ties.back());
+                ++tie_cuts;
+            }
+            for (const std::size_t count : counts) {
                 std::vector<TrapRef> expected;
-                for (const Ranked &r : ranked)
-                    expected.push_back(r.second);
+                for (std::size_t j = 0; j < std::min(count, ranked.size()); ++j)
+                    expected.push_back(ranked[j].second);
                 std::sort(expected.begin(), expected.end());
-                EXPECT_EQ(nearestEmptyStorageTraps(st, p, count),
-                          expected)
-                    << arch.name() << " count=" << count;
+                EXPECT_EQ(nearestEmptyStorageTraps(st, p, count), expected)
+                    << arch.name() << " count=" << count << " at ("
+                    << p.x << ", " << p.y << ")";
             }
         }
+        EXPECT_GT(tie_cuts, 0) << arch.name();
+    }
+}
+
+/**
+ * A leaving stage whose local candidates are all taken, on nearly full
+ * storage: the vacated homes are refilled from the far end, so the
+ * empty traps lie far from the zone.
+ */
+struct CrowdedLeave
+{
+    PlacementState state;
+    QubitPlacementRequest req;
+};
+
+CrowdedLeave
+crowdedLeave(const Architecture &arch, int num_qubits, int leaving)
+{
+    CrowdedLeave c{PlacementState(arch, num_qubits), {}};
+    const auto init = trivialInitialPlacement(arch, num_qubits);
+    for (int q = 0; q < num_qubits; ++q)
+        c.state.place(q, init[static_cast<std::size_t>(q)]);
+    for (int q = 0; q < leaving; ++q) {
+        const RydbergSite &site = arch.site(q / 2);
+        c.state.place(q, q % 2 == 0 ? site.left : site.right);
+        c.state.place(num_qubits - 1 - q, init[static_cast<std::size_t>(q)]);
+        c.req.leaving.push_back(q);
+        // Every third qubit has a partner in the next stage.
+        if (q % 3 == 0)
+            c.req.related.emplace_back(c.state.posOf(num_qubits - 1 - q));
+        else
+            c.req.related.emplace_back(std::nullopt);
+    }
+    return c;
+}
+
+/**
+ * placeQubitsInStorage()'s first expansion as one dense matrix, built
+ * from the public queries: per qubit its local candidates at k = 2 *
+ * req.k (home, the box of its anchors, the k-neighbourhood of the trap
+ * nearest it) and its 2n nearest empty traps; columns are their union
+ * in TrapRef order.
+ */
+std::vector<TrapRef>
+denseExpandedPlacement(const PlacementState &st,
+                       const QubitPlacementRequest &req)
+{
+    const Architecture &arch = st.arch();
+    const std::size_t n = req.leaving.size();
+    std::vector<std::set<TrapRef>> cands(n);
+    std::set<TrapRef> all;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Point cur = st.posOf(req.leaving[i]);
+        const TrapRef home = st.homeOf(req.leaving[i]);
+        const TrapRef near = arch.nearestStorageTrap(cur);
+        std::vector<Point> anchors = {arch.trapPosition(near)};
+        if (home.valid())
+            anchors.push_back(arch.trapPosition(home));
+        if (req.related[i].has_value())
+            anchors.push_back(
+                arch.trapPosition(arch.nearestStorageTrap(*req.related[i])));
+        std::set<TrapRef> c;
+        for (const TrapRef &t : arch.storageTrapsInBox(anchors))
+            c.insert(t);
+        c.insert(near);
+        for (const TrapRef &t : arch.storageNeighbors(near, 2 * req.k))
+            c.insert(t);
+        if (home.valid())
+            c.insert(home);
+        for (const TrapRef &t : nearestEmptyStorageTraps(st, cur, 2 * n))
+            c.insert(t);
+        for (const TrapRef &t : c)
+            if (st.isEmpty(t)) {
+                cands[i].insert(t);
+                all.insert(t);
+            }
+    }
+    const std::vector<TrapRef> cols(all.begin(), all.end());
+    CostMatrix cost(static_cast<int>(n), static_cast<int>(cols.size()));
+    for (std::size_t i = 0; i < n; ++i) {
+        const Point cur = st.posOf(req.leaving[i]);
+        for (const TrapRef &t : cands[i]) {
+            const Point tp = arch.trapPosition(t);
+            double w = sqrtDistance(tp, cur);
+            if (req.related[i].has_value())
+                w += req.alpha * sqrtDistance(tp, *req.related[i]);
+            const auto c = std::lower_bound(cols.begin(), cols.end(), t) -
+                           cols.begin();
+            cost.at(static_cast<int>(i), static_cast<int>(c)) = w;
+        }
+    }
+    const Assignment a = minWeightFullMatching(cost);
+    std::vector<TrapRef> out;
+    if (!a.feasible)
+        return out;
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(cols[static_cast<std::size_t>(a.row_to_col[i])]);
+    return out;
+}
+
+TEST(QubitPlacer, ExpandedWindowsMatchDenseSolve)
+{
+    // Nearly full storage, where the nearest set of every qubit is
+    // every empty trap (multiZoneArch1/2: 120 traps), and two storage
+    // SLMs of different pitch. The windows grown on demand must give
+    // the dense matrix's plan while costing fewer cells than the
+    // nearest sets alone hold.
+    struct Case
+    {
+        Architecture arch;
+        int num_qubits;
+        int leaving;
+    };
+    for (const Case &tc :
+         {Case{presets::multiZoneArch1(), 110, 20},
+          Case{presets::multiZoneArch2(), 104, 24},
+          Case{test_archs::twoPitchStorage(), 200, 30}}) {
+        CrowdedLeave c = crowdedLeave(tc.arch, tc.num_qubits, tc.leaving);
+        QubitPlacerStats stats;
+        const auto traps = placeQubitsInStorage(c.state, c.req, &stats);
+        EXPECT_EQ(traps, denseExpandedPlacement(c.state, c.req))
+            << tc.arch.name();
+        EXPECT_EQ(stats.expanded_solves, 1) << tc.arch.name();
+        EXPECT_GT(stats.window_growths, 0) << tc.arch.name();
+        const auto n = static_cast<std::int64_t>(tc.leaving);
+        const std::int64_t empties =
+            tc.arch.numStorageTraps() - tc.num_qubits + n;
+        EXPECT_LT(stats.candidate_cells, n * std::min(2 * n, empties))
+            << tc.arch.name();
     }
 }
 

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "arch/presets.hpp"
 #include "arch/scaling.hpp"
@@ -33,6 +34,8 @@
 #include "core/scheduler.hpp"
 #include "transpile/optimize.hpp"
 #include "zair/serialize.hpp"
+
+#include "test_archs.hpp"
 
 namespace zac
 {
@@ -562,16 +565,37 @@ TEST(DynamicPlacementEquiv, MultiZonePlansMatchLegacy)
  * A wide ising stage sends its qubits to the same storage edge, so the
  * local candidates violate Hall's condition and storage placement takes
  * the nearest-empty expansion (at n=256: 256 rows x ~2.7k traps). The
- * sparse solve over that graph must reproduce the legacy dense plan.
+ * windowed solve over that graph must reproduce the legacy dense plan,
+ * also on nearly full storage, where every qubit's nearest set is every
+ * empty trap (multiZoneArch1/2: 120 traps), and on two storage SLMs of
+ * different pitch.
  */
 TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
 {
     ZacOptions opts;
     opts.sa_iterations = 300;
-    for (const int n : {128, 256}) {
-        const Architecture arch = scaledZoned(n);
+    struct Case
+    {
+        std::string label;
+        Architecture arch;
+        scaling::Family family;
+        int num_qubits;
+    };
+    using scaling::Family;
+    for (const Case &tc :
+         {Case{"scaled ising n=128", scaledZoned(128), Family::Ising, 128},
+          Case{"scaled ising n=256", scaledZoned(256), Family::Ising, 256},
+          Case{"arch1 nearly full ising n=116", presets::multiZoneArch1(),
+               Family::Ising, 116},
+          Case{"arch2 nearly full qaoa3r n=116", presets::multiZoneArch2(),
+               Family::Qaoa, 116},
+          Case{"two-pitch storage qaoa3r n=300",
+               test_archs::twoPitchStorage(), Family::Qaoa, 300},
+          Case{"two-pitch storage qv n=60", test_archs::twoPitchStorage(),
+               Family::Qv, 60}}) {
+        const Architecture &arch = tc.arch;
         const StagedCircuit staged = scheduleStages(
-            preprocess(scaling::generate(scaling::Family::Ising, n)),
+            preprocess(scaling::generate(tc.family, tc.num_qubits)),
             arch.numSites());
         SaOptions sa;
         sa.max_iterations = opts.sa_iterations;
@@ -580,14 +604,14 @@ TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
             const std::vector<TrapRef> initial =
                 use_sa ? saInitialPlacement(arch, staged, sa)
                        : trivialInitialPlacement(arch, staged.numQubits);
-            const std::string label =
-                "n=" + std::to_string(n) + (use_sa ? " sa" : " trivial");
+            const std::string label = tc.label + (use_sa ? " sa" : " trivial");
             PlacementProfile profile;
             EXPECT_EQ(
                 runDynamicPlacement(arch, staged, initial, opts, &profile),
                 legacy::runDynamicPlacement(arch, staged, initial, opts))
                 << label;
             EXPECT_GT(profile.qubit_placer.expanded_solves, 0) << label;
+            EXPECT_GT(profile.qubit_placer.window_growths, 0) << label;
         }
     }
 }

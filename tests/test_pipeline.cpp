@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include "arch/presets.hpp"
 #include "common/logging.hpp"
@@ -276,6 +278,41 @@ TEST(Pipeline, RejectsOversizedCircuits)
     ZacCompiler compiler(arch, ZacOptions::vanilla());
     EXPECT_THROW(
         compiler.compile(bench_circuits::ghz(200)), FatalError);
+}
+
+TEST(Pipeline, RejectsBadPlacementOptions)
+{
+    const Architecture arch = presets::referenceZoned();
+    auto rejects = [&arch](const ZacOptions &opts, const std::string &name) {
+        try {
+            ZacCompiler compiler(arch, opts);
+            ADD_FAILURE() << name << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+    };
+    for (const double alpha : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               -0.5}) {
+        ZacOptions opts;
+        opts.lookahead_alpha = alpha;
+        rejects(opts, "lookahead_alpha");
+    }
+    ZacOptions negative_k;
+    negative_k.candidate_k = -3;
+    rejects(negative_k, "candidate_k");
+
+    // The boundary values are valid: no lookahead, no k-neighbourhood.
+    ZacOptions zero;
+    zero.lookahead_alpha = 0.0;
+    zero.candidate_k = 0;
+    zero.sa_iterations = 100;
+    const ZacResult r =
+        ZacCompiler(arch, zero).compile(bench_circuits::ising(42));
+    EXPECT_GT(r.fidelity.total, 0.0);
+    EXPECT_GT(r.staged.numRydbergStages(), 0);
 }
 
 TEST(Pipeline, EmptyAndOneQOnlyCircuits)
