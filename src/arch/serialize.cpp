@@ -28,12 +28,12 @@ SlmSpec
 slmFrom(const json::Value &v)
 {
     SlmSpec slm;
-    slm.id = static_cast<int>(v.at("id").asInt());
+    slm.id = v.at("id").asInt32();
     const auto [sx, sy] = sepFrom(v.at("site_seperation"));
     slm.sep_x = sx;
     slm.sep_y = sy;
-    slm.rows = static_cast<int>(v.at("r").asInt());
-    slm.cols = static_cast<int>(v.at("c").asInt());
+    slm.rows = v.at("r").asInt32();
+    slm.cols = v.at("c").asInt32();
     slm.origin = pointFrom(v.at("location"));
     return slm;
 }
@@ -46,7 +46,7 @@ zonesFrom(Architecture &arch, const json::Value &root, const char *key,
         return;
     for (const json::Value &zv : root.at(key).asArray()) {
         ZoneSpec zone;
-        zone.id = static_cast<int>(zv.at("zone_id").asInt());
+        zone.id = zv.at("zone_id").asInt32();
         zone.offset = pointFrom(zv.at("offset"));
         // The artifact JSON spells it "dimenstion" for storage zones.
         const char *dim_key =
@@ -73,10 +73,10 @@ architectureFromJson(const json::Value &v)
     zonesFrom(arch, v, "readout_zones", ZoneKind::Readout);
     for (const json::Value &av : v.at("aods").asArray()) {
         AodSpec aod;
-        aod.id = static_cast<int>(av.at("id").asInt());
+        aod.id = av.at("id").asInt32();
         aod.min_sep = av.numberOr("site_seperation", 2.0);
-        aod.max_rows = static_cast<int>(av.at("r").asInt());
-        aod.max_cols = static_cast<int>(av.at("c").asInt());
+        aod.max_rows = av.at("r").asInt32();
+        aod.max_cols = av.at("c").asInt32();
         arch.addAod(aod);
     }
     NaHardwareParams &p = arch.params();

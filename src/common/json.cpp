@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -66,6 +67,19 @@ Value::asInt() const
     if (std::abs(d - r) > 1e-9)
         fatal("json: number " + std::to_string(d) + " is not integral");
     return static_cast<std::int64_t>(r);
+}
+
+std::int32_t
+Value::asInt32() const
+{
+    const double d = asDouble();
+    // The negated test also rejects NaN; asInt() checks integrality.
+    if (!(d >= INT32_MIN && d <= INT32_MAX)) {
+        std::string msg = "json: number ";
+        appendNumber(msg, d);
+        fatal(msg + " is outside the 32-bit integer range");
+    }
+    return static_cast<std::int32_t>(asInt());
 }
 
 const std::string &
@@ -152,11 +166,8 @@ Value::size() const
     kindMismatch(Kind::Array, kind_);
 }
 
-namespace
-{
-
 void
-dumpString(std::string &out, const std::string &s)
+appendString(std::string &out, const std::string &s)
 {
     out += '"';
     for (char c : s) {
@@ -182,19 +193,25 @@ dumpString(std::string &out, const std::string &s)
 }
 
 void
-dumpNumber(std::string &out, double d)
+appendNumber(std::string &out, double d)
 {
-    if (std::nearbyint(d) == d && std::abs(d) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(d));
-        out += buf;
-    } else {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-        out += buf;
-    }
+    // The bytes printf writes for an integral value below 9e15 in
+    // magnitude converted as long long, and for any other value (NaN
+    // and infinities included) with %g at precision 17.
+    char buf[32];
+    std::to_chars_result r{};
+    if (std::abs(d) < 9.0e15 &&
+        static_cast<double>(static_cast<long long>(d)) == d)
+        r = std::to_chars(buf, buf + sizeof(buf),
+                          static_cast<long long>(d));
+    else
+        r = std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::general, 17);
+    out.append(buf, static_cast<std::size_t>(r.ptr - buf));
 }
+
+namespace
+{
 
 void
 newlineIndent(std::string &out, int indent, int depth)
@@ -218,10 +235,10 @@ Value::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        dumpNumber(out, num_);
+        appendNumber(out, num_);
         break;
       case Kind::String:
-        dumpString(out, str_);
+        appendString(out, str_);
         break;
       case Kind::Array: {
         if (arr_.empty()) {
@@ -253,7 +270,7 @@ Value::dumpTo(std::string &out, int indent, int depth) const
                 out += ",";
             first = false;
             newlineIndent(out, indent, depth + 1);
-            dumpString(out, key);
+            appendString(out, key);
             out += indent > 0 ? ": " : ":";
             v.dumpTo(out, indent, depth + 1);
         }
@@ -553,6 +570,10 @@ writeFile(const std::string &path, const Value &v)
     if (!out)
         fatal("json: cannot write file '" + path + "'");
     out << v.dump(2) << '\n';
+    // A full disk surfaces only when the buffer is flushed.
+    out.close();
+    if (!out)
+        fatal("json: failed writing file '" + path + "'");
 }
 
 } // namespace zac::json

@@ -68,6 +68,9 @@ class Value
     /** Number accessor that checks the value is (close to) integral
      *  and within the int64 range. */
     std::int64_t asInt() const;
+    /** asInt() for a value that must also fit in 32 bits: every
+     *  count, id and index a loader stores in an int. */
+    std::int32_t asInt32() const;
     const std::string &asString() const;
     const Array &asArray() const;
     Array &asArray();
@@ -110,8 +113,24 @@ Value parse(const std::string &text);
 /** Parse the JSON document stored in the file at @p path. */
 Value parseFile(const std::string &path);
 
-/** Write @p v to the file at @p path, pretty-printed. */
+/**
+ * Write @p v to the file at @p path, pretty-printed (dump(2) and a
+ * newline).
+ * @throws zac::FatalError naming @p path when it cannot be opened or
+ *         a write fails, e.g. on a full disk.
+ */
 void writeFile(const std::string &path, const Value &v);
+
+/** Append @p s as a quoted, escaped JSON string literal. */
+void appendString(std::string &out, const std::string &s);
+
+/**
+ * Append @p d as a JSON number: an integral value below 9e15 in
+ * magnitude as an integer, any other value with 17 significant digits,
+ * byte for byte as printf's %lld and %g at precision 17 write them.
+ * Value::dump and the ZAIR stream writer both format numbers here.
+ */
+void appendNumber(std::string &out, double d);
 
 } // namespace zac::json
 

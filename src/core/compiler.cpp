@@ -190,7 +190,14 @@ ZacCompiler::runStaged(const StagedCircuit &staged,
         dom->arch_name = result.arch_name;
         dom->num_qubits = result.num_qubits;
     }
-    std::ostringstream os;
+    // Serialize into the scratch's buffer, so a worker does not regrow
+    // (and free) a buffer the size of its output on every compile.
+    std::string buffer;
+    if (scratch != nullptr) {
+        buffer = std::move(scratch->zair_bytes);
+        buffer.clear();
+    }
+    std::ostringstream os(std::move(buffer));
     ZairStreamWriter writer(os, 0);
     PipelineSink sink(arch_, staged.numQubits,
                       serialize ? &writer : nullptr, dom);
@@ -210,6 +217,8 @@ ZacCompiler::runStaged(const StagedCircuit &staged,
     result.stats = sink.stats.finish();
     if (serialize) {
         result.program_json = os.str();
+        if (scratch != nullptr)
+            scratch->zair_bytes = std::move(os).str();
         const ZairNameSpan span =
             zairCompactNameSpan(result.circuit_name, result.arch_name);
         result.name_off = span.offset;

@@ -18,8 +18,10 @@
  *  - compileStreamed(): the bytes only (ZacStreamedResult), plus the
  *    DOM in verify_with_dom test mode, where the bytes are compared
  *    against the DOM dump after the timed region.
- * Both outputs come from one instruction stream, so the streamed bytes
- * equal zairProgramToJson(program).dump() by construction.
+ * Both outputs come from one instruction stream. ZairStreamWriter
+ * writes the bytes straight from each instruction, not through the
+ * DOM, so their equality with zairProgramToJson(program).dump() is
+ * checked, not built in: by the unit tests and by verify_with_dom.
  */
 
 #ifndef ZAC_CORE_COMPILER_HPP
@@ -149,11 +151,12 @@ struct ZacResult
 
 /**
  * Everything produced by one zero-DOM (streamed) compilation: the
- * compact ZAIR/JSON bytes — byte-identical to
- * zairProgramToJson(program).dump() of the DOM path — plus the summary
- * statistics and fidelity breakdown accumulated while streaming. The
- * (name_off, name_len) span locates the circuit-name string literal in
- * program_json so a cached result can be re-labeled by byte splice.
+ * compact ZAIR/JSON bytes, which equal zairProgramToJson(program).dump()
+ * of the DOM path (checked by the unit tests and verify_with_dom), plus
+ * the summary statistics and fidelity breakdown accumulated while
+ * streaming. The (name_off, name_len) span locates the circuit-name
+ * string literal in program_json so a cached result can be re-labeled
+ * by byte splice.
  */
 struct ZacStreamedResult
 {
@@ -196,6 +199,9 @@ struct CompileScratch
 {
     SaScratch sa;
     SchedulerScratch scheduler;
+    /** The buffer compileStreamed() serializes into. The result gets an
+     *  exact-size copy; the capacity stays here for the next job. */
+    std::string zair_bytes;
 };
 
 /**

@@ -115,34 +115,25 @@ resultFromPayload(const json::Value &p)
     r->fidelity.f_transfer = f.at("f_transfer").asDouble();
     r->fidelity.f_decoherence = f.at("f_decoherence").asDouble();
     r->fidelity.total = f.at("total").asDouble();
-    r->fidelity.g1 = static_cast<int>(f.at("g1").asInt());
-    r->fidelity.g2 = static_cast<int>(f.at("g2").asInt());
-    r->fidelity.n_excitation =
-        static_cast<int>(f.at("n_excitation").asInt());
-    r->fidelity.n_transfer =
-        static_cast<int>(f.at("n_transfer").asInt());
+    r->fidelity.g1 = f.at("g1").asInt32();
+    r->fidelity.g2 = f.at("g2").asInt32();
+    r->fidelity.n_excitation = f.at("n_excitation").asInt32();
+    r->fidelity.n_transfer = f.at("n_transfer").asInt32();
     r->fidelity.duration_us = f.at("duration_us").asDouble();
     const json::Value &s = p.at("stats");
-    r->stats.num_zair_instrs =
-        static_cast<int>(s.at("num_zair_instrs").asInt());
-    r->stats.num_machine_instrs =
-        static_cast<int>(s.at("num_machine_instrs").asInt());
-    r->stats.num_1q_gates =
-        static_cast<int>(s.at("num_1q_gates").asInt());
-    r->stats.num_2q_gates =
-        static_cast<int>(s.at("num_2q_gates").asInt());
-    r->stats.num_rydberg_stages =
-        static_cast<int>(s.at("num_rydberg_stages").asInt());
-    r->stats.num_rearrange_jobs =
-        static_cast<int>(s.at("num_rearrange_jobs").asInt());
-    r->stats.num_atom_transfers =
-        static_cast<int>(s.at("num_atom_transfers").asInt());
+    r->stats.num_zair_instrs = s.at("num_zair_instrs").asInt32();
+    r->stats.num_machine_instrs = s.at("num_machine_instrs").asInt32();
+    r->stats.num_1q_gates = s.at("num_1q_gates").asInt32();
+    r->stats.num_2q_gates = s.at("num_2q_gates").asInt32();
+    r->stats.num_rydberg_stages = s.at("num_rydberg_stages").asInt32();
+    r->stats.num_rearrange_jobs = s.at("num_rearrange_jobs").asInt32();
+    r->stats.num_atom_transfers = s.at("num_atom_transfers").asInt32();
     r->stats.total_move_distance_um =
         s.at("total_move_distance_um").asDouble();
     r->stats.makespan_us = s.at("makespan_us").asDouble();
     r->circuit_name = p.at("circuit_name").asString();
     r->arch_name = p.at("arch_name").asString();
-    r->num_qubits = static_cast<int>(p.at("num_qubits").asInt());
+    r->num_qubits = p.at("num_qubits").asInt32();
     r->program_json = p.at("zair_json").asString();
     // Re-derive the name span and hold the record to it: a snapshot
     // whose bytes disagree with its own names must not be served (the

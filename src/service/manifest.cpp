@@ -51,6 +51,24 @@ warnUnknownKeys(const json::Value &v,
     }
 }
 
+/**
+ * @p v's member @p key as an int, or @p fallback when it is absent. A
+ * value that is not an integer within int's range is an error naming
+ * the key, never narrowed or wrapped.
+ */
+int
+intMember(const json::Value &v, const char *key, int fallback,
+          const std::string &context)
+{
+    if (!v.contains(key))
+        return fallback;
+    try {
+        return v.at(key).asInt32();
+    } catch (const FatalError &e) {
+        fatal("manifest: " + context + ": '" + key + "': " + e.what());
+    }
+}
+
 ZacOptions
 optionsFromPreset(const std::string &preset)
 {
@@ -82,40 +100,32 @@ targetFromJson(const json::Value &v)
 {
     CompileTarget t;
     t.name = v.contains("name") ? v.at("name").asString() : "default";
+    const std::string context = "target '" + t.name + "'";
     warnUnknownKeys(v,
                     {"name", "arch", "aods", "preset", "seed",
                      "sa_iterations", "sa_num_seeds", "sa_threads"},
-                    "target '" + t.name + "'");
+                    context);
     const std::string arch_ref =
         v.contains("arch") ? v.at("arch").asString() : "reference";
-    const int aods =
-        static_cast<int>(v.numberOr("aods", 1.0));
-    t.arch = archFromRef(arch_ref, aods);
+    t.arch = archFromRef(arch_ref, intMember(v, "aods", 1, context));
     t.opts = optionsFromPreset(
         v.contains("preset") ? v.at("preset").asString() : "full");
     if (v.contains("seed"))
         t.opts.seed =
             static_cast<std::uint64_t>(v.at("seed").asInt());
-    if (v.contains("sa_iterations"))
-        t.opts.sa_iterations =
-            static_cast<int>(v.at("sa_iterations").asInt());
-    if (v.contains("sa_num_seeds")) {
-        t.opts.sa_num_seeds =
-            static_cast<int>(v.at("sa_num_seeds").asInt());
-        // The SA engine runs one independent chain per seed; zero
-        // chains compute nothing and hundreds burn hours per job.
-        if (t.opts.sa_num_seeds < 1 || t.opts.sa_num_seeds > 256)
-            fatal("manifest: target '" + t.name +
-                  "': sa_num_seeds " +
-                  std::to_string(t.opts.sa_num_seeds) +
-                  " out of range [1, 256]");
-    }
+    t.opts.sa_iterations =
+        intMember(v, "sa_iterations", t.opts.sa_iterations, context);
+    t.opts.sa_num_seeds =
+        intMember(v, "sa_num_seeds", t.opts.sa_num_seeds, context);
+    // The SA engine runs one independent chain per seed; zero
+    // chains compute nothing and hundreds burn hours per job.
+    if (t.opts.sa_num_seeds < 1 || t.opts.sa_num_seeds > 256)
+        fatal("manifest: " + context + ": sa_num_seeds " +
+              std::to_string(t.opts.sa_num_seeds) +
+              " out of range [1, 256]");
     // Service workers already saturate the cores; default the nested
     // SA seed batch to one thread unless the manifest asks otherwise.
-    t.opts.sa_threads = 1;
-    if (v.contains("sa_threads"))
-        t.opts.sa_threads =
-            static_cast<int>(v.at("sa_threads").asInt());
+    t.opts.sa_threads = intMember(v, "sa_threads", 1, context);
     return t;
 }
 
@@ -187,12 +197,13 @@ manifestFromJson(const json::Value &v)
     for (const CompileTarget &t : m.targets)
         target_names.push_back(t.name);
     for (const json::Value &jv : v.at("jobs").asArray()) {
-        ManifestJob job{submissionFromJson(jv, target_names),
-                        static_cast<int>(jv.numberOr("repeat", 1.0))};
+        ManifestJob job{submissionFromJson(jv, target_names), 1};
+        const std::string context = "job '" + job.name + "'";
+        job.repeat = intMember(jv, "repeat", 1, context);
         warnUnknownKeys(jv,
                         {"circuit", "label", "target", "repeat",
                          "seed", "timeout_seconds"},
-                        "job '" + job.name + "'");
+                        context);
         if (job.repeat < 1)
             fatal("manifest: job 'repeat' must be >= 1");
         m.jobs.push_back(std::move(job));

@@ -1,5 +1,8 @@
 #include "zair/serialize.hpp"
 
+#include <fstream>
+#include <string_view>
+
 #include "common/logging.hpp"
 
 namespace zac
@@ -131,7 +134,15 @@ zairProgramToJson(const ZairProgram &program)
 void
 saveZairProgram(const std::string &path, const ZairProgram &program)
 {
-    json::writeFile(path, zairProgramToJson(program));
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        fatal("zair: cannot write file '" + path + "'");
+    streamZairProgram(out, program, 2);
+    out << '\n';
+    // A full disk surfaces only when the buffer is flushed.
+    out.close();
+    if (!out)
+        fatal("zair: failed writing file '" + path + "'");
 }
 
 namespace
@@ -141,10 +152,10 @@ QLoc
 qlocFromJson(const json::Value &v)
 {
     QLoc loc;
-    loc.q = static_cast<int>(v.at(0).asInt());
-    loc.a = static_cast<int>(v.at(1).asInt());
-    loc.r = static_cast<int>(v.at(2).asInt());
-    loc.c = static_cast<int>(v.at(3).asInt());
+    loc.q = v.at(0).asInt32();
+    loc.a = v.at(1).asInt32();
+    loc.r = v.at(2).asInt32();
+    loc.c = v.at(3).asInt32();
     return loc;
 }
 
@@ -162,7 +173,7 @@ intsFromJson(const json::Value &v)
 {
     std::vector<int> out;
     for (const json::Value &x : v.asArray())
-        out.push_back(static_cast<int>(x.asInt()));
+        out.push_back(x.asInt32());
     return out;
 }
 
@@ -223,12 +234,12 @@ zairInstrFromJson(const json::Value &v)
         in.locs = qlocsFromJson(v.at("locs"));
     } else if (type == "rydberg") {
         in.kind = ZairKind::Rydberg;
-        in.zone_id = static_cast<int>(v.at("zone_id").asInt());
+        in.zone_id = v.at("zone_id").asInt32();
         if (v.contains("gate_qubits"))
             in.gate_qubits = intsFromJson(v.at("gate_qubits"));
     } else if (type == "rearrangeJob") {
         in.kind = ZairKind::RearrangeJob;
-        in.aod_id = static_cast<int>(v.at("aod_id").asInt());
+        in.aod_id = v.at("aod_id").asInt32();
         in.begin_locs = qlocsFromJson(v.at("begin_locs"));
         in.end_locs = qlocsFromJson(v.at("end_locs"));
         for (const json::Value &mi : v.at("insts").asArray())
@@ -251,7 +262,7 @@ zairProgramFromJson(const json::Value &v)
     program.arch_name = v.contains("architecture")
                             ? v.at("architecture").asString()
                             : "";
-    program.num_qubits = static_cast<int>(v.at("num_qubits").asInt());
+    program.num_qubits = v.at("num_qubits").asInt32();
     for (const json::Value &iv : v.at("instructions").asArray())
         program.instrs.push_back(zairInstrFromJson(iv));
     return program;
@@ -269,38 +280,211 @@ namespace
 {
 
 /**
- * Re-indent a standalone dump() so it reads as if emitted at @p depth
- * inside an enclosing document. json::Value indentation is linear in
- * depth and escaped strings never contain raw newlines, so inserting
- * indent*depth spaces after every newline reproduces the nested bytes
- * exactly.
+ * Appends ZAIR/JSON text straight from the instruction fields, laid out
+ * byte for byte as zairProgramToJson(...).dump(indent) lays out the
+ * DOM: keys in json::Object's (lexicographic) order, numbers through
+ * json::appendNumber, and with indent > 0 a newline plus indent * depth
+ * spaces before every member, element and closing bracket, as
+ * json::Value::dump does. Each writer takes the depth of the value it
+ * writes.
  */
-void
-writeReindented(std::ostream &out, const std::string &dumped, int indent,
-                int depth)
+class ZairJsonAppender
 {
-    if (indent <= 0) {
-        out << dumped;
-        return;
+  public:
+    ZairJsonAppender(std::string &out, int indent)
+        : out_(out), indent_(indent)
+    {
     }
-    const std::string pad(static_cast<std::size_t>(indent) *
-                              static_cast<std::size_t>(depth),
-                          ' ');
-    std::size_t start = 0;
-    for (;;) {
-        const std::size_t nl = dumped.find('\n', start);
-        if (nl == std::string::npos) {
-            out.write(dumped.data() + start,
-                      static_cast<std::streamsize>(dumped.size() -
-                                                   start));
+
+    void
+    newline(int depth)
+    {
+        if (indent_ > 0) {
+            out_ += '\n';
+            out_.append(static_cast<std::size_t>(indent_) *
+                            static_cast<std::size_t>(depth),
+                        ' ');
+        }
+    }
+
+    /** Start member @p key of the object at @p depth. */
+    void
+    member(std::string_view key, int depth, bool first = false)
+    {
+        if (!first)
+            out_ += ',';
+        newline(depth + 1);
+        out_ += '"';
+        out_ += key;
+        out_ += indent_ > 0 ? std::string_view("\": ")
+                            : std::string_view("\":");
+    }
+
+    void
+    close(char bracket, int depth)
+    {
+        newline(depth);
+        out_ += bracket;
+    }
+
+    void number(double d) { json::appendNumber(out_, d); }
+
+    /** An array of @p n elements; elem(i) writes element i. */
+    template <class Elem>
+    void
+    array(std::size_t n, int depth, Elem &&elem)
+    {
+        if (n == 0) {
+            out_ += "[]";
             return;
         }
-        out.write(dumped.data() + start,
-                  static_cast<std::streamsize>(nl + 1 - start));
-        out << pad;
-        start = nl + 1;
+        out_ += '[';
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i > 0)
+                out_ += ',';
+            newline(depth + 1);
+            elem(i);
+        }
+        close(']', depth);
     }
-}
+
+    template <class T>
+    void
+    numbers(const T *v, std::size_t n, int depth)
+    {
+        array(n, depth, [&](std::size_t i) {
+            number(static_cast<double>(v[i]));
+        });
+    }
+
+    template <class T>
+    void
+    numbers(const std::vector<T> &v, int depth)
+    {
+        numbers(v.data(), v.size(), depth);
+    }
+
+    void
+    qlocs(const std::vector<QLoc> &locs, int depth)
+    {
+        array(locs.size(), depth, [&](std::size_t i) {
+            const QLoc &l = locs[i];
+            const int fields[4] = {l.q, l.a, l.r, l.c};
+            numbers(fields, 4, depth + 1);
+        });
+    }
+
+    void
+    machine(const MachineInstr &mi, int depth)
+    {
+        out_ += '{';
+        member("col_id", depth, true);
+        numbers(mi.col_id, depth + 1);
+        switch (mi.kind) {
+          case MachineKind::Activate:
+            member("col_x", depth);
+            numbers(mi.col_x, depth + 1);
+            break;
+          case MachineKind::Deactivate:
+            break;
+          case MachineKind::Move:
+            member("col_x_begin", depth);
+            numbers(mi.col_x_begin, depth + 1);
+            member("col_x_end", depth);
+            numbers(mi.col_x_end, depth + 1);
+            break;
+        }
+        member("duration", depth);
+        number(mi.duration_us);
+        member("row_id", depth);
+        numbers(mi.row_id, depth + 1);
+        switch (mi.kind) {
+          case MachineKind::Activate:
+            member("row_y", depth);
+            numbers(mi.row_y, depth + 1);
+            member("type", depth);
+            out_ += "\"activate\"";
+            break;
+          case MachineKind::Deactivate:
+            member("type", depth);
+            out_ += "\"deactivate\"";
+            break;
+          case MachineKind::Move:
+            member("row_y_begin", depth);
+            numbers(mi.row_y_begin, depth + 1);
+            member("row_y_end", depth);
+            numbers(mi.row_y_end, depth + 1);
+            member("type", depth);
+            out_ += "\"move\"";
+            break;
+        }
+        close('}', depth);
+    }
+
+    void
+    instr(const ZairInstr &in, int depth)
+    {
+        out_ += '{';
+        if (in.kind == ZairKind::RearrangeJob) {
+            member("aod_id", depth, true);
+            number(in.aod_id);
+            member("begin_locs", depth);
+            qlocs(in.begin_locs, depth + 1);
+            member("begin_time", depth);
+            number(in.begin_time_us);
+            member("end_locs", depth);
+            qlocs(in.end_locs, depth + 1);
+            member("end_time", depth);
+            number(in.end_time_us);
+            member("insts", depth);
+            array(in.insts.size(), depth + 1, [&](std::size_t i) {
+                machine(in.insts[i], depth + 2);
+            });
+            member("type", depth);
+            out_ += "\"rearrangeJob\"";
+            close('}', depth);
+            return;
+        }
+        member("begin_time", depth, true);
+        number(in.begin_time_us);
+        member("end_time", depth);
+        number(in.end_time_us);
+        switch (in.kind) {
+          case ZairKind::Init:
+            member("init_locs", depth);
+            qlocs(in.init_locs, depth + 1);
+            member("type", depth);
+            out_ += "\"init\"";
+            break;
+          case ZairKind::OneQGate: {
+            member("locs", depth);
+            qlocs(in.locs, depth + 1);
+            member("type", depth);
+            out_ += "\"1qGate\"";
+            member("unitary", depth);
+            const double u[3] = {in.unitary.theta, in.unitary.phi,
+                                 in.unitary.lambda};
+            numbers(u, 3, depth + 1);
+            break;
+          }
+          case ZairKind::Rydberg:
+            member("gate_qubits", depth);
+            numbers(in.gate_qubits, depth + 1);
+            member("type", depth);
+            out_ += "\"rydberg\"";
+            member("zone_id", depth);
+            number(in.zone_id);
+            break;
+          case ZairKind::RearrangeJob:
+            break;
+        }
+        close('}', depth);
+    }
+
+  private:
+    std::string &out_;
+    int indent_;
+};
 
 } // namespace
 
@@ -312,6 +496,13 @@ ZairStreamWriter::ZairStreamWriter(std::ostream &out, int indent)
 }
 
 void
+ZairStreamWriter::flush()
+{
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+}
+
+void
 ZairStreamWriter::begin(const std::string &circuit_name,
                         const std::string &arch_name, int num_qubits)
 {
@@ -320,26 +511,18 @@ ZairStreamWriter::begin(const std::string &circuit_name,
     begun_ = true;
     num_qubits_ = num_qubits;
 
-    // Mirror zairProgramToJson(): json::Object orders its keys
-    // lexicographically, so the header is architecture, circuit,
-    // instructions (streamed), with num_qubits after the array.
-    const char *colon = indent_ > 0 ? ": " : ":";
-    const auto member = [&](const char *key) {
-        if (indent_ > 0)
-            out_ << '\n' << std::string(
-                static_cast<std::size_t>(indent_), ' ');
-        out_ << '"' << key << '"' << colon;
-    };
-    out_ << '{';
-    member("architecture");
-    out_ << json::Value(arch_name).dump();
-    out_ << ',';
-    member("circuit");
-    out_ << json::Value(circuit_name).dump();
-    out_ << ',';
-    member("instructions");
+    // The program object's keys in order are architecture, circuit,
+    // instructions (streamed), num_qubits.
+    ZairJsonAppender a(buf_, indent_);
+    buf_ += '{';
+    a.member("architecture", 0, true);
+    json::appendString(buf_, arch_name);
+    a.member("circuit", 0);
+    json::appendString(buf_, circuit_name);
+    a.member("instructions", 0);
     // '[' is written lazily by add()/end() so an empty program emits
     // the same "[]" a DOM dump would.
+    flush();
 }
 
 void
@@ -347,16 +530,12 @@ ZairStreamWriter::add(const ZairInstr &instr)
 {
     if (!begun_ || ended_)
         panic("ZairStreamWriter: add() outside begin()/end()");
-    if (count_ == 0)
-        out_ << '[';
-    else
-        out_ << ',';
-    if (indent_ > 0)
-        out_ << '\n' << std::string(
-            static_cast<std::size_t>(indent_) * 2, ' ');
-    writeReindented(out_, zairInstrToJson(instr).dump(indent_), indent_,
-                    2);
+    ZairJsonAppender a(buf_, indent_);
+    buf_ += count_ == 0 ? '[' : ',';
+    a.newline(2);
+    a.instr(instr, 2);
     ++count_;
+    flush();
 }
 
 void
@@ -365,23 +544,15 @@ ZairStreamWriter::end()
     if (!begun_ || ended_)
         panic("ZairStreamWriter: end() outside begin()");
     ended_ = true;
-    if (count_ == 0) {
-        out_ << "[]";
-    } else {
-        if (indent_ > 0)
-            out_ << '\n' << std::string(
-                static_cast<std::size_t>(indent_), ' ');
-        out_ << ']';
-    }
-    out_ << ',';
-    if (indent_ > 0)
-        out_ << '\n' << std::string(
-            static_cast<std::size_t>(indent_), ' ');
-    out_ << "\"num_qubits\"" << (indent_ > 0 ? ": " : ":")
-         << json::Value(num_qubits_).dump();
-    if (indent_ > 0)
-        out_ << '\n';
-    out_ << '}';
+    ZairJsonAppender a(buf_, indent_);
+    if (count_ == 0)
+        buf_ += "[]";
+    else
+        a.close(']', 1);
+    a.member("num_qubits", 0);
+    a.number(num_qubits_);
+    a.close('}', 0);
+    flush();
 }
 
 void

@@ -22,7 +22,12 @@ json::Value zairInstrToJson(const ZairInstr &instr);
 /** Serialize a whole program (array of instruction objects + header). */
 json::Value zairProgramToJson(const ZairProgram &program);
 
-/** Write a program to @p path as pretty-printed JSON. */
+/**
+ * Write a program to @p path as pretty-printed JSON, streamed through a
+ * ZairStreamWriter: the bytes of json::writeFile(path,
+ * zairProgramToJson(program)).
+ * @throws zac::FatalError naming @p path when a write fails.
+ */
 void saveZairProgram(const std::string &path, const ZairProgram &program);
 
 /** Parse one instruction from its JSON object form. */
@@ -39,9 +44,12 @@ ZairProgram loadZairProgram(const std::string &path);
  * instruction at a time, so a compile-service worker can emit output as
  * instructions are produced instead of buffering the whole program DOM.
  *
- * The byte stream is exactly what zairProgramToJson(p).dump(indent)
- * would produce for the same program — verified by unit test — so
- * streamed and buffered outputs can be compared bit-for-bit.
+ * Each call appends its JSON bytes straight from the instruction fields
+ * into a reused buffer and hands them to the stream in one write; no
+ * json::Value is built. The bytes are meant to equal
+ * zairProgramToJson(p).dump(indent) at every indent. That DOM dump is
+ * the reference the unit tests and ZacCompiler's verify_with_dom mode
+ * compare them against.
  *
  * Usage: begin(...); add(instr) for each instruction; end().
  */
@@ -65,8 +73,12 @@ class ZairStreamWriter
     void end();
 
   private:
+    /** Write buf_ to out_ and clear it. */
+    void flush();
+
     std::ostream &out_;
     int indent_;
+    std::string buf_; ///< one call's bytes; capacity is kept
     int num_qubits_ = 0;
     bool begun_ = false;
     bool ended_ = false;

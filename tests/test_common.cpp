@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <limits>
+#include <random>
+#include <string>
 
 #include "common/geometry.hpp"
 #include "common/json.hpp"
@@ -109,6 +115,116 @@ TEST(Json, AccessorsAreKindChecked)
     EXPECT_EQ(json::parse("-9223372036854775808").asInt(),
               std::numeric_limits<std::int64_t>::min());
     EXPECT_EQ(json::parse("4294967296").asInt(), 4294967296);
+}
+
+// asInt32() is the accessor for every value a loader keeps in an int:
+// it rejects what a static_cast<int> of asInt() would wrap, and what
+// asInt() already rejects (fractions, NaN-free range).
+TEST(Json, Int32AccessorRejectsWhatANarrowingCastWouldWrap)
+{
+    for (const char *text : {"2.7", "2.5", "-0.5", "4294967297",
+                             "2147483648", "-2147483649", "1e20", "-1e20",
+                             "1e300"})
+        EXPECT_THROW(json::parse(text).asInt32(), FatalError) << text;
+    try {
+        json::parse("4294967297").asInt32();
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("4294967297 is outside"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(json::parse("\"1\"").asInt32(), FatalError);
+    EXPECT_EQ(json::parse("2147483647").asInt32(),
+              std::numeric_limits<std::int32_t>::max());
+    EXPECT_EQ(json::parse("-2147483648").asInt32(),
+              std::numeric_limits<std::int32_t>::min());
+    EXPECT_EQ(json::parse("1").asInt32(), 1);
+    EXPECT_EQ(json::parse("-0.0").asInt32(), 0);
+    EXPECT_EQ(json::parse("3e2").asInt32(), 300);
+}
+
+/** The formatter appendNumber replaced, kept here as its reference. */
+std::string
+printfNumber(double d)
+{
+    char buf[64];
+    if (std::nearbyint(d) == d && std::abs(d) < 9.0e15)
+        std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    else
+        std::snprintf(buf, sizeof(buf), "%.17g", d);
+    return buf;
+}
+
+std::string
+appendedNumber(double d)
+{
+    std::string out = "x";
+    json::appendNumber(out, d);
+    return out.substr(1);
+}
+
+TEST(Json, NumberFormatterMatchesPrintf)
+{
+    using lim = std::numeric_limits<double>;
+    const double edge[] = {
+        0.0,           -0.0,           1.0,           -1.0,
+        9e15 - 1,      9e15,           9e15 + 1,      -9e15 + 1,
+        -9e15,         -9e15 - 1,      0.1,           1.0 / 3,
+        -2.0 / 3,      5e-324,         -5e-324,       1e-320,
+        1e300,         -1e300,         lim::max(),    lim::lowest(),
+        lim::min(),    lim::epsilon(), 0.5,           -0.5,
+        2.5,           1e15,           1e16,          1e17,
+        123456789.125, 4294967296.0,   9007199254740993.0,
+        lim::infinity(), -lim::infinity(), lim::quiet_NaN(),
+        -lim::quiet_NaN()};
+    for (double d : edge)
+        EXPECT_EQ(appendedNumber(d), printfNumber(d)) << printfNumber(d);
+    EXPECT_EQ(appendedNumber(-0.0), "0");
+    EXPECT_EQ(appendedNumber(1.0 / 3), "0.33333333333333331");
+    EXPECT_EQ(appendedNumber(9e15), "9000000000000000");
+    EXPECT_EQ(appendedNumber(1e17), "1e+17");
+
+    // Seeded sweep over random bit patterns (every exponent, NaN
+    // payloads, subnormals), plus integers and short decimals near the
+    // values a compile emits.
+    std::mt19937_64 rng(20251017);
+    std::size_t mismatches = 0;
+    const auto check = [&](double d) {
+        if (appendedNumber(d) != printfNumber(d) && ++mismatches <= 5)
+            ADD_FAILURE() << "mismatch for " << printfNumber(d);
+    };
+    for (int i = 0; i < 1'000'000; ++i)
+        check(std::bit_cast<double>(rng()));
+    std::uniform_int_distribution<std::int64_t> ints(-20'000'000'000'000'000,
+                                                     20'000'000'000'000'000);
+    std::uniform_real_distribution<double> reals(-1e4, 1e4);
+    for (int i = 0; i < 100'000; ++i) {
+        check(static_cast<double>(ints(rng)));
+        check(std::round(reals(rng) * 1000.0) / 1000.0);
+        check(reals(rng));
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+// A write that fails, e.g. on a full disk, is an error naming the file,
+// not a silently truncated document.
+TEST(Json, WriteFileReportsAFailedWrite)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    json::Array big;
+    for (int i = 0; i < 10'000; ++i)
+        big.emplace_back(i);
+    try {
+        json::writeFile("/dev/full", json::Value(std::move(big)));
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("/dev/full"),
+                  std::string::npos)
+            << e.what();
+    }
+    // A small document fails too: the error surfaces at the last flush.
+    EXPECT_THROW(json::writeFile("/dev/full", json::Value(1)), FatalError);
 }
 
 TEST(Json, DumpParseRoundTrip)

@@ -233,18 +233,87 @@ TEST(ResultCacheTest, ZeroCapacityDisables)
 
 // ---------------------------------------------- streaming ZAIR writer
 
+/**
+ * A hand-built program no compile produces: every instruction and
+ * machine kind, each vector field empty somewhere, negative ids and
+ * coordinates, and the numbers whose formatting is easiest to get
+ * wrong (-0.0, the 9e15 integer cutoff, repeating fractions,
+ * subnormals, huge magnitudes).
+ */
+ZairProgram
+edgeCaseProgram()
+{
+    const double edge[] = {-0.0,    9e15 - 1, 9e15,    9e15 + 1,
+                           -9e15,   0.1,      1.0 / 3, 5e-324,
+                           1e-320,  1e300,    -2.5,    123456789.0};
+    const std::vector<double> some(std::begin(edge), std::end(edge));
+    const std::vector<int> ids = {0, -1, 7, 2147483647, -2147483647};
+    const std::vector<QLoc> locs = {{0, 0, 0, 0}, {-1, -1, -3, -4},
+                                    {2147483647, 1, 99, 19}};
+
+    ZairProgram p;
+    p.circuit_name = "edge \"case\"\n\t";
+    p.arch_name = "arch\\zoned";
+    p.num_qubits = 3;
+    const auto add = [&](ZairKind kind, double t0, double t1) {
+        ZairInstr in;
+        in.kind = kind;
+        in.begin_time_us = t0;
+        in.end_time_us = t1;
+        p.instrs.push_back(in);
+        return &p.instrs.back();
+    };
+    add(ZairKind::Init, 0.0, -0.0)->init_locs = locs;
+    add(ZairKind::Init, 5e-324, 1e-320);
+    ZairInstr *g = add(ZairKind::OneQGate, 0.1, 1.0 / 3);
+    g->unitary = {-0.0, 1.0 / 3, 5e-324};
+    g->locs = locs;
+    add(ZairKind::OneQGate, 9e15 - 1, 9e15 + 1)->unitary = {0.1, 1e300,
+                                                            -1e-320};
+    ZairInstr *r = add(ZairKind::Rydberg, 9e15, 1e300);
+    r->zone_id = -3;
+    r->gate_qubits = ids;
+    add(ZairKind::Rydberg, -2.5, 2.5)->zone_id = 2147483647;
+    add(ZairKind::RearrangeJob, -9e15, 0.0)->aod_id = -1;
+    ZairInstr *job = add(ZairKind::RearrangeJob, 1e-320, 9e15);
+    job->aod_id = 4;
+    job->begin_locs = locs;
+    job->end_locs = {locs[1]};
+    for (MachineKind kind : {MachineKind::Activate, MachineKind::Move,
+                             MachineKind::Deactivate}) {
+        MachineInstr full;
+        full.kind = kind;
+        full.row_id = ids;
+        full.col_id = {ids[1]};
+        full.row_y = some;
+        full.col_x = {-0.0, -1e300};
+        full.row_y_begin = some;
+        full.row_y_end = {-9e15 + 1};
+        full.col_x_begin = {0.1, -0.1};
+        full.col_x_end = some;
+        full.duration_us = 1.0 / 3;
+        job->insts.push_back(full);
+        MachineInstr empty;
+        empty.kind = kind;
+        empty.duration_us = -0.0;
+        job->insts.push_back(empty);
+    }
+    return p;
+}
+
 TEST(ZairStreamWriterTest, ByteIdenticalToDomDump)
 {
     const Architecture arch = presets::referenceZoned();
     const ZacCompiler compiler(arch, ZacOptions::full());
     const ZacResult r =
         compiler.compile(bench_circuits::paperBenchmark("ghz_n23"));
-    for (int indent : {0, 2, 4}) {
-        std::ostringstream streamed;
-        streamZairProgram(streamed, r.program, indent);
-        EXPECT_EQ(streamed.str(),
-                  zairProgramToJson(r.program).dump(indent))
-            << "indent=" << indent;
+    for (const ZairProgram &p : {r.program, edgeCaseProgram()}) {
+        for (int indent : {0, 2, 4}) {
+            std::ostringstream streamed;
+            streamZairProgram(streamed, p, indent);
+            EXPECT_EQ(streamed.str(), zairProgramToJson(p).dump(indent))
+                << p.circuit_name << " indent=" << indent;
+        }
     }
 }
 
@@ -1366,6 +1435,33 @@ TEST(ManifestTest, RejectsOutOfRangeNumericsNamingTheCulprit)
     })");
     EXPECT_NE(huge_seed.find("range"), std::string::npos) << huge_seed;
 
+    // Integers a loader keeps in an int are neither truncated, wrapped
+    // nor cast from past int's range: each is an error naming its key.
+    const struct
+    {
+        bool in_target; // else the key belongs to the job
+        std::string key;
+        const char *value;
+    } narrowed[] = {
+        {true, "aods", "2.7"},
+        {true, "aods", "1e20"},
+        {true, "sa_num_seeds", "4294967297"},
+        {true, "sa_iterations", "-2147483649"},
+        {true, "sa_threads", "1.5"},
+        {false, "repeat", "2.5"},
+        {false, "repeat", "1e20"},
+    };
+    for (const auto &c : narrowed) {
+        const std::string member = ", \"" + c.key + "\": " + c.value;
+        const std::string msg = manifestFatalMessage(
+            R"({"targets": [{"name": "a", "arch": "reference")" +
+            (c.in_target ? member : "") +
+            R"(}], "jobs": [{"circuit": "ghz_n23")" +
+            (c.in_target ? "" : member) + "}]}");
+        EXPECT_NE(msg.find("'" + c.key + "'"), std::string::npos)
+            << c.key << "=" << c.value << ": " << msg;
+    }
+
     // The boundary values stay legal.
     EXPECT_EQ(manifestFatalMessage(R"({
       "targets": [{"name": "a", "arch": "reference",
@@ -1373,6 +1469,16 @@ TEST(ManifestTest, RejectsOutOfRangeNumericsNamingTheCulprit)
       "jobs": [{"circuit": "ghz_n23", "timeout_seconds": 0.0}]
     })"),
               "");
+    const service::Manifest m = service::manifestFromJson(json::parse(R"({
+      "targets": [{"name": "a", "arch": "reference", "aods": 1,
+                   "sa_iterations": 2147483647, "sa_threads": 1}],
+      "jobs": [{"circuit": "ghz_n23", "repeat": 2147483647},
+               {"circuit": "ghz_n23", "repeat": 1}]
+    })"));
+    EXPECT_EQ(m.targets[0].opts.sa_iterations, 2147483647);
+    EXPECT_EQ(m.targets[0].arch.aods().size(), 1u);
+    EXPECT_EQ(m.jobs[0].repeat, 2147483647);
+    EXPECT_EQ(m.jobs[1].repeat, 1);
 }
 
 TEST(ManifestTest, UnlabelledQasmJobIsLabelledByItsFileStem)

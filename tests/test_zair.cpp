@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "arch/presets.hpp"
 #include "common/logging.hpp"
 #include "zair/machine.hpp"
@@ -427,6 +432,44 @@ TEST(ZairSerialize, LoadedProgramEvaluatesIdentically)
     EXPECT_EQ(back.stats().num_atom_transfers,
               p.stats().num_atom_transfers);
     EXPECT_DOUBLE_EQ(back.makespanUs(), p.makespanUs());
+}
+
+// saveZairProgram streams through ZairStreamWriter; its file must hold
+// exactly what writing the DOM with json::writeFile would.
+TEST(ZairSerialize, SavedFileHasTheDomWriteFileBytes)
+{
+    const Architecture arch = presets::referenceZoned();
+    const ZairProgram p = tinyProgram(arch);
+    const std::string streamed =
+        ::testing::TempDir() + "/zac_zair_streamed.json";
+    const std::string dom = ::testing::TempDir() + "/zac_zair_dom.json";
+    saveZairProgram(streamed, p);
+    json::writeFile(dom, zairProgramToJson(p));
+    const auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    EXPECT_FALSE(slurp(dom).empty());
+    EXPECT_EQ(slurp(streamed), slurp(dom));
+    std::remove(streamed.c_str());
+    std::remove(dom.c_str());
+}
+
+TEST(ZairSerialize, SaveReportsAFailedWrite)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    const Architecture arch = presets::referenceZoned();
+    try {
+        saveZairProgram("/dev/full", tinyProgram(arch));
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("/dev/full"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ZairSerialize, RejectsUnknownInstructionType)
