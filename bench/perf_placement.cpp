@@ -1,23 +1,17 @@
 /**
  * @file
- * Reproducible perf harness for the placement hot path (ISSUE 1 + 2)
- * and the scheduler/fidelity critical path (ISSUE 4).
+ * Reproducible perf harness for the placement hot path.
  *
  * Measurements, all on the reference zoned architecture and the 17
  * paper benchmark circuits:
  *  - saInitialPlacement (1000 iterations, the paper's budget): the
  *    spatially-indexed implementation against the retained pre-index
  *    reference (zac::legacy), including a bit-identical output check;
- *  - runDynamicPlacement (the movement/gate-placement pipeline): the
- *    flat-ID rewrite (windowed gate placement, journaled variant
- *    rollback, cached reuse matchings) against the frozen pre-rewrite
- *    driver (zac::legacy), including a bit-identical plan check;
- *  - scheduleProgram + evaluateFidelity: the flat-ID scheduler
- *    (single-resolution TrapIds, topological trap-dependency worklist,
- *    sorted grouping, scratch-based splitting/lowering) and the
- *    incremental-occupancy fidelity model against the frozen
- *    zac::legacy pair, including a bit-identical program + breakdown
- *    check;
+ *    the reference's time is the machine-speed control of the CI gate;
+ *  - the multi-seed SA batch: per-seed exact costs, the winning
+ *    stream, the best-of-N cost gain over stream 0, and a worker-count
+ *    determinism check (serial vs. parallel batch must match
+ *    bit-for-bit);
  *  - per-phase compile breakdown (SA, reuse matching, gate placement,
  *    movement, scheduling, fidelity) via CompilePhaseTimings;
  *  - full ZacCompiler::compile wall time per circuit;
@@ -25,14 +19,14 @@
  *    concurrently, exploiting the documented re-entrancy of
  *    compile() const.
  *
- *  - the multi-seed SA batch (ISSUE 5): per-seed exact costs, the
- *    winning stream, the best-of-N cost gain over stream 0, and a
- *    worker-count determinism check (serial vs. parallel batch must
- *    match bit-for-bit);
+ * The plans, programs and fidelities of these compiles are pinned by
+ * the golden-digest tests (PaperPresetGolden in the ctest suite).
  *
  * Results are written as machine-readable JSON (schema
- * zac.perf_placement.v4, documented in bench/README.md) so successive
- * PRs accumulate a perf trajectory.
+ * zac.perf_placement.v5, documented in bench/README.md) so successive
+ * changes accumulate a perf trajectory. The exit status is non-zero
+ * when the SA outputs differ from the reference or the multi-seed
+ * batch depends on the worker count.
  *
  * Usage: perf_placement [output.json] [--fast]
  *   --fast  smoke mode for CI: a single repetition per measurement
@@ -48,13 +42,8 @@
 #include "bench_util.hpp"
 #include "common/json.hpp"
 #include "common/logging.hpp"
-#include "core/movement_legacy.hpp"
 #include "core/sa_placer_legacy.hpp"
-#include "core/scheduler.hpp"
-#include "core/scheduler_legacy.hpp"
-#include "fidelity/model_legacy.hpp"
 #include "transpile/optimize.hpp"
-#include "zair/serialize.hpp"
 
 using namespace zac;
 using namespace zac::bench;
@@ -99,14 +88,12 @@ main(int argc, char **argv)
             out_path = argv[i];
     }
     const int sa_reps = fast ? 1 : 3;
-    const int dyn_reps = fast ? 1 : 5;
     // The compile column feeds the CI regression gate and one rep
     // costs well under a second, so even fast mode keeps best-of-3 to
     // damp shared-runner scheduler noise.
     const int compile_reps = 3;
 
-    banner("perf_placement",
-           "SA + dynamic placement + per-phase + batch trajectory");
+    banner("perf_placement", "SA + per-phase + batch trajectory");
 
     const Architecture arch = presets::referenceZoned();
     SaOptions sa_opts;
@@ -119,18 +106,12 @@ main(int argc, char **argv)
     {
         std::string name;
         StagedCircuit staged;
-        std::vector<TrapRef> initial; ///< SA placement, computed once
-        PlacementPlan plan;           ///< input of the scheduler timing
     };
     std::vector<Prepared> circuits;
     for (const std::string &name : circuitNames()) {
         const Circuit pre =
             preprocess(bench_circuits::paperBenchmark(name));
-        Prepared p{name, scheduleStages(pre, arch.numSites()), {}, {}};
-        p.initial = saInitialPlacement(arch, p.staged, sa_opts);
-        p.plan = runDynamicPlacement(arch, p.staged, p.initial,
-                                     zac_opts);
-        circuits.push_back(std::move(p));
+        circuits.push_back({name, scheduleStages(pre, arch.numSites())});
     }
 
     // ---------------------------------------------- SA placement timing
@@ -173,7 +154,7 @@ main(int argc, char **argv)
                 sa_geomean,
                 sa_identical ? "bit-identical" : "MISMATCHED");
 
-    // ------------------------------- multi-seed SA batch (ISSUE 5)
+    // ---------------------------------------- multi-seed SA batch
     // Per-seed exact costs and the best-of-N gain, plus the
     // worker-count determinism contract: a serial batch and a
     // hardware-concurrency batch must agree bit-for-bit.
@@ -244,99 +225,6 @@ main(int argc, char **argv)
                 "(worker-count determinism %s)\n\n",
                 ms_seeds, 100.0 * ms_gain_geomean,
                 ms_deterministic ? "OK" : "VIOLATED");
-
-    // --------------------------- dynamic placement (movement pipeline)
-    json::Array dyn_rows;
-    std::vector<double> dyn_speedups;
-    bool dyn_identical = true;
-    std::printf("%-16s %12s %12s %9s  (dynamic placement)\n", "circuit",
-                "legacy (ms)", "flat (ms)", "speedup");
-    for (const Prepared &c : circuits) {
-        PlacementPlan fresh, reference;
-        const double t_fresh = bestOf(dyn_reps, [&] {
-            fresh = runDynamicPlacement(arch, c.staged, c.initial,
-                                        zac_opts);
-        });
-        const double t_legacy = bestOf(dyn_reps, [&] {
-            reference = legacy::runDynamicPlacement(arch, c.staged,
-                                                    c.initial, zac_opts);
-        });
-        const bool identical = fresh == reference;
-        dyn_identical = dyn_identical && identical;
-        const double speedup =
-            t_fresh > 0.0 ? t_legacy / t_fresh : 0.0;
-        dyn_speedups.push_back(speedup);
-        std::printf("%-16s %12.3f %12.3f %8.2fx%s\n", c.name.c_str(),
-                    t_legacy * 1e3, t_fresh * 1e3, speedup,
-                    identical ? "" : "  PLAN MISMATCH");
-        json::Object row;
-        row["circuit"] = c.name;
-        row["legacy_seconds"] = t_legacy;
-        row["indexed_seconds"] = t_fresh;
-        row["speedup"] = speedup;
-        row["plan_identical"] = identical;
-        dyn_rows.push_back(std::move(row));
-    }
-    const double dyn_geomean = gmean(dyn_speedups);
-    std::printf("\ndynamic placement geomean speedup: %.2fx (plans %s)"
-                "\n\n",
-                dyn_geomean,
-                dyn_identical ? "bit-identical" : "MISMATCHED");
-
-    // -------------------- scheduler + fidelity (the post-placement
-    // critical path): flat-ID rewrite vs. the frozen legacy pair.
-    json::Array sched_rows;
-    std::vector<double> sched_speedups;
-    bool sched_identical = true;
-    std::printf("%-16s %12s %12s %9s  (scheduler + fidelity)\n",
-                "circuit", "legacy (ms)", "flat (ms)", "speedup");
-    for (const Prepared &c : circuits) {
-        ZairProgram fresh_prog, legacy_prog;
-        FidelityBreakdown fresh_fid, legacy_fid;
-        const double t_fresh = bestOf(dyn_reps, [&] {
-            fresh_prog = scheduleProgram(arch, c.staged, c.plan);
-            fresh_fid = evaluateFidelity(fresh_prog, arch);
-        });
-        const double t_legacy = bestOf(dyn_reps, [&] {
-            legacy_prog =
-                legacy::scheduleProgram(arch, c.staged, c.plan);
-            legacy_fid = legacy::evaluateFidelity(legacy_prog, arch);
-        });
-        const bool identical =
-            zairProgramToJson(fresh_prog).dump() ==
-                zairProgramToJson(legacy_prog).dump() &&
-            fresh_fid.g1 == legacy_fid.g1 &&
-            fresh_fid.g2 == legacy_fid.g2 &&
-            fresh_fid.n_excitation == legacy_fid.n_excitation &&
-            fresh_fid.n_transfer == legacy_fid.n_transfer &&
-            fresh_fid.f_1q == legacy_fid.f_1q &&
-            fresh_fid.f_2q_gates == legacy_fid.f_2q_gates &&
-            fresh_fid.f_excitation == legacy_fid.f_excitation &&
-            fresh_fid.f_2q == legacy_fid.f_2q &&
-            fresh_fid.f_transfer == legacy_fid.f_transfer &&
-            fresh_fid.f_decoherence == legacy_fid.f_decoherence &&
-            fresh_fid.duration_us == legacy_fid.duration_us &&
-            fresh_fid.total == legacy_fid.total;
-        sched_identical = sched_identical && identical;
-        const double speedup =
-            t_fresh > 0.0 ? t_legacy / t_fresh : 0.0;
-        sched_speedups.push_back(speedup);
-        std::printf("%-16s %12.3f %12.3f %8.2fx%s\n", c.name.c_str(),
-                    t_legacy * 1e3, t_fresh * 1e3, speedup,
-                    identical ? "" : "  OUTPUT MISMATCH");
-        json::Object row;
-        row["circuit"] = c.name;
-        row["legacy_seconds"] = t_legacy;
-        row["indexed_seconds"] = t_fresh;
-        row["speedup"] = speedup;
-        row["output_identical"] = identical;
-        sched_rows.push_back(std::move(row));
-    }
-    const double sched_geomean = gmean(sched_speedups);
-    std::printf("\nscheduler+fidelity geomean speedup: %.2fx "
-                "(programs %s)\n\n",
-                sched_geomean,
-                sched_identical ? "bit-identical" : "MISMATCHED");
 
     // ------------------------------- per-phase compile breakdown
     const ZacCompiler compiler(arch, zac_opts);
@@ -454,16 +342,16 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------ JSON dump
     json::Object doc;
-    doc["schema"] = "zac.perf_placement.v4";
+    doc["schema"] = "zac.perf_placement.v5";
     doc["arch"] = arch.name();
     doc["sa_iterations"] = sa_opts.max_iterations;
     doc["sa_seed"] = static_cast<std::int64_t>(sa_opts.seed);
     doc["fast_mode"] = fast;
     doc["sa_placement"] = std::move(sa_rows);
     doc["sa_geomean_speedup"] = sa_geomean;
-    // The ISSUE 5 headline figure: the incremental propose/commit SA
-    // engine vs. the frozen zac::legacy full-evaluator reference
-    // (gated >= 2x by check_perf_regression.py for schema v4).
+    // The incremental propose/commit SA engine vs. the frozen
+    // zac::legacy full-evaluator reference (gated >= 2x by
+    // check_perf_regression.py).
     doc["sa_incremental_speedup"] = sa_geomean;
     doc["sa_outputs_identical"] = sa_identical;
     doc["sa_multi_seed"] = json::Object{
@@ -472,12 +360,6 @@ main(int argc, char **argv)
         {"cost_gain_geomean", ms_gain_geomean},
     };
     doc["sa_multi_seed_deterministic"] = ms_deterministic;
-    doc["dynamic_placement"] = std::move(dyn_rows);
-    doc["dynamic_geomean_speedup"] = dyn_geomean;
-    doc["dynamic_outputs_identical"] = dyn_identical;
-    doc["scheduler_fidelity"] = std::move(sched_rows);
-    doc["sched_fid_geomean_speedup"] = sched_geomean;
-    doc["sched_fid_outputs_identical"] = sched_identical;
     doc["phases"] = std::move(phase_rows);
     doc["phase_totals"] = json::Object{
         {"sa_seconds", tot_sa},
@@ -513,8 +395,5 @@ main(int argc, char **argv)
     }
     std::printf("wrote %s\n", out_path.c_str());
 
-    return (sa_identical && dyn_identical && sched_identical &&
-            ms_deterministic)
-               ? 0
-               : 1;
+    return sa_identical && ms_deterministic ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Numeric flag parsing shared by the zac_batch, zac_serve and
- * zac_client command lines. A malformed, partial or out-of-range value
+ * Numeric flag parsing shared by the zac_batch, zac_serve, zac_client
+ * and compile_qasm command lines. A malformed, partial or out-of-range value
  * is a usage error: a diagnostic naming the flag, the usage text, and
  * exit status 2. It never becomes a silent 0 or a wrapped-around size.
  */

@@ -21,6 +21,7 @@
 #include "arch/serialize.hpp"
 #include "circuit/generators.hpp"
 #include "circuit/qasm_parser.hpp"
+#include "cli_flags.hpp"
 #include "common/logging.hpp"
 #include "core/compiler.hpp"
 #include "zair/serialize.hpp"
@@ -35,7 +36,7 @@ usage()
         "usage: compile_qasm <circuit.qasm | benchmark> [options]\n"
         "  --arch <file.json|reference|arch1|arch2>  target (default "
         "reference)\n"
-        "  --aods N       number of AODs on the reference arch\n"
+        "  --aods N       number of AODs on the reference arch (1-16)\n"
         "  --no-sa        disable SA initial placement\n"
         "  --no-reuse     disable qubit reuse\n"
         "  --vanilla      trivial static placement (ablation "
@@ -59,12 +60,14 @@ main(int argc, char **argv)
     std::string out_path;
     int aods = 1;
     ZacOptions opts = ZacOptions::full();
+    const cli::FlagParser flags{"compile_qasm", usage};
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--arch" && i + 1 < argc)
             arch_name = argv[++i];
         else if (arg == "--aods" && i + 1 < argc)
-            aods = std::atoi(argv[++i]);
+            aods = static_cast<int>(flags.intFlag(
+                "--aods", argv[++i], 1, presets::kMaxReferenceAods));
         else if (arg == "--no-sa")
             opts.use_sa_init = false;
         else if (arg == "--no-reuse")

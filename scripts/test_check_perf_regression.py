@@ -7,8 +7,8 @@ JSON fixtures. The headline case injects a superlinear regression into
 a linear scaling curve and asserts the zac.perf_scaling.v1 exponent
 gate fails the build; further cases pin the per-point gate, the
 phase-exponent gate, exit 2 (not a KeyError traceback) on missing
-gated flag keys, and that the committed repo baselines still pass
-through the table-driven registry.
+gated flag keys and on a retired placement-v4 file, and that the
+committed repo baselines still pass through the table-driven registry.
 """
 
 import copy
@@ -220,7 +220,7 @@ class TestMissingKeys(ScalingTempFiles):
         base = self.write("base.json", scaling_doc(lambda n: 1e-3 * n))
         r = run(
             "--schema",
-            "zac.perf_placement.v4",
+            "zac.perf_placement.v5",
             base,
             base,
         )
@@ -245,9 +245,9 @@ class TestCommittedBaselines(unittest.TestCase):
     """The repo's committed baselines must pass against themselves
     through the registry — the same invocations CI runs."""
 
-    def test_placement_v4_self(self):
+    def test_placement_v5_self(self):
         r = run(
-            "--schema", "zac.perf_placement.v4",
+            "--schema", "zac.perf_placement.v5",
             REPO / "BENCH_placement.json",
             REPO / "BENCH_placement.json", 1.25,
         )
@@ -276,11 +276,32 @@ class TestCommittedBaselines(unittest.TestCase):
             fresh = pathlib.Path(d) / "fresh.json"
             fresh.write_text(json.dumps(doc))
             r = run(
-                "--schema", "zac.perf_placement.v4",
+                "--schema", "zac.perf_placement.v5",
                 REPO / "BENCH_placement.json", fresh, 1.25,
             )
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("regressed beyond the threshold", r.stdout)
+
+    def test_placement_v4_file_is_exit_2(self):
+        # A v4 file carries the retired dynamic-placement and
+        # scheduler/fidelity sections; the gate no longer reads it,
+        # with or without --schema.
+        doc = json.loads((REPO / "BENCH_placement.json").read_text())
+        doc["schema"] = "zac.perf_placement.v4"
+        with tempfile.TemporaryDirectory() as d:
+            old = pathlib.Path(d) / "v4.json"
+            old.write_text(json.dumps(doc))
+            pinned = run(
+                "--schema", "zac.perf_placement.v5",
+                REPO / "BENCH_placement.json", old, 1.25,
+            )
+            unpinned = run(old, old, 1.25)
+        self.assertEqual(pinned.returncode, 2,
+                         pinned.stdout + pinned.stderr)
+        self.assertIn("schema mismatch", pinned.stderr)
+        self.assertEqual(unpinned.returncode, 2,
+                         unpinned.stdout + unpinned.stderr)
+        self.assertIn("unknown schema", unpinned.stderr)
 
 
 class TestStepSummary(ScalingTempFiles):

@@ -20,6 +20,12 @@ namespace zac::presets
 Architecture referenceZoned(int num_aods = 1);
 
 /**
+ * Largest AOD count the command line and manifests accept for
+ * referenceZoned(); Fig. 14 sweeps 1-4.
+ */
+inline constexpr int kMaxReferenceAods = 16;
+
+/**
  * The monolithic architecture (Sec. VII-A): a single entanglement zone
  * of 10x10 Rydberg sites and a 10x10 AOD; no storage zone shields idle
  * qubits, so every Rydberg pulse exposes every qubit.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/logging.hpp"
 
@@ -101,6 +102,18 @@ Architecture::finalize()
         fatal("architecture: at least one AOD is required");
     if (entangle_.empty())
         fatal("architecture: at least one entanglement zone is required");
+    // Trap ids are TrapId (int32): past that range the id arithmetic
+    // overflows and the trap tables could not be allocated anyway.
+    std::int64_t num_traps = 0;
+    for (std::size_t s = 0; s < slms_.size(); ++s) {
+        num_traps += std::int64_t{slms_[s].rows} * slms_[s].cols;
+        if (num_traps > std::numeric_limits<TrapId>::max())
+            fatal("architecture: SLM " + std::to_string(s) + " (" +
+                  std::to_string(slms_[s].rows) + " x " +
+                  std::to_string(slms_[s].cols) +
+                  ") takes the trap count past " +
+                  std::to_string(std::numeric_limits<TrapId>::max()));
+    }
 
     slmIsStorage_.assign(slms_.size(), 0);
     for (const ZoneSpec &z : storage_)
@@ -385,13 +398,14 @@ Architecture::maxSitePitch() const
 int
 Architecture::numStorageTraps() const
 {
-    int n = 0;
+    // finalize() bounds the total trap count by TrapId's range.
+    std::int64_t n = 0;
     for (const ZoneSpec &z : storage_)
         for (int slm_id : z.slm_ids) {
             const SlmSpec &s = slms_[static_cast<std::size_t>(slm_id)];
-            n += s.rows * s.cols;
+            n += std::int64_t{s.rows} * s.cols;
         }
-    return n;
+    return static_cast<int>(n);
 }
 
 bool

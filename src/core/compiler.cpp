@@ -62,6 +62,17 @@ class PipelineSink final : public ZairInstrSink
     ZairProgram *dom_;
 };
 
+/**
+ * Reject a circuit wider than storage. The entry points that
+ * preprocess run it first, before any per-qubit allocation.
+ */
+void
+checkFitsStorage(const Architecture &arch, int num_qubits)
+{
+    if (num_qubits > arch.numStorageTraps())
+        fatal("ZacCompiler: more qubits than storage traps");
+}
+
 } // namespace
 
 std::shared_ptr<const ArchContext>
@@ -106,6 +117,7 @@ ZacResult
 ZacCompiler::compile(const Circuit &circuit,
                      const CompileControl &control) const
 {
+    checkFitsStorage(arch(), circuit.numQubits());
     control.checkpoint("preprocess");
     const Circuit pre = preprocess(circuit);
     return compileStaged(scheduleStages(pre, arch().numSites()), control);
@@ -131,6 +143,7 @@ ZacCompiler::compileStreamed(const Circuit &circuit,
                              CompileScratch *scratch,
                              bool verify_with_dom) const
 {
+    checkFitsStorage(arch(), circuit.numQubits());
     control.checkpoint("preprocess");
     const Circuit pre = preprocess(circuit);
     const StagedCircuit staged = scheduleStages(pre, arch().numSites());
@@ -146,8 +159,7 @@ ZacCompiler::runStaged(const StagedCircuit &staged,
                        ZairProgram *dom, PlacementPlan *plan_out) const
 {
     const Architecture &arch_ = context_->arch;
-    if (staged.numQubits > arch_.numStorageTraps())
-        fatal("ZacCompiler: more qubits than storage traps");
+    checkFitsStorage(arch_, staged.numQubits);
     for (const RydbergStage &s : staged.rydberg)
         if (static_cast<int>(s.gates.size()) > arch_.numSites())
             fatal("ZacCompiler: a stage exceeds the Rydberg site count; "

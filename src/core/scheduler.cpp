@@ -19,14 +19,12 @@ namespace
 /**
  * Book-keeping for the list scheduler.
  *
- * This is the flat-ID rewrite of the pre-PR-4 scheduler (frozen as
- * zac::legacy::scheduleProgram): every TrapId is resolved once when a
- * job is lowered and carried alongside its QLocs, the intra-group
- * trap-dependency resolution is an indegree-counted topological
- * worklist instead of an O(n^2) ready-scan per pick, 1Q-gate and
- * Rydberg grouping run on sorted scratch instead of std::map, and the
- * AOD availability is a min-tracked heap instead of a linear argmin.
- * Emitted programs are bit-identical to the legacy scheduler's.
+ * Every TrapId is resolved once when a job is lowered and carried
+ * alongside its QLocs. Intra-group trap dependencies resolve through an
+ * indegree-counted topological worklist, 1Q-gate and Rydberg grouping
+ * run on sorted scratch, and AOD availability is a min-tracked heap.
+ * The emitted programs, timings and job phase markers included, are
+ * pinned by golden digests (tests/test_scheduler.cpp).
  *
  * All growable buffers live in the caller-provided SchedulerScratch;
  * the constructor resets their *values* while their capacity persists
@@ -204,9 +202,9 @@ struct SchedulerState
                                                  sc.lower_scratch);
             pending.push_back(std::move(p));
         }
-        // Longest-first. Sorting positions with the same comparator
-        // outcomes performs the exact permutation std::sort applied to
-        // the job structs in the legacy scheduler (ties included).
+        // Longest-first, by std::sort over job positions. Tied jobs keep
+        // the order std::sort gives these positions, which the golden
+        // programs pin: keep the comparator and the input order.
         const std::size_t nj = pending.size();
         sc.sort_idx.resize(nj);
         std::iota(sc.sort_idx.begin(), sc.sort_idx.end(), 0);
@@ -225,12 +223,10 @@ struct SchedulerState
         // Intra-group trap dependencies (possible with direct in-zone
         // reuse): a job occupying a trap that another job of this group
         // vacates schedules after the vacating job. An indegree-counted
-        // topological worklist replaces the legacy O(n^2) ready-scan;
-        // the min-heap pops the lowest ready position, which is exactly
-        // the job the ascending rescans used to pick. Cycles (jobs
-        // exchanging traps) fall back to the longest-first order: the
-        // lowest unscheduled position is force-scheduled, matching the
-        // legacy fallback pick.
+        // topological worklist picks the lowest ready position (the
+        // longest ready job) from a min-heap. Cycles (jobs exchanging
+        // traps) fall back to the longest-first order: the lowest
+        // unscheduled position is force-scheduled.
         sc.touched.clear();
         for (std::size_t i = 0; i < nj; ++i)
             for (const TrapId t : at(i).begin_ids) {

@@ -14,12 +14,11 @@
  *    parallelizable jobs are assigned longest-first to the earliest
  *    available AOD.
  *
- * The implementation is the flat-ID rewrite (single-resolution
- * TrapIds, topological trap-dependency worklist, sorted grouping,
- * scratch-based splitting/lowering, min-tracked AOD availability);
- * its output is bit-identical to the frozen pre-rewrite reference
- * zac::legacy::scheduleProgram (core/scheduler_legacy.hpp), which the
- * equivalence suite in tests/test_scheduler.cpp enforces.
+ * The implementation resolves each TrapId once, orders trap
+ * dependencies with a topological worklist, groups on sorted scratch,
+ * splits and lowers jobs in reusable scratch, and tracks AOD
+ * availability in a min-heap. Its output is pinned by golden digests
+ * (tests/test_scheduler.cpp).
  *
  * Two entry points share one implementation: scheduleProgram() builds
  * the ZairProgram DOM, scheduleProgramToSink() hands each instruction

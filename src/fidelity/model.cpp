@@ -14,27 +14,24 @@ FidelityAccumulator::FidelityAccumulator(const Architecture &arch,
     : arch_(arch), num_qubits_(num_qubits)
 {
     const std::size_t n = static_cast<std::size_t>(num_qubits);
-    // Incremental excitation accounting (the flat-ID rewrite of the
-    // legacy per-pulse O(n) scan, frozen as legacy::evaluateFidelity):
-    // each qubit's entanglement zone is maintained through init and
-    // every rearrange job via the cached entanglementZoneOfTrap table,
-    // together with a per-zone occupancy counter. A Rydberg pulse then
-    // charges
+    // Incremental excitation accounting: each qubit's entanglement zone
+    // is maintained through init and every rearrange job via the cached
+    // entanglementZoneOfTrap table, together with a per-zone occupancy
+    // counter. A Rydberg pulse then charges
     //   occupancy[zone] - (distinct gated qubits inside the zone)
     // excitations, O(gated qubits) instead of O(n) point lookups.
     //
-    // Zone codes: -2 = never placed (skipped by the legacy scan's
-    // pos-validity test), -1 = placed outside every entanglement zone
-    // (entanglementZoneAt's miss value), >= 0 = zone index. Occupancy
-    // counters cover [-1, #zones) shifted by one so the accounting
-    // matches the legacy scan for every zone_id, not just valid ones.
+    // Zone codes: -2 = never placed (never excited), -1 = placed
+    // outside every entanglement zone (entanglementZoneAt's miss
+    // value), >= 0 = zone index. Occupancy counters cover [-1, #zones)
+    // shifted by one, so a pulse charges exactly the placed idlers in
+    // its zone for every zone_id, not just valid ones.
     num_zones_ = static_cast<int>(arch.entanglementZones().size());
     // Busy time per qubit: gates + transfers; movement/waiting is idle.
     busy_us_.assign(n, 0.0);
     qubit_zone_.assign(n, -2);
     zone_occupancy_.assign(static_cast<std::size_t>(num_zones_) + 1, 0);
-    // Stamped bitmap deduplicating gate_qubits per pulse (replaces the
-    // per-pulse std::set of the legacy model).
+    // Stamped bitmap deduplicating gate_qubits per pulse.
     gated_stamp_.assign(n, 0);
 }
 

@@ -12,10 +12,9 @@
  *
  * The evaluation maintains per-zone occupancy counters incrementally
  * (via the cached Architecture::entanglementZoneOfTrap table), so a
- * pulse costs O(gated qubits) instead of a scan over all qubits;
- * results are bit-identical to the frozen pre-rewrite reference
- * zac::legacy::evaluateFidelity (fidelity/model_legacy.hpp). Every
- * instruction kind now panics uniformly when it precedes Init.
+ * pulse costs O(gated qubits) instead of a scan over all qubits. Every
+ * instruction kind panics when it precedes Init. Golden digests
+ * (tests/test_fidelity.cpp) pin every term bit for bit.
  */
 
 #ifndef ZAC_FIDELITY_MODEL_HPP

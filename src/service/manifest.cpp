@@ -107,7 +107,12 @@ targetFromJson(const json::Value &v)
                     context);
     const std::string arch_ref =
         v.contains("arch") ? v.at("arch").asString() : "reference";
-    t.arch = archFromRef(arch_ref, intMember(v, "aods", 1, context));
+    const int aods = intMember(v, "aods", 1, context);
+    if (aods < 1 || aods > presets::kMaxReferenceAods)
+        fatal("manifest: " + context + ": aods " + std::to_string(aods) +
+              " out of range [1, " +
+              std::to_string(presets::kMaxReferenceAods) + "]");
+    t.arch = archFromRef(arch_ref, aods);
     t.opts = optionsFromPreset(
         v.contains("preset") ? v.at("preset").asString() : "full");
     if (v.contains("seed"))

@@ -171,6 +171,48 @@ TEST(ArchSpec, RejectsBadSlm)
     slm.rows = 5;
     slm.sep_x = -1.0;
     EXPECT_THROW(arch.addSlm(slm), FatalError);
+
+    // A trap count past TrapId's range is rejected, naming the SLM that
+    // crosses it, before any site or trap table is built: one oversized
+    // SLM, and two whose sum overflows.
+    const auto finalizeMessage =
+        [](const std::vector<std::pair<int, int>> &storage_dims) {
+            Architecture big;
+            ZoneSpec storage;
+            for (const auto &[rows, cols] : storage_dims) {
+                SlmSpec s;
+                s.rows = rows;
+                s.cols = cols;
+                storage.slm_ids.push_back(big.addSlm(s));
+            }
+            big.addZone(ZoneKind::Storage, storage);
+            SlmSpec left;
+            left.rows = 1;
+            left.cols = 1;
+            left.origin = {0.0, 1e6};
+            SlmSpec right = left;
+            right.origin.x = 2.0;
+            ZoneSpec zone;
+            zone.slm_ids = {big.addSlm(left), big.addSlm(right)};
+            big.addZone(ZoneKind::Entanglement, zone);
+            AodSpec aod;
+            aod.max_rows = 10;
+            aod.max_cols = 10;
+            big.addAod(aod);
+            try {
+                big.finalize();
+            } catch (const FatalError &e) {
+                return std::string(e.what());
+            }
+            return std::string("finalized");
+        };
+    const std::string one = finalizeMessage({{50000, 50000}});
+    EXPECT_NE(one.find("SLM 0 (50000 x 50000)"), std::string::npos)
+        << one;
+    const std::string sum =
+        finalizeMessage({{40000, 40000}, {40000, 40000}});
+    EXPECT_NE(sum.find("SLM 1 (40000 x 40000)"), std::string::npos)
+        << sum;
 }
 
 TEST(ArchSpec, TrapPositionBoundsChecked)

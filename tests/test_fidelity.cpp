@@ -14,14 +14,18 @@
 #include "core/compiler.hpp"
 #include "fidelity/ideal.hpp"
 #include "fidelity/model.hpp"
-#include "fidelity/model_legacy.hpp"
 #include "fidelity/params.hpp"
 #include "zair/machine.hpp"
+
+#include "golden.hpp"
 
 namespace zac
 {
 namespace
 {
+
+using golden::expectGolden;
+using golden::fidelityDigest;
 
 /** Hand-built program: one job in, one pulse, with a third idle qubit
  *  parked inside/outside the zone depending on @p idler_in_zone. */
@@ -169,8 +173,8 @@ TEST(FidelityModel, GoldenBreakdownOnHandProgram)
 
 TEST(FidelityModel, UnplacedQubitIsNeverExcited)
 {
-    // A qubit that the init never places (invalid pos in the legacy
-    // scan) cannot be charged an excitation, whatever zone is pulsed.
+    // A qubit that the init never places has no position, so it cannot
+    // be charged an excitation, whatever zone is pulsed.
     const Architecture arch = presets::referenceZoned();
     ZairProgram p = handProgram(arch, false);
     p.instrs[0].init_locs.pop_back(); // q2 now has no position
@@ -212,9 +216,9 @@ TEST(FidelityModel, ExcitationRequiresThePulsedZone)
         const FidelityBreakdown f = evaluateFidelity(p, arch);
         EXPECT_EQ(f.n_excitation, pulsed_zone == 0 ? 1 : 0)
             << "pulsed zone " << pulsed_zone;
-        const FidelityBreakdown l = legacy::evaluateFidelity(p, arch);
-        EXPECT_EQ(f.n_excitation, l.n_excitation);
-        EXPECT_EQ(f.total, l.total);
+        const std::string key = "hand/arch2/pulsed-zone" +
+                                std::to_string(pulsed_zone) + "/fidelity";
+        expectGolden(key, fidelityDigest(f));
     }
 }
 
@@ -228,16 +232,13 @@ TEST(FidelityModel, DecoherenceClampsToZero)
         evaluateFidelity(handProgram(arch, false), arch);
     EXPECT_EQ(f.f_decoherence, 0.0);
     EXPECT_EQ(f.total, 0.0);
-    const FidelityBreakdown l =
-        legacy::evaluateFidelity(handProgram(arch, false), arch);
-    EXPECT_EQ(l.f_decoherence, 0.0);
-    EXPECT_EQ(f.total, l.total);
+    expectGolden("hand/reference_t2_10us/idler-outside/fidelity",
+                 fidelityDigest(f));
 }
 
 TEST(FidelityModel, UniformBeforeInitPanics)
 {
-    // The legacy model panicked on Rydberg before init but silently
-    // accepted 1Q gates and rearrange jobs; the check is now uniform.
+    // Every instruction kind before init panics, not only Rydberg.
     const Architecture arch = presets::referenceZoned();
 
     ZairProgram ryd_first;
@@ -290,23 +291,14 @@ TEST(FidelityModel, HandProgramsMatchLegacyBitwise)
     for (bool idler : {false, true}) {
         const ZairProgram p = handProgram(arch, idler);
         const FidelityBreakdown f = evaluateFidelity(p, arch);
-        const FidelityBreakdown l = legacy::evaluateFidelity(p, arch);
-        EXPECT_EQ(f.g1, l.g1);
-        EXPECT_EQ(f.g2, l.g2);
-        EXPECT_EQ(f.n_excitation, l.n_excitation);
-        EXPECT_EQ(f.n_transfer, l.n_transfer);
-        EXPECT_EQ(f.f_1q, l.f_1q);
-        EXPECT_EQ(f.f_2q_gates, l.f_2q_gates);
-        EXPECT_EQ(f.f_excitation, l.f_excitation);
-        EXPECT_EQ(f.f_2q, l.f_2q);
-        EXPECT_EQ(f.f_transfer, l.f_transfer);
-        EXPECT_EQ(f.f_decoherence, l.f_decoherence);
-        EXPECT_EQ(f.duration_us, l.duration_us);
-        EXPECT_EQ(f.total, l.total);
+        const std::string key =
+            std::string("hand/reference/") +
+            (idler ? "idler-in-zone" : "idler-outside") + "/fidelity";
+        expectGolden(key, fidelityDigest(f));
     }
 }
 
-// -------------------------------------- legacy equivalence, full sweep
+// ------------------------------------ golden digests, full sweep
 
 class FidelityEquivPaper : public ::testing::TestWithParam<const char *>
 {
@@ -321,18 +313,9 @@ TEST_P(FidelityEquivPaper, BitIdenticalToLegacyOnCompiledProgram)
     const ZacResult r =
         compiler.compile(bench_circuits::paperBenchmark(GetParam()));
     const FidelityBreakdown f = evaluateFidelity(r.program, arch);
-    const FidelityBreakdown l =
-        legacy::evaluateFidelity(r.program, arch);
-    EXPECT_EQ(f.g1, l.g1);
-    EXPECT_EQ(f.g2, l.g2);
-    EXPECT_EQ(f.n_excitation, l.n_excitation);
-    EXPECT_EQ(f.n_transfer, l.n_transfer);
-    EXPECT_EQ(f.f_1q, l.f_1q);
-    EXPECT_EQ(f.f_2q, l.f_2q);
-    EXPECT_EQ(f.f_transfer, l.f_transfer);
-    EXPECT_EQ(f.f_decoherence, l.f_decoherence);
-    EXPECT_EQ(f.duration_us, l.duration_us);
-    EXPECT_EQ(f.total, l.total);
+    const std::string key =
+        std::string("paper/sa100/") + GetParam() + "/fidelity";
+    expectGolden(key, fidelityDigest(f));
     // The compiler's own breakdown is the same evaluation.
     EXPECT_EQ(r.fidelity.total, f.total);
 }

@@ -1,18 +1,19 @@
 /**
  * @file
- * Acceptance gates of the flat-ID dynamic-placement pipeline rewrite:
+ * Bit-identity gates of the dynamic-placement pipeline:
  *
  *  - the windowed placeGates() must return the bit-identical assignment
- *    of the retained full-matrix reference on randomized stages over
- *    every preset architecture, including mirror-symmetric stages
- *    whose cost ties leave several optimal assignments;
+ *    of the full-matrix reference on randomized stages over every
+ *    preset architecture, including mirror-symmetric stages whose cost
+ *    ties leave several optimal assignments;
  *  - the journaled PlacementState undo must reproduce the
  *    snapshot/restore semantics bit-exactly (including home traps);
- *  - the rewritten runDynamicPlacement() must produce bit-identical
- *    placement plans — and hence bit-identical ZAIR + fidelity through
- *    the unchanged scheduler — to the frozen zac::legacy driver on all
- *    17 paper circuits with a fixed seed, and on scaled ising circuits
- *    whose storage placement takes the expanded sparse solve.
+ *  - runDynamicPlacement() plans, and compile()'s ZAIR program and
+ *    fidelity, must match the golden digests (golden.hpp) on the 17
+ *    paper circuits under every option preset, on multi-zone
+ *    architectures, and on scaled circuits whose storage placement
+ *    takes the expanded sparse solve; compileStreamed() must write
+ *    compile()'s bytes.
  */
 
 #include <gtest/gtest.h>
@@ -29,12 +30,11 @@
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
 #include "core/gate_placer.hpp"
-#include "core/movement_legacy.hpp"
 #include "core/sa_placer.hpp"
-#include "core/scheduler.hpp"
 #include "transpile/optimize.hpp"
 #include "zair/serialize.hpp"
 
+#include "golden.hpp"
 #include "test_archs.hpp"
 
 namespace zac
@@ -483,7 +483,12 @@ TEST(PlacementStateJournal, CommitKeepsMutations)
     EXPECT_THROW(st.journalUndo(), PanicError);
 }
 
-// ------------------------------- legacy vs rewritten dynamic placement
+// -------------------------------- dynamic placement vs golden digests
+
+using golden::expectGolden;
+using golden::fidelityDigest;
+using golden::planDigest;
+using golden::programDigest;
 
 std::vector<std::string>
 paperCircuitNames()
@@ -512,20 +517,25 @@ TEST(DynamicPlacementEquiv, PlansBitIdenticalToLegacyOnPaperCircuits)
 
         const PlacementPlan fresh =
             runDynamicPlacement(arch, staged, initial, opts);
-        const PlacementPlan reference =
-            legacy::runDynamicPlacement(arch, staged, initial, opts);
-        EXPECT_EQ(fresh, reference) << name;
+        expectGolden("paper/sa300/" + name + "/plan", planDigest(fresh));
     }
 }
 
+/**
+ * The Fig. 11 ablation presets on trivial initial placement, plus full
+ * options with the Sec. X direct-reuse path. The first three share the
+ * paper preset grid's keys (PaperPresetGolden below).
+ */
 TEST(DynamicPlacementEquiv, AblationVariantsMatchLegacy)
 {
     const Architecture arch = presets::referenceZoned();
-    ZacOptions variants[] = {ZacOptions::vanilla(),
-                             ZacOptions::dynPlace(),
-                             ZacOptions::dynPlaceReuse(),
-                             ZacOptions::full()};
-    variants[3].use_direct_reuse = true; // exercise the Sec. X path
+    ZacOptions direct = ZacOptions::full();
+    direct.use_direct_reuse = true; // exercise the Sec. X path
+    const std::pair<const char *, ZacOptions> variants[] = {
+        {"vanilla", ZacOptions::vanilla()},
+        {"dynPlace", ZacOptions::dynPlace()},
+        {"dynPlaceReuse", ZacOptions::dynPlaceReuse()},
+        {"full-direct-trivial", direct}};
     for (const char *name : {"qft_n18", "ising_n42", "ghz_n23"}) {
         const Circuit pre =
             preprocess(bench_circuits::paperBenchmark(name));
@@ -533,11 +543,11 @@ TEST(DynamicPlacementEquiv, AblationVariantsMatchLegacy)
             scheduleStages(pre, arch.numSites());
         const std::vector<TrapRef> initial =
             trivialInitialPlacement(arch, staged.numQubits);
-        for (const ZacOptions &opts : variants) {
-            EXPECT_EQ(runDynamicPlacement(arch, staged, initial, opts),
-                      legacy::runDynamicPlacement(arch, staged, initial,
-                                                  opts))
-                << name;
+        for (const auto &[label, opts] : variants) {
+            const std::string key = std::string("paper/") + label + "/" +
+                                    name + "/plan";
+            expectGolden(key, planDigest(runDynamicPlacement(
+                                  arch, staged, initial, opts)));
         }
     }
 }
@@ -551,12 +561,13 @@ TEST(DynamicPlacementEquiv, MultiZonePlansMatchLegacy)
             scheduleStages(pre, arch.numSites());
         const std::vector<TrapRef> initial =
             trivialInitialPlacement(arch, staged.numQubits);
-        for (const ZacOptions &opts :
-             {ZacOptions::full(), ZacOptions::dynPlaceReuse()}) {
-            EXPECT_EQ(runDynamicPlacement(arch, staged, initial, opts),
-                      legacy::runDynamicPlacement(arch, staged, initial,
-                                                  opts))
-                << arch.name();
+        for (const auto &[label, opts] :
+             {std::pair{"full-trivial", ZacOptions::full()},
+              std::pair{"dynPlaceReuse", ZacOptions::dynPlaceReuse()}}) {
+            const std::string key =
+                arch.name() + "/ising_n24/" + label + "/plan";
+            expectGolden(key, planDigest(runDynamicPlacement(
+                                  arch, staged, initial, opts)));
         }
     }
 }
@@ -565,8 +576,8 @@ TEST(DynamicPlacementEquiv, MultiZonePlansMatchLegacy)
  * A wide ising stage sends its qubits to the same storage edge, so the
  * local candidates violate Hall's condition and storage placement takes
  * the nearest-empty expansion (at n=256: 256 rows x ~2.7k traps). The
- * windowed solve over that graph must reproduce the legacy dense plan,
- * also on nearly full storage, where every qubit's nearest set is every
+ * windowed solve over that graph must reproduce the golden plan, also
+ * on nearly full storage, where every qubit's nearest set is every
  * empty trap (multiZoneArch1/2: 120 traps), and on two storage SLMs of
  * different pitch.
  */
@@ -583,15 +594,17 @@ TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
     };
     using scaling::Family;
     for (const Case &tc :
-         {Case{"scaled ising n=128", scaledZoned(128), Family::Ising, 128},
-          Case{"scaled ising n=256", scaledZoned(256), Family::Ising, 256},
-          Case{"arch1 nearly full ising n=116", presets::multiZoneArch1(),
+         {Case{"scaled128/ising_n128", scaledZoned(128), Family::Ising,
+               128},
+          Case{"scaled256/ising_n256", scaledZoned(256), Family::Ising,
+               256},
+          Case{"arch1/ising_n116", presets::multiZoneArch1(),
                Family::Ising, 116},
-          Case{"arch2 nearly full qaoa3r n=116", presets::multiZoneArch2(),
+          Case{"arch2/qaoa3r_n116", presets::multiZoneArch2(),
                Family::Qaoa, 116},
-          Case{"two-pitch storage qaoa3r n=300",
-               test_archs::twoPitchStorage(), Family::Qaoa, 300},
-          Case{"two-pitch storage qv n=60", test_archs::twoPitchStorage(),
+          Case{"two_pitch/qaoa3r_n300", test_archs::twoPitchStorage(),
+               Family::Qaoa, 300},
+          Case{"two_pitch/qv_n60", test_archs::twoPitchStorage(),
                Family::Qv, 60}}) {
         const Architecture &arch = tc.arch;
         const StagedCircuit staged = scheduleStages(
@@ -604,12 +617,12 @@ TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
             const std::vector<TrapRef> initial =
                 use_sa ? saInitialPlacement(arch, staged, sa)
                        : trivialInitialPlacement(arch, staged.numQubits);
-            const std::string label = tc.label + (use_sa ? " sa" : " trivial");
+            const std::string label =
+                "expanded/" + tc.label + (use_sa ? "/sa300" : "/trivial");
             PlacementProfile profile;
-            EXPECT_EQ(
-                runDynamicPlacement(arch, staged, initial, opts, &profile),
-                legacy::runDynamicPlacement(arch, staged, initial, opts))
-                << label;
+            expectGolden(label + "/plan",
+                         planDigest(runDynamicPlacement(
+                             arch, staged, initial, opts, &profile)));
             EXPECT_GT(profile.qubit_placer.expanded_solves, 0) << label;
             EXPECT_GT(profile.qubit_placer.window_growths, 0) << label;
         }
@@ -618,9 +631,9 @@ TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
 
 /**
  * Full-pipeline determinism gate: compile() twice must agree bit-for-
- * bit, and the ZAIR program built from the legacy driver's plan must
- * serialize to the identical JSON (the scheduler is a pure function of
- * the plan, so plan equality must carry through to ZAIR + fidelity).
+ * bit, and its plan, ZAIR program and fidelity must match the golden
+ * digests of the same input (the 300-iteration SA keys the paper-
+ * circuit plan test above shares).
  */
 TEST(DynamicPlacementEquiv, CompileOutputBitIdenticalViaLegacyPlan)
 {
@@ -642,26 +655,64 @@ TEST(DynamicPlacementEquiv, CompileOutputBitIdenticalViaLegacyPlan)
                   zairProgramToJson(b.program).dump())
             << name;
 
-        SaOptions sa;
-        sa.max_iterations = opts.sa_iterations;
-        sa.seed = opts.seed;
-        const std::vector<TrapRef> initial =
-            saInitialPlacement(arch, staged, sa);
-        const PlacementPlan legacy_plan =
-            legacy::runDynamicPlacement(arch, staged, initial, opts);
-        EXPECT_EQ(a.plan, legacy_plan) << name;
-        const ZairProgram legacy_program =
-            scheduleProgram(arch, staged, legacy_plan);
-        EXPECT_EQ(zairProgramToJson(a.program).dump(),
-                  zairProgramToJson(legacy_program).dump())
-            << name;
-        const FidelityBreakdown legacy_fid =
-            evaluateFidelity(legacy_program, arch);
-        EXPECT_EQ(a.fidelity.total, legacy_fid.total) << name;
-        EXPECT_EQ(a.fidelity.duration_us, legacy_fid.duration_us)
-            << name;
+        const std::string key = std::string("paper/sa300/") + name;
+        expectGolden(key + "/plan", planDigest(a.plan));
+        expectGolden(key + "/program", programDigest(a.program));
+        expectGolden(key + "/fidelity", fidelityDigest(a.fidelity));
     }
 }
+
+// ----------------------------------- compile() on every option preset
+
+ZacOptions
+presetOptions(const std::string &preset)
+{
+    if (preset == "vanilla")
+        return ZacOptions::vanilla();
+    if (preset == "dynPlace")
+        return ZacOptions::dynPlace();
+    if (preset == "dynPlaceReuse")
+        return ZacOptions::dynPlaceReuse();
+    return ZacOptions::full();
+}
+
+/**
+ * The 17 paper circuits on referenceZoned() under each Fig. 11 preset
+ * (SA with 1000 iterations and seed 1 where the preset enables it,
+ * trivial initial placement otherwise): plan, program and fidelity
+ * match the golden digests, and compileStreamed() writes exactly the
+ * bytes of compile()'s program. The "full" column is perf_placement's
+ * input set.
+ */
+class PaperPresetGolden : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(PaperPresetGolden, CompileMatchesGoldenDigests)
+{
+    const Architecture arch = presets::referenceZoned();
+    const ZacOptions opts = presetOptions(GetParam());
+    const ZacCompiler compiler(arch, opts);
+    for (const std::string &name : paperCircuitNames()) {
+        const Circuit circuit = bench_circuits::paperBenchmark(name);
+        const std::string key = "paper/" + GetParam() + "/" + name;
+        const ZacResult r = compiler.compile(circuit);
+        expectGolden(key + "/plan", planDigest(r.plan));
+        expectGolden(key + "/program", programDigest(r.program));
+        expectGolden(key + "/fidelity", fidelityDigest(r.fidelity));
+
+        const ZacStreamedResult s = compiler.compileStreamed(circuit);
+        EXPECT_EQ(s.program_json, zairProgramToJson(r.program).dump())
+            << key;
+        EXPECT_EQ(fidelityDigest(s.fidelity), fidelityDigest(r.fidelity))
+            << key;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, PaperPresetGolden,
+                         ::testing::Values("vanilla", "dynPlace",
+                                           "dynPlaceReuse", "full"),
+                         [](const auto &info) { return info.param; });
 
 } // namespace
 } // namespace zac

@@ -1,12 +1,13 @@
 /**
  * @file
- * Acceptance gates of the flat-ID scheduler rewrite:
+ * Bit-identity gates of the scheduler:
  *
- *  - scheduleProgram() must emit programs bit-identical — instruction
- *    by instruction, including begin_time_us / end_time_us / aod_id —
- *    to the frozen zac::legacy::scheduleProgram on the 17 paper
+ *  - scheduleProgram() must emit programs whose golden digests
+ *    (golden.hpp: the JSON bytes plus every scheduled field, job phase
+ *    markers included) match the committed table on the 17 paper
  *    circuits and on seeded random circuits over every preset
- *    architecture (single- and multi-AOD);
+ *    architecture (single- and multi-AOD), and so must the fidelity of
+ *    the random programs;
  *  - directed coverage for the two paths the randomized pipeline
  *    rarely forces: intra-group trap dependencies (a job occupying a
  *    trap another job of the same transition vacates) and the
@@ -27,62 +28,21 @@
 #include "core/movement.hpp"
 #include "core/sa_placer.hpp"
 #include "core/scheduler.hpp"
-#include "core/scheduler_legacy.hpp"
 #include "fidelity/model.hpp"
-#include "fidelity/model_legacy.hpp"
 #include "transpile/optimize.hpp"
-#include "zair/serialize.hpp"
+
+#include "golden.hpp"
 
 namespace zac
 {
 namespace
 {
 
-/**
- * Instruction-by-instruction equality, asserting every scheduled field
- * (timings and AOD assignment included) and, as a belt-and-braces
- * check, the serialized JSON byte stream.
- */
-void
-expectProgramsIdentical(const ZairProgram &a, const ZairProgram &b,
-                        const std::string &label)
-{
-    ASSERT_EQ(a.instrs.size(), b.instrs.size()) << label;
-    for (std::size_t i = 0; i < a.instrs.size(); ++i) {
-        const ZairInstr &x = a.instrs[i];
-        const ZairInstr &y = b.instrs[i];
-        ASSERT_EQ(x.kind, y.kind) << label << " instr " << i;
-        EXPECT_EQ(x.begin_time_us, y.begin_time_us)
-            << label << " instr " << i;
-        EXPECT_EQ(x.end_time_us, y.end_time_us)
-            << label << " instr " << i;
-        EXPECT_EQ(x.aod_id, y.aod_id) << label << " instr " << i;
-        EXPECT_EQ(x.zone_id, y.zone_id) << label << " instr " << i;
-        EXPECT_EQ(x.init_locs, y.init_locs) << label << " instr " << i;
-        EXPECT_EQ(x.locs, y.locs) << label << " instr " << i;
-        EXPECT_EQ(x.gate_qubits, y.gate_qubits)
-            << label << " instr " << i;
-        EXPECT_EQ(x.begin_locs, y.begin_locs)
-            << label << " instr " << i;
-        EXPECT_EQ(x.end_locs, y.end_locs) << label << " instr " << i;
-        EXPECT_EQ(x.unitary.theta, y.unitary.theta)
-            << label << " instr " << i;
-        EXPECT_EQ(x.unitary.phi, y.unitary.phi)
-            << label << " instr " << i;
-        EXPECT_EQ(x.unitary.lambda, y.unitary.lambda)
-            << label << " instr " << i;
-        EXPECT_EQ(x.pickup_done_us, y.pickup_done_us)
-            << label << " instr " << i;
-        EXPECT_EQ(x.move_done_us, y.move_done_us)
-            << label << " instr " << i;
-        ASSERT_EQ(x.insts.size(), y.insts.size())
-            << label << " instr " << i;
-    }
-    EXPECT_EQ(zairProgramToJson(a).dump(), zairProgramToJson(b).dump())
-        << label;
-}
+using golden::expectGolden;
+using golden::fidelityDigest;
+using golden::programDigest;
 
-// --------------------------------------- paper circuits, new == legacy
+// ------------------------------------ paper circuits, golden digests
 
 class SchedulerEquivPaper : public ::testing::TestWithParam<std::string>
 {
@@ -105,9 +65,8 @@ TEST_P(SchedulerEquivPaper, BitIdenticalToLegacy)
         runDynamicPlacement(arch, staged, initial, opts);
 
     const ZairProgram fresh = scheduleProgram(arch, staged, plan);
-    const ZairProgram reference =
-        legacy::scheduleProgram(arch, staged, plan);
-    expectProgramsIdentical(fresh, reference, GetParam());
+    expectGolden("paper/sa300/" + GetParam() + "/program",
+                 programDigest(fresh));
 }
 
 std::vector<std::string>
@@ -197,22 +156,11 @@ TEST(SchedulerEquivRandom, MatchesLegacyOnSeededCircuitsAllPresets)
 
             const ZairProgram fresh =
                 scheduleProgram(p.arch, staged, plan);
-            const ZairProgram reference =
-                legacy::scheduleProgram(p.arch, staged, plan);
-            expectProgramsIdentical(
-                fresh, reference,
-                std::string(p.label) + " round " +
-                    std::to_string(round));
-
-            // The fidelity rewrite must agree on the same programs.
-            const FidelityBreakdown fa =
-                evaluateFidelity(fresh, p.arch);
-            const FidelityBreakdown fb =
-                legacy::evaluateFidelity(reference, p.arch);
-            EXPECT_EQ(fa.total, fb.total) << p.label;
-            EXPECT_EQ(fa.n_excitation, fb.n_excitation) << p.label;
-            EXPECT_EQ(fa.n_transfer, fb.n_transfer) << p.label;
-            EXPECT_EQ(fa.f_decoherence, fb.f_decoherence) << p.label;
+            const std::string key = std::string("random/") + p.label +
+                                    "/round" + std::to_string(round);
+            expectGolden(key + "/program", programDigest(fresh));
+            expectGolden(key + "/fidelity",
+                         fidelityDigest(evaluateFidelity(fresh, p.arch)));
         }
     }
 }
@@ -288,9 +236,8 @@ TEST(SchedulerDirected, IntraGroupTrapDependencyDelaysOccupyingJob)
 
     const ZairProgram program = scheduleProgram(arch, staged, plan);
     program.checkInvariants();
-    expectProgramsIdentical(
-        program, legacy::scheduleProgram(arch, staged, plan),
-        "intra-group dependency");
+    expectGolden("directed/intra-group-dependency/program",
+                 programDigest(program));
 
     const ZairInstr *dependent = jobEndingAt(program, trap_b);
     const ZairInstr *vacating = jobBeginningAt(program, trap_b);
@@ -337,9 +284,8 @@ TEST(SchedulerDirected, TrapExchangeCycleFallsBackAndCompletes)
 
     const ZairProgram program = scheduleProgram(arch, staged, plan);
     program.checkInvariants();
-    expectProgramsIdentical(
-        program, legacy::scheduleProgram(arch, staged, plan),
-        "trap-exchange cycle");
+    expectGolden("directed/trap-exchange-cycle/program",
+                 programDigest(program));
 
     int jobs = 0;
     const ZairInstr *first = nullptr, *second = nullptr;
@@ -373,9 +319,7 @@ TEST(SchedulerDirected, OneQGroupingMergesEqualUnitaries)
     plan.initial = {{0, 99, 0}, {0, 99, 1}, {0, 99, 2}, {0, 99, 3}};
 
     const ZairProgram program = scheduleProgram(arch, staged, plan);
-    expectProgramsIdentical(
-        program, legacy::scheduleProgram(arch, staged, plan),
-        "1q grouping");
+    expectGolden("directed/1q-grouping/program", programDigest(program));
 
     ASSERT_EQ(program.instrs.size(), 3u); // init + two grouped 1qGates
     const ZairInstr &g1 = program.instrs[1];
@@ -417,9 +361,7 @@ TEST(SchedulerDirected, RydbergPulsesSplitPerZoneAscending)
     plan.transitions.resize(1);
 
     const ZairProgram program = scheduleProgram(arch, staged, plan);
-    expectProgramsIdentical(
-        program, legacy::scheduleProgram(arch, staged, plan),
-        "zone grouping");
+    expectGolden("directed/zone-grouping/program", programDigest(program));
 
     std::vector<const ZairInstr *> pulses;
     for (const ZairInstr &in : program.instrs)
@@ -451,9 +393,8 @@ TEST(SchedulerDirected, MultiAodSchedulingBalancesJobs)
     // The parallel Ising transitions must actually spread over AODs.
     EXPECT_GE(aods_used.size(), 2u);
 
-    const ZairProgram reference =
-        legacy::scheduleProgram(arch, r.staged, r.plan);
-    expectProgramsIdentical(r.program, reference, "multi-aod");
+    expectGolden("reference_4aod/sa100/ising_n42/program",
+                 programDigest(r.program));
 }
 
 } // namespace

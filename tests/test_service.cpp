@@ -1462,6 +1462,19 @@ TEST(ManifestTest, RejectsOutOfRangeNumericsNamingTheCulprit)
             << c.key << "=" << c.value << ": " << msg;
     }
 
+    // An AOD count is bounded before the reference architecture builds
+    // one AOD per count.
+    for (const char *aods : {"0", "-1", "17", "2000000000"}) {
+        const std::string msg = manifestFatalMessage(
+            std::string(R"({"targets": [{"name": "a", "arch": "reference",
+                                        "aods": )") +
+            aods + R"(}], "jobs": [{"circuit": "ghz_n23"}]})");
+        EXPECT_NE(msg.find("aods " + std::string(aods) + " out of range"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("'a'"), std::string::npos) << msg;
+    }
+
     // The boundary values stay legal.
     EXPECT_EQ(manifestFatalMessage(R"({
       "targets": [{"name": "a", "arch": "reference",
@@ -1477,6 +1490,14 @@ TEST(ManifestTest, RejectsOutOfRangeNumericsNamingTheCulprit)
     })"));
     EXPECT_EQ(m.targets[0].opts.sa_iterations, 2147483647);
     EXPECT_EQ(m.targets[0].arch.aods().size(), 1u);
+    EXPECT_EQ(service::manifestFromJson(
+                  json::parse(R"({"targets": [{"arch": "reference",
+                                               "aods": 16}],
+                                  "jobs": [{"circuit": "ghz_n23"}]})"))
+                  .targets[0]
+                  .arch.aods()
+                  .size(),
+              16u);
     EXPECT_EQ(m.jobs[0].repeat, 2147483647);
     EXPECT_EQ(m.jobs[1].repeat, 1);
 }

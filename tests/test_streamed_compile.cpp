@@ -19,6 +19,7 @@
 #include "arch/presets.hpp"
 #include "arch/serialize.hpp"
 #include "circuit/generators.hpp"
+#include "common/logging.hpp"
 #include "core/compiler.hpp"
 #include "service/protocol.hpp"
 #include "service/service.hpp"
@@ -145,6 +146,18 @@ TEST(StreamedCompile, ScratchReuseIsDeterministic)
         compiler.compileStreamed(a, CompileControl{}, nullptr)
             .program_json,
         ref);
+}
+
+TEST(StreamedCompile, CircuitWiderThanStorageFailsBeforePreprocessing)
+{
+    // Both entry points reject a circuit wider than storage before
+    // preprocessing allocates per-qubit state for it.
+    const ZacCompiler compiler(presets::referenceZoned(),
+                               ZacOptions::full());
+    Circuit wide(2000000000, "wide");
+    wide.cz(0, 1);
+    EXPECT_THROW(compiler.compile(wide), FatalError);
+    EXPECT_THROW(compiler.compileStreamed(wide), FatalError);
 }
 
 // --------------------------------------------- warm context pool
