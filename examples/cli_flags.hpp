@@ -1,9 +1,10 @@
 /**
  * @file
- * Numeric flag parsing shared by the zac_batch, zac_serve, zac_client
- * and compile_qasm command lines. A malformed, partial or out-of-range value
- * is a usage error: a diagnostic naming the flag, the usage text, and
- * exit status 2. It never becomes a silent 0 or a wrapped-around size.
+ * Numeric flag parsing shared by the zac_batch, zac_serve, zac_client,
+ * compile_qasm and ftqc_hiqp command lines. A malformed, partial or
+ * out-of-range value is a usage error: a diagnostic naming the flag,
+ * the usage text, and exit status 2. It never becomes a silent 0 or a
+ * wrapped-around size.
  */
 
 #ifndef ZAC_EXAMPLES_CLI_FLAGS_HPP

@@ -8,8 +8,8 @@ Usage:
 Compares a freshly measured benchmark JSON against the committed one
 and exits non-zero when the schema's gated metric regresses by more
 than THRESHOLD (default 1.25, i.e. +25%), when any gated semantics
-flag is false, or when a schema-specific extra gate (speedup floor,
-tail-latency ratio, scaling exponent) fails.
+flag is false, or when a schema-specific extra gate (tail-latency
+ratio, scaling exponent) fails.
 
 The per-schema gate logic lives in one table (SCHEMAS below): each
 entry declares the headline metric, the gated flag keys (dotted paths;
@@ -20,22 +20,6 @@ adding a table entry, not a new code branch.
 Supported schemas (--schema selects one explicitly; without the flag
 the committed file's own schema tag is used, and both files must
 carry the same tag either way):
-
-  zac.perf_placement.v5
-      Metric: ``compile_total_seconds`` normalized by the frozen
-      ``zac::legacy`` SA total (``sa_placement[].legacy_seconds``,
-      the only legacy timing the file carries). The committed JSON is
-      usually measured on different hardware than the CI runner, so
-      raw seconds are not comparable; the legacy SA implementation
-      never changes, making the ratio a machine-speed control that
-      isolates genuine compiler regressions. Also gates on
-      ``sa_outputs_identical`` and ``sa_multi_seed_deterministic``,
-      plus a floor of 2.0x on ``sa_incremental_speedup`` (the
-      incremental SA engine vs. the frozen legacy reference). The
-      plans, programs and fidelities of these compiles are pinned by
-      the ctest suite's golden digests, not by this file. A v4 file
-      (which also carried the retired dynamic-placement and
-      scheduler/fidelity sections) is rejected as a schema mismatch.
 
   zac.perf_service.v4
       Metric: ``scaling_overhead`` — wall seconds of the batch
@@ -49,11 +33,12 @@ carry the same tag either way):
       a dedicated 2.0x ratio gate on fresh vs. committed
       ``churn.latency_p99_normalized``.
 
-  zac.perf_scaling.v1
+  zac.perf_scaling.v2
       The workload-scaling sweep (bench/perf_scaling.cpp): per-family
-      qubit-count vs. compile-time curves. No single headline metric;
-      instead two curve gates, both machine-normalized so a committed
-      baseline from different hardware still gates meaningfully:
+      qubit-count vs. compile-time curves and placement work counters.
+      No single headline metric; instead three curve gates, none of
+      which compares raw seconds, so a committed baseline from
+      different hardware still gates meaningfully:
         * point gate — for every (family, size) present in both files,
           each curve is normalized by its own time at the smallest
           common size (machine speed cancels); the fresh normalized
@@ -69,9 +54,18 @@ carry the same tag either way):
           enough to fit reliably — an SA or scheduler phase drifting
           superlinear fails the build even if the total still looks
           tame.
+        * counter gate — the same refit on the work counters
+          ``qubit_placer.candidate_cells``,
+          ``qubit_placer.edges_relaxed`` and
+          ``gate_placer.window_cells`` (a zero count fits as 1); the
+          fresh exponent must not exceed the committed one by more
+          than SCALING_COUNTER_EXPONENT_MARGIN (0.1). The counters are
+          deterministic, so this gate reads the same on every host.
       Also gates on ``streamed_vs_dom_identical`` and
       ``deterministic``, and requires the fresh sweep to reach at
-      least 1000 qubits (``max_point_qubits``).
+      least 1000 qubits (``max_point_qubits``). A v1 file (timed with
+      the DOM verification on, counters not gated) is rejected as a
+      schema mismatch.
 
 When the ``GITHUB_STEP_SUMMARY`` environment variable is set (GitHub
 Actions), a markdown comparison table is appended to it so perf drift
@@ -87,9 +81,6 @@ import math
 import os
 import sys
 
-# Floor on the placement-v5 incremental-SA headline figure (>= 2x
-# geomean vs. the frozen zac::legacy reference).
-SA_INCREMENTAL_SPEEDUP_FLOOR = 2.0
 # Max allowed fresh/committed ratio on churn.latency_p99_normalized
 # (service v4). Looser than the headline threshold: tail latency
 # under 200 concurrent clients is noisier than aggregate throughput,
@@ -105,6 +96,12 @@ SCALING_PHASE_KEYS = (
     "placement_seconds",
     "scheduling_seconds",
     "fidelity_seconds",
+)
+SCALING_COUNTER_EXPONENT_MARGIN = 0.1
+SCALING_COUNTER_KEYS = (
+    "qubit_placer.candidate_cells",
+    "qubit_placer.edges_relaxed",
+    "gate_placer.window_cells",
 )
 
 
@@ -145,27 +142,6 @@ def gated_flags(doc, path, keys):
 # --------------------------------------------------------------- metrics
 
 
-def placement_metric(doc, path):
-    """Legacy-SA-normalized compile seconds (lower is better)."""
-    rows = require(doc, path, "sa_placement")
-    try:
-        legacy_total = sum(r["legacy_seconds"] for r in rows)
-        metric = require(doc, path, "compile_total_seconds")
-    except (KeyError, TypeError) as e:
-        fail_input(
-            f"{path}: malformed sa_placement rows for schema "
-            f"{doc.get('schema')!r} ({e!r}); regenerate the file with "
-            f"./build/perf_placement"
-        )
-    if legacy_total <= 0.0:
-        fail_input(f"{path}: degenerate legacy SA total; cannot "
-                   "normalize")
-    if not isinstance(metric, (int, float)) or metric < 0:
-        fail_input(f"{path}: compile_total_seconds is not a "
-                   "non-negative number")
-    return metric / legacy_total
-
-
 def service_metric(doc, path):
     """Ideal-scaling-normalized parallel seconds (lower is better)."""
     metric = require(doc, path, "scaling_overhead")
@@ -176,28 +152,6 @@ def service_metric(doc, path):
 
 
 # ----------------------------------------------------------- extra gates
-
-
-def gate_sa_incremental_floor(committed, fresh, cpath, fpath, args):
-    speedup = require(fresh, fpath, "sa_incremental_speedup")
-    if not isinstance(speedup, (int, float)) or isinstance(
-        speedup, bool
-    ):
-        fail_input(
-            f"{fpath}: sa_incremental_speedup is not a number; "
-            f"regenerate the file with ./build/perf_placement"
-        )
-    print(
-        f"sa_incremental_speedup: fresh {speedup:.2f}x "
-        f"(floor {SA_INCREMENTAL_SPEEDUP_FLOOR:.1f}x)"
-    )
-    if speedup < SA_INCREMENTAL_SPEEDUP_FLOOR:
-        print(
-            "FAIL: incremental SA speedup fell below the "
-            f"{SA_INCREMENTAL_SPEEDUP_FLOOR:.1f}x floor"
-        )
-        return False
-    return True
 
 
 def gate_churn_latency(committed, fresh, cpath, fpath, args):
@@ -260,7 +214,7 @@ def fit_exponent(sizes, seconds):
     return (n * sxy - sx * sy) / denom if denom else 0.0
 
 
-def point_seconds(point, path, key):
+def point_value(point, path, key):
     found, value = lookup(point, key)
     if (
         not found
@@ -276,8 +230,9 @@ def point_seconds(point, path, key):
 
 
 def gate_scaling_curves(committed, fresh, cpath, fpath, args):
-    """The two scaling gates: normalized per-point regressions and
-    refitted asymptotic-exponent blowups, per family and per phase."""
+    """The scaling gates: normalized per-point regressions and
+    refitted asymptotic-exponent blowups, per family, per phase and per
+    work counter."""
     ok = True
     ccurves = scaling_curves(committed, cpath)
     fcurves = scaling_curves(fresh, fpath)
@@ -293,9 +248,9 @@ def gate_scaling_curves(committed, fresh, cpath, fpath, args):
                   f"with the baseline; skipping")
             continue
 
-        csecs = [point_seconds(cpoints[n], cpath, "compile_seconds")
+        csecs = [point_value(cpoints[n], cpath, "compile_seconds")
                  for n in common]
-        fsecs = [point_seconds(fpoints[n], fpath, "compile_seconds")
+        fsecs = [point_value(fpoints[n], fpath, "compile_seconds")
                  for n in common]
 
         # Point gate: normalize each curve by its own smallest common
@@ -331,24 +286,35 @@ def gate_scaling_curves(committed, fresh, cpath, fpath, args):
                 f"({cexp:.2f} -> {fexp:.2f})"
             )
             ok = False
-        for phase in SCALING_PHASE_KEYS:
-            cph = [point_seconds(cpoints[n], cpath,
-                                 f"phase_totals.{phase}")
-                   for n in common]
-            fph = [point_seconds(fpoints[n], fpath,
-                                 f"phase_totals.{phase}")
-                   for n in common]
-            # Phases too cheap to time reliably fit as noise: only
-            # gate a phase that costs real time at the largest size.
-            if (cph[-1] < SCALING_MIN_GATE_SECONDS
-                    or fph[-1] < SCALING_MIN_GATE_SECONDS):
+        # The same refit per phase (wall clock, loose margin) and per
+        # work counter (deterministic, tight margin).
+        curves = [(f"phase {phase}", f"phase_totals.{phase}",
+                   SCALING_EXPONENT_MARGIN)
+                  for phase in SCALING_PHASE_KEYS]
+        curves += [(f"counter {key}", key,
+                    SCALING_COUNTER_EXPONENT_MARGIN)
+                   for key in SCALING_COUNTER_KEYS]
+        for label, key, margin in curves:
+            cvals = [point_value(cpoints[n], cpath, key) for n in common]
+            fvals = [point_value(fpoints[n], fpath, key) for n in common]
+            if key in SCALING_COUNTER_KEYS:
+                # A zero count (no such work at that size) fits as 1.
+                cvals = [max(v, 1) for v in cvals]
+                fvals = [max(v, 1) for v in fvals]
+            elif (cvals[-1] < SCALING_MIN_GATE_SECONDS
+                    or fvals[-1] < SCALING_MIN_GATE_SECONDS):
+                # Phases too cheap to time reliably fit as noise: only
+                # gate a phase that costs real time at the largest
+                # size.
                 continue
-            cpe = fit_exponent(common, cph)
-            fpe = fit_exponent(common, fph)
-            if fpe > cpe + SCALING_EXPONENT_MARGIN:
+            cexp = fit_exponent(common, cvals)
+            fexp = fit_exponent(common, fvals)
+            print(f"{family}: {label} exponent committed {cexp:.2f}, "
+                  f"fresh {fexp:.2f} (margin {margin:.2f})")
+            if fexp > cexp + margin:
                 print(
-                    f"FAIL: {family}: phase {phase} exponent blew up "
-                    f"({cpe:.2f} -> {fpe:.2f})"
+                    f"FAIL: {family}: {label} exponent blew up "
+                    f"({cexp:.2f} -> {fexp:.2f})"
                 )
                 ok = False
     return ok
@@ -380,32 +346,6 @@ def fmt_ratio(committed, fresh):
     ):
         return f"{fresh / committed:.3f}"
     return "n/a"
-
-
-def summary_rows_placement(committed, fresh):
-    headline = (
-        "compile_total_seconds",
-        "sa_geomean_speedup",
-        "sa_incremental_speedup",
-    )
-    rows = []
-    for key in headline:
-        if key in committed or key in fresh:
-            rows.append((key, committed.get(key), fresh.get(key)))
-    phase_keys = (
-        "sa_seconds",
-        "reuse_matching_seconds",
-        "gate_placement_seconds",
-        "movement_seconds",
-        "scheduling_seconds",
-        "fidelity_seconds",
-    )
-    cp = committed.get("phase_totals", {})
-    fp = fresh.get("phase_totals", {})
-    for key in phase_keys:
-        if key in cp or key in fp:
-            rows.append((f"phase: {key}", cp.get(key), fp.get(key)))
-    return rows
 
 
 def summary_rows_service(committed, fresh):
@@ -489,16 +429,6 @@ class SchemaSpec:
 
 
 SCHEMAS = {
-    "zac.perf_placement.v5": SchemaSpec(
-        metric=placement_metric,
-        metric_name="compile_total_seconds (legacy-SA-normalized)",
-        flag_keys=(
-            "sa_outputs_identical",
-            "sa_multi_seed_deterministic",
-        ),
-        summary_rows=summary_rows_placement,
-        extra_gates=(gate_sa_incremental_floor,),
-    ),
     "zac.perf_service.v4": SchemaSpec(
         metric=service_metric,
         metric_name="scaling_overhead (ideal-scaling-normalized)",
@@ -517,7 +447,7 @@ SCHEMAS = {
         summary_rows=summary_rows_service,
         extra_gates=(gate_churn_latency,),
     ),
-    "zac.perf_scaling.v1": SchemaSpec(
+    "zac.perf_scaling.v2": SchemaSpec(
         metric=None,
         metric_name="scaling curves (per-family, machine-normalized)",
         flag_keys=("streamed_vs_dom_identical", "deterministic"),
@@ -534,8 +464,8 @@ def load(path, want_schema):
     if not os.path.exists(path):
         fail_input(
             f"{path}: baseline/benchmark JSON not found. Generate it "
-            f"with ./build/perf_placement, ./build/perf_service or "
-            f"./build/perf_scaling (see bench/README.md) and commit "
+            f"with ./build/perf_service or ./build/perf_scaling (see "
+            f"bench/README.md) and commit "
             f"the baseline."
         )
     try:

@@ -104,9 +104,9 @@ struct SaShared
             pool[i] = arch.trapId(order[i]);
 
         // CSR gate lists: count, prefix-sum, fill. Per-qubit gate
-        // order is ascending gate index, matching the legacy
-        // per-qubit push_back order so delta summation order (and
-        // therefore every accept decision) is unchanged.
+        // order is ascending gate index: it fixes the delta summation
+        // order, and so every accept decision, which the golden
+        // digests of the SA outputs pin.
         const std::size_t n = static_cast<std::size_t>(num_qubits);
         gate_offsets.assign(n + 1, 0);
         for (const WeightedGate &g : gates) {
@@ -128,7 +128,7 @@ struct SaShared
         }
 
         // Baseline costs of the trivial placement, summed in gate
-        // order exactly like the legacy tracker constructor.
+        // order: the starting total every accept decision sees.
         for (std::size_t i = 0; i < gates.size(); ++i) {
             init_gate_cost[i] = weightedGateCost(
                 arch, gates[i],
@@ -194,15 +194,16 @@ namespace
  * moves.
  *
  * Bit-exactness contract: the sequence of per-move deltas and running
- * totals is identical to the apply-then-undo evaluator it replaces
- * (and therefore to zac::legacy::saInitialPlacement). Per-qubit gate
- * visit order is the CSR order (ascending gate index, = legacy), the
- * two per-qubit partial deltas of a swap are produced by the same
- * `peek(a) + peek(b)` expression shape so unspecified evaluation order
- * matches the legacy `refreshQubit(a) + refreshQubit(b)` under the
- * same compiler, and a revert adds the exact negations of the recorded
- * partials in the recorded order — the same values the legacy undo
- * re-derived by re-evaluating every touched gate.
+ * totals is that of an apply-then-undo evaluator that re-evaluates
+ * every touched gate on both apply and undo. The golden digests of the
+ * SA outputs (tests/golden_table.cpp, "sa/" keys) were generated from
+ * such an evaluator and pin this summation order: per-qubit gate visit
+ * order is the CSR order (ascending gate index); the two per-qubit
+ * partial deltas of a swap come from one `peek(a) + peek(b)`
+ * expression, the shape the digests were generated with, so the
+ * compiler picks the same operand order; and a revert adds the exact
+ * negations of the recorded partials in the recorded order, the values
+ * re-evaluating every touched gate would re-derive.
  *
  * The scratch (pending costs, stamps, touched list) is reused across
  * the seeds a worker runs; only resets between seeds copy O(#gates).
@@ -359,8 +360,8 @@ class SeedAnnealer
      * (already mutated) trap assignment, without writing the per-gate
      * cache: fresh values land in pending scratch, the partial delta
      * is added to the running total and recorded for a later revert.
-     * Summation order and intermediate values match one legacy
-     * refreshQubit() call bitwise.
+     * Summation order and intermediate values are those of a full
+     * re-evaluation of q's gates in ascending gate index, bit for bit.
      */
     double
     peekQubit(int q)
@@ -399,10 +400,10 @@ class SeedAnnealer
         prop_is_swap_ = true;
         prop_a_ = a;
         prop_b_ = b;
-        // Same expression shape as the legacy
-        // `refreshQubit(a) + refreshQubit(b)`: whatever operand order
-        // the compiler picks there, it picks here, so the partial
-        // deltas and the two running-total updates match bitwise.
+        // One expression, as in the evaluator the golden digests came
+        // from: its operand order is unspecified, and splitting it
+        // could reorder the two running-total updates and change every
+        // later accept decision.
         return peekQubit(a) + peekQubit(b);
     }
 
@@ -430,9 +431,9 @@ class SeedAnnealer
     /**
      * Reject the outstanding proposal: restore the integer trap state
      * and subtract the recorded partial deltas in recording order —
-     * bitwise the same totals the legacy undo produced by
-     * re-evaluating every touched gate at the restored positions
-     * (each undo partial is the exact negation of the forward one).
+     * bitwise the totals an undo that re-evaluates every touched gate
+     * at the restored positions produces (each undo partial is the
+     * exact negation of the forward one).
      */
     void
     revert()

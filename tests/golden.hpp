@@ -1,14 +1,15 @@
 /**
  * @file
  * Golden digests: 64-bit FNV-1a fingerprints of placement plans, ZAIR
- * programs and fidelity breakdowns, checked against a committed table
- * (golden_table.cpp) keyed by the input that produced them.
+ * programs, fidelity breakdowns, SA trap assignments and Eq. 2 costs,
+ * checked against a committed table (golden_table.cpp) keyed by the
+ * input that produced them.
  *
  * The table pins the compiler's output bits on fixed or seeded inputs,
- * so a change that alters a plan, a program or a fidelity term fails
- * the test that names the key. An intended output change edits the
- * entry (the failure prints the new digest) and says why in
- * CHANGES.md.
+ * so a change that alters a plan, a program, a fidelity term, an SA
+ * placement or a cost's last bit fails the test that names the key.
+ * An intended output change edits the entry (the failure prints the
+ * new digest) and says why in CHANGES.md.
  */
 
 #ifndef ZAC_TESTS_GOLDEN_HPP
@@ -50,6 +51,26 @@ hashQLocs(Fnv1a &h, const std::vector<QLoc> &locs)
         h.i64(l.r);
         h.i64(l.c);
     }
+}
+
+/** A trap assignment (SA placements, trap orders, query results). */
+inline std::uint64_t
+trapsDigest(const std::vector<TrapRef> &traps)
+{
+    Fnv1a h;
+    h.u64(traps.size());
+    for (const TrapRef &t : traps)
+        hashTrap(h, t);
+    return h.digest();
+}
+
+/** The bits of one Eq. 2 cost. */
+inline std::uint64_t
+costDigest(double cost)
+{
+    Fnv1a h;
+    h.f64(cost);
+    return h.digest();
 }
 
 /** Every PlacementPlan field. */

@@ -13,8 +13,8 @@
 #include "arch/spec.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "core/sa_placer_legacy.hpp"
 
+#include "golden.hpp"
 #include "test_archs.hpp"
 
 namespace zac
@@ -347,11 +347,25 @@ TEST(ArchQueryEquivalence, NearestSiteMatchesLinearScan)
     for (const Architecture &arch : allPresets()) {
         Point lo, hi;
         archBounds(arch, lo, hi);
+        Fnv1a sites;
         for (int i = 0; i < 2000; ++i) {
             const Point p = randomPoint(rng, lo, hi);
-            EXPECT_EQ(arch.nearestSite(p), legacy::nearestSite(arch, p))
+            // First-minimum scan over every Rydberg site.
+            int best = -1;
+            double best_d = std::numeric_limits<double>::max();
+            for (int s = 0; s < arch.numSites(); ++s) {
+                const double d = distance(p, arch.site(s).pos_left);
+                if (d < best_d) {
+                    best_d = d;
+                    best = s;
+                }
+            }
+            EXPECT_EQ(arch.nearestSite(p), best)
                 << arch.name() << " at (" << p.x << "," << p.y << ")";
+            sites.i64(best);
         }
+        golden::expectGolden("query/" + arch.name() + "/nearest_site",
+                             sites.digest());
     }
 }
 
@@ -363,11 +377,11 @@ TEST(ArchQueryEquivalence, NearestStorageTrapMatchesReferences)
             continue;
         Point lo, hi;
         archBounds(arch, lo, hi);
+        std::vector<TrapRef> gots;
         for (int i = 0; i < 2000; ++i) {
             const Point p = randomPoint(rng, lo, hi);
             const TrapRef got = arch.nearestStorageTrap(p);
-            // Pre-index implementation.
-            EXPECT_EQ(got, legacy::nearestStorageTrap(arch, p));
+            gots.push_back(got);
             // Brute-force first-minimum scan over every storage trap.
             TrapRef best;
             double best_d = std::numeric_limits<double>::max();
@@ -380,6 +394,10 @@ TEST(ArchQueryEquivalence, NearestStorageTrapMatchesReferences)
             }
             EXPECT_EQ(got, best) << arch.name();
         }
+        // Generated from the pre-index per-SLM clamp-and-round query.
+        golden::expectGolden("query/" + arch.name() +
+                                 "/nearest_storage_trap",
+                             golden::trapsDigest(gots));
     }
 }
 

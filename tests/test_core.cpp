@@ -21,11 +21,11 @@
 #include "core/qubit_placer.hpp"
 #include "core/reuse.hpp"
 #include "core/sa_placer.hpp"
-#include "core/sa_placer_legacy.hpp"
 #include "matching/jonker_volgenant.hpp"
 #include "transpile/optimize.hpp"
 #include "zair/machine.hpp"
 
+#include "golden.hpp"
 #include "test_archs.hpp"
 
 namespace zac
@@ -594,16 +594,16 @@ TEST(QubitPlacer, ExpandedWindowsMatchDenseSolve)
     }
 }
 
-// ------------------------------------------ indexed-vs-legacy semantics
+// -------------------------------- pre-index semantics, golden digests
 
 TEST(SaPlacer, ProximityOrderMatchesLegacy)
 {
     for (const Architecture &arch :
          {presets::referenceZoned(), presets::multiZoneArch1(),
           presets::multiZoneArch2(), presets::logicalBlockArch()}) {
-        EXPECT_EQ(storageTrapsByProximity(arch),
-                  legacy::storageTrapsByProximity(arch))
-            << arch.name();
+        golden::expectGolden(
+            "proximity/" + arch.name() + "/traps",
+            golden::trapsDigest(storageTrapsByProximity(arch)));
     }
 }
 
@@ -617,18 +617,20 @@ TEST(SaPlacer, InitialCostMatchesLegacyBitExactly)
             scheduleStages(pre, arch.numSites());
         const auto trivial =
             trivialInitialPlacement(arch, staged.numQubits);
-        // Exact double equality: the indexed evaluation path must run
-        // the same arithmetic as the pre-index one.
-        EXPECT_EQ(initialPlacementCost(arch, staged, trivial),
-                  legacy::initialPlacementCost(arch, staged, trivial))
-            << name;
+        // The digest pins the cost's bits: the indexed evaluation path
+        // must run the same arithmetic as the pre-index one.
+        golden::expectGolden(
+            std::string("cost/reference/") + name + "/trivial",
+            golden::costDigest(
+                initialPlacementCost(arch, staged, trivial)));
     }
 }
 
 /**
  * The acceptance gate of the flat-index rewrite: with a fixed seed the
  * indexed SA must return the *bit-identical* trap assignment the
- * pre-index implementation produced — speed must not change semantics.
+ * pre-index implementation produced (its golden digest) — speed must
+ * not change semantics.
  */
 TEST(SaPlacer, FixedSeedOutputBitIdenticalToLegacy)
 {
@@ -642,9 +644,10 @@ TEST(SaPlacer, FixedSeedOutputBitIdenticalToLegacy)
             SaOptions opts;
             opts.max_iterations = 1000;
             opts.seed = seed;
-            EXPECT_EQ(saInitialPlacement(arch, staged, opts),
-                      legacy::saInitialPlacement(arch, staged, opts))
-                << "seed " << seed;
+            golden::expectGolden(
+                "sa/reference/ising_n42/seed" + std::to_string(seed) +
+                    "/traps",
+                golden::trapsDigest(saInitialPlacement(arch, staged, opts)));
         }
     }
     {
@@ -658,8 +661,9 @@ TEST(SaPlacer, FixedSeedOutputBitIdenticalToLegacy)
         SaOptions opts;
         opts.max_iterations = 1000;
         opts.seed = 42;
-        EXPECT_EQ(saInitialPlacement(arch, staged, opts),
-                  legacy::saInitialPlacement(arch, staged, opts));
+        golden::expectGolden(
+            "sa/arch2/qft_n18/seed42/traps",
+            golden::trapsDigest(saInitialPlacement(arch, staged, opts)));
     }
 }
 

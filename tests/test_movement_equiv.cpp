@@ -681,8 +681,7 @@ presetOptions(const std::string &preset)
  * (SA with 1000 iterations and seed 1 where the preset enables it,
  * trivial initial placement otherwise): plan, program and fidelity
  * match the golden digests, and compileStreamed() writes exactly the
- * bytes of compile()'s program. The "full" column is perf_placement's
- * input set.
+ * bytes of compile()'s program.
  */
 class PaperPresetGolden : public ::testing::TestWithParam<std::string>
 {

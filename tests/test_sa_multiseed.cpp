@@ -3,12 +3,12 @@
  * Lockdown suite for the incremental multi-seed SA engine (ISSUE 5):
  *
  *  - the propose/commit/revert delta evaluator must replay the exact
- *    accepted-move sequence of the frozen zac::legacy annealer — pinned
- *    by an iteration-budget sweep (equal outputs at every budget prefix
- *    force equal per-move decisions) and by randomized circuits;
+ *    accepted-move sequence of the pre-index annealer — pinned by golden
+ *    digests (golden.hpp) of its outputs over an iteration-budget sweep
+ *    and randomized circuits;
  *  - num_seeds = 1 must reproduce the classic single-seed output
- *    bit-identically (same TrapRefs, against both the default API and
- *    the frozen legacy reference);
+ *    bit-identically (same TrapRefs as the default API and the golden
+ *    digest);
  *  - num_seeds = N must return bit-identical placements and reports
  *    regardless of worker count or interleaving, and never lose to the
  *    seed-0 stream on exact Eq. 2 cost;
@@ -27,13 +27,17 @@
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
 #include "core/sa_placer.hpp"
-#include "core/sa_placer_legacy.hpp"
 #include "transpile/optimize.hpp"
+
+#include "golden.hpp"
 
 namespace zac
 {
 namespace
 {
+
+using golden::expectGolden;
+using golden::trapsDigest;
 
 StagedCircuit
 stagedBenchmark(const Architecture &arch, const std::string &name)
@@ -69,23 +73,28 @@ randomCircuit(Rng &rng, int num_qubits)
 // ------------------------------------------------- move-sequence pin
 
 /**
- * Equal outputs at every iteration-budget prefix force the incremental
- * annealer and the frozen legacy one to take identical accepted moves
- * step by step: budget k cuts the journal after move k, so the first
- * divergent accept/reject decision would surface at the first budget
- * reaching it.
+ * The output at every iteration budget from 1 to 48 is pinned, so a
+ * changed accept/reject decision fails at the first budget whose
+ * output it moves, and the key names that budget. wstate_n27 keeps its
+ * initial placement at every budget of the sweep; knn_n31's output
+ * changes 12 times over it.
  */
 TEST(SaMultiSeed, IterationBudgetSweepPinsAcceptedMoveSequence)
 {
     const Architecture arch = presets::referenceZoned();
-    const StagedCircuit staged = stagedBenchmark(arch, "wstate_n27");
-    for (int iters = 1; iters <= 48; ++iters) {
-        SaOptions opts;
-        opts.max_iterations = iters;
-        opts.seed = 17;
-        EXPECT_EQ(saInitialPlacement(arch, staged, opts),
-                  legacy::saInitialPlacement(arch, staged, opts))
-            << "budget " << iters;
+    for (const char *name : {"wstate_n27", "knn_n31"}) {
+        const StagedCircuit staged = stagedBenchmark(arch, name);
+        for (int iters = 1; iters <= 48; ++iters) {
+            SaOptions opts;
+            opts.max_iterations = iters;
+            opts.seed = 17;
+            char key[64];
+            std::snprintf(key, sizeof key,
+                          "sa/reference/%s/seed17/budget%02d/traps",
+                          name, iters);
+            expectGolden(key,
+                         trapsDigest(saInitialPlacement(arch, staged, opts)));
+        }
     }
 }
 
@@ -101,9 +110,9 @@ TEST(SaMultiSeed, RandomCircuitsMatchLegacyPerSeed)
         SaOptions opts;
         opts.max_iterations = 400;
         opts.seed = rng.next();
-        EXPECT_EQ(saInitialPlacement(arch, staged, opts),
-                  legacy::saInitialPlacement(arch, staged, opts))
-            << "round " << round << " nq " << nq;
+        expectGolden("sa/reference/random/round" +
+                         std::to_string(round) + "/traps",
+                     trapsDigest(saInitialPlacement(arch, staged, opts)));
     }
 }
 
@@ -124,8 +133,9 @@ TEST(SaMultiSeed, NumSeeds1ReproducesSingleSeedExactly)
                 saInitialPlacement(arch, staged, single);
             EXPECT_EQ(saInitialPlacement(arch, staged, batched),
                       classic);
-            EXPECT_EQ(legacy::saInitialPlacement(arch, staged, single),
-                      classic);
+            expectGolden(std::string("sa/reference/") + name + "/seed" +
+                             std::to_string(seed) + "/traps",
+                         trapsDigest(classic));
         }
     }
 }
