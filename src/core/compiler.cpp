@@ -189,8 +189,9 @@ ZacCompiler::runStaged(const StagedCircuit &staged,
 
     control.checkpoint("placement");
     ZacStreamedResult result;
-    PlacementPlan plan = runDynamicPlacement(arch_, staged, initial, opts_,
-                                             &result.phases.placement);
+    PlacementPlan plan = runDynamicPlacement(
+        arch_, staged, initial, opts_, &result.phases.placement,
+        scratch != nullptr ? &scratch->placement : nullptr);
     const auto t_place = CompileClock::now();
 
     control.checkpoint("scheduling");

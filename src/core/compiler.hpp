@@ -191,13 +191,15 @@ struct ArchContext
 };
 
 /**
- * Per-worker reusable compile buffers (SA annealer state, scheduler
- * grouping/dependency scratch). Value-reset at every use; capacity
- * persists across the jobs a worker runs.
+ * Per-worker reusable compile buffers (SA annealer state, placement and
+ * matching buffers, scheduler grouping/dependency scratch), the only
+ * owner of buffers reused across compiles. Value-reset at every use;
+ * capacity persists across the jobs a worker runs.
  */
 struct CompileScratch
 {
     SaScratch sa;
+    PlacementScratch placement;
     SchedulerScratch scheduler;
     /** The buffer compileStreamed() serializes into. The result gets an
      *  exact-size copy; the capacity stays here for the next job. */
@@ -208,7 +210,8 @@ struct CompileScratch
  * The ZAC compiler, bound to one architecture and option set.
  *
  * Thread-compatible: compile() is const and re-entrant, so multiple
- * circuits may be compiled concurrently from different threads.
+ * circuits may be compiled concurrently from different threads, each
+ * with its own CompileScratch (or none).
  */
 class ZacCompiler
 {

@@ -6,7 +6,7 @@
 
 #include "common/logging.hpp"
 #include "core/cost.hpp"
-#include "matching/jonker_volgenant.hpp"
+#include "core/movement.hpp"
 
 namespace zac
 {
@@ -23,23 +23,12 @@ namespace
 constexpr double kCostMargin = 1.5;
 
 /**
- * Pin handling shared by the windowed and reference paths. Instances
- * live in thread-local storage (the pipeline calls placeGates a few
- * thousand times per compile and compile() is re-entrant per thread);
- * `result` is moved out to the caller and reallocated per call.
+ * Pin handling shared by the windowed and reference paths. `result` is
+ * moved out to the caller and reallocated per call.
  */
-struct Prologue
-{
-    std::vector<int> result;       ///< per gate: site id (-1 pending)
-    std::vector<char> site_taken;  ///< per site: pinned by reuse
-    std::vector<int> pinned_sites; ///< the pinned sites, ascending
-    std::vector<int> free_gates;   ///< indices of unpinned gates
-    int num_free_sites = 0;        ///< sites not pinned
-};
-
 void
 applyPins(const PlacementState &state, const GatePlacementRequest &req,
-          Prologue &p)
+          GatePlacerScratch &p)
 {
     const Architecture &arch = state.arch();
     const std::vector<StagedGate> &gates = *req.gates;
@@ -94,20 +83,18 @@ edgeWeight(Point site_pos, Point p0, Point p1,
  */
 void
 solveFullMatrix(const PlacementState &state,
-                const GatePlacementRequest &req, Prologue &p)
+                const GatePlacementRequest &req, GatePlacerScratch &p)
 {
     const Architecture &arch = state.arch();
     const std::vector<StagedGate> &gates = *req.gates;
 
-    thread_local std::vector<int> free_sites;
-    free_sites.clear();
+    std::vector<int> free_sites;
     for (int s = 0; s < arch.numSites(); ++s)
         if (!p.site_taken[static_cast<std::size_t>(s)])
             free_sites.push_back(s);
 
-    thread_local CostMatrix cost(0, 0);
-    cost.reset(static_cast<int>(p.free_gates.size()),
-               static_cast<int>(free_sites.size()));
+    CostMatrix cost(static_cast<int>(p.free_gates.size()),
+                    static_cast<int>(free_sites.size()));
     for (std::size_t gi = 0; gi < p.free_gates.size(); ++gi) {
         const StagedGate &g =
             gates[static_cast<std::size_t>(p.free_gates[gi])];
@@ -133,30 +120,6 @@ solveFullMatrix(const PlacementState &state,
 }
 
 /**
- * Candidate window of one free gate: the free sites within `radius` of
- * its qubits or its lookahead point. It lists those cheaper than
- * `tail`, a lower bound on the cost of every free site it does not
- * list; once the disks cover every free site it lists them all and
- * has no tail.
- */
-struct GateWindow
-{
-    Point p0, p1;
-    const std::optional<Point> *look = nullptr;
-    /**
-     * A site farther than R from both qubits and the lookahead point
-     * costs at least cost_k * sqrt(R): max-combined qubit terms (same
-     * row) add one sqrt(R), summed ones two, the lookahead one more.
-     * Rounding is monotone and 2x and 3x round like those sums, so the
-     * bound holds in floating point.
-     */
-    double cost_k = 2.0;
-    double radius = 0.0;
-    double tail = -kAssignInfeasible; ///< nothing listed yet
-    std::vector<SparseEdge> edges;    ///< listed sites, ascending cost
-};
-
-/**
  * Grow @p w's list to its current radius, as columns of the dense
  * reference: free sites in ascending id, so a site's column is its id
  * minus the pinned sites below it. The sites cheaper than its old tail
@@ -165,28 +128,25 @@ struct GateWindow
  * one are appended, cheapest first. Adds the sites costed to @p cells.
  */
 void
-growWindow(const Architecture &arch, const Prologue &p, GateWindow &w,
+growWindow(const Architecture &arch, GatePlacerScratch &p, GateWindow &w,
            std::int64_t &cells)
 {
-    thread_local std::vector<int> disk;
-    thread_local std::vector<std::uint64_t> seen; // per site: stamp
-    thread_local std::uint64_t stamp = 0;
-    ++stamp;
-    if (seen.size() < static_cast<std::size_t>(arch.numSites()))
-        seen.resize(static_cast<std::size_t>(arch.numSites()), 0);
-    disk.clear();
-    arch.sitesInDisk(w.p0, w.radius, disk);
-    arch.sitesInDisk(w.p1, w.radius, disk);
+    const std::uint64_t stamp = ++p.stamp;
+    if (p.seen.size() < static_cast<std::size_t>(arch.numSites()))
+        p.seen.resize(static_cast<std::size_t>(arch.numSites()), 0);
+    p.disk.clear();
+    arch.sitesInDisk(w.p0, w.radius, p.disk);
+    arch.sitesInDisk(w.p1, w.radius, p.disk);
     if (w.look->has_value())
-        arch.sitesInDisk(**w.look, w.radius, disk);
+        arch.sitesInDisk(**w.look, w.radius, p.disk);
 
     const std::size_t listed = w.edges.size();
     int costed = 0;
-    for (int s : disk) {
+    for (int s : p.disk) {
         const auto si = static_cast<std::size_t>(s);
-        if (seen[si] == stamp || p.site_taken[si])
+        if (p.seen[si] == stamp || p.site_taken[si])
             continue;
-        seen[si] = stamp;
+        p.seen[si] = stamp;
         ++costed;
         const double cost =
             edgeWeight(arch.sitePosition(s), w.p0, w.p1, *w.look);
@@ -223,18 +183,18 @@ growWindow(const Architecture &arch, const Prologue &p, GateWindow &w,
  */
 void
 solveWindows(const PlacementState &state, const GatePlacementRequest &req,
-             Prologue &p, GatePlacerStats &st)
+             PlacementScratch &scratch, GatePlacerStats &st)
 {
     const Architecture &arch = state.arch();
     const std::vector<StagedGate> &gates = *req.gates;
+    GatePlacerScratch &p = scratch.gates;
+    std::vector<GateWindow> &wins = p.wins;
     const std::size_t num_free = p.free_gates.size();
 
     // Initial windows admit every site whose cost lower bound is
     // within kCostMargin of the gate's near-site cost.
-    thread_local std::vector<GateWindow> wins;
-    thread_local SparseCostGraph graph;
     wins.resize(num_free);
-    graph.reset(p.num_free_sites);
+    p.graph.reset(p.num_free_sites);
     for (std::size_t gi = 0; gi < num_free; ++gi) {
         const auto gate = static_cast<std::size_t>(p.free_gates[gi]);
         const StagedGate &g = gates[gate];
@@ -254,10 +214,10 @@ solveWindows(const PlacementState &state, const GatePlacementRequest &req,
         w.tail = -kAssignInfeasible;
         w.edges.clear();
         growWindow(arch, p, w, st.window_cells);
-        graph.edges.insert(graph.edges.end(), w.edges.begin(),
-                           w.edges.end());
-        graph.row_start.push_back(graph.edges.size());
-        graph.tail.push_back(w.tail);
+        p.graph.edges.insert(p.graph.edges.end(), w.edges.begin(),
+                             w.edges.end());
+        p.graph.row_start.push_back(p.graph.edges.size());
+        p.graph.tail.push_back(w.tail);
     }
 
     bool grew_full = false;
@@ -270,8 +230,8 @@ solveWindows(const PlacementState &state, const GatePlacementRequest &req,
         return SparseRowGrowth{w.edges, w.tail};
     };
     // std::ref: the hook holds a pointer to the lambda, no allocation.
-    const Assignment assign =
-        minWeightSparseMatching(graph, nullptr, std::ref(grow));
+    const Assignment assign = minWeightSparseMatching(
+        p.graph, nullptr, std::ref(grow), &scratch.matching);
     if (!assign.feasible)
         panic("placeGates: windows that grow to every free site must be "
               "feasible");
@@ -302,7 +262,7 @@ std::vector<int>
 placeGatesReference(const PlacementState &state,
                     const GatePlacementRequest &req)
 {
-    thread_local Prologue p;
+    GatePlacerScratch p;
     applyPins(state, req, p);
     if (!p.free_gates.empty())
         solveFullMatrix(state, req, p);
@@ -311,16 +271,18 @@ placeGatesReference(const PlacementState &state,
 
 std::vector<int>
 placeGates(const PlacementState &state, const GatePlacementRequest &req,
-           GatePlacerStats *stats)
+           GatePlacerStats *stats, PlacementScratch *scratch)
 {
-    thread_local Prologue p;
+    std::optional<PlacementScratch> local;
+    PlacementScratch &s = scratch ? *scratch : local.emplace();
+    GatePlacerScratch &p = s.gates;
     applyPins(state, req, p);
     GatePlacerStats st;
     st.calls = 1;
     if (!p.free_gates.empty()) {
         st.full_cells = static_cast<std::int64_t>(p.free_gates.size()) *
                         state.arch().numSites();
-        solveWindows(state, req, p, st);
+        solveWindows(state, req, s, st);
     }
     if (stats)
         *stats += st;

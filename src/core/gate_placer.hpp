@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/placement_state.hpp"
+#include "matching/jonker_volgenant.hpp"
 #include "transpile/stages.hpp"
 
 namespace zac
@@ -71,15 +72,58 @@ struct GatePlacerStats
 };
 
 /**
+ * Candidate window of one free gate: the free sites within `radius` of
+ * its qubits or its lookahead point. It lists those cheaper than
+ * `tail`, a lower bound on the cost of every free site it does not
+ * list; once the disks cover every free site it lists them all and
+ * has no tail.
+ */
+struct GateWindow
+{
+    Point p0, p1;
+    const std::optional<Point> *look = nullptr;
+    /**
+     * A site farther than R from both qubits and the lookahead point
+     * costs at least cost_k * sqrt(R): max-combined qubit terms (same
+     * row) add one sqrt(R), summed ones two, the lookahead one more.
+     * Rounding is monotone and 2x and 3x round like those sums, so the
+     * bound holds in floating point.
+     */
+    double cost_k = 2.0;
+    double radius = 0.0;
+    double tail = -kAssignInfeasible; ///< nothing listed yet
+    std::vector<SparseEdge> edges;    ///< listed sites, ascending cost
+};
+
+/** Reusable buffers of placeGates(), value-reset at every call. */
+struct GatePlacerScratch
+{
+    std::vector<int> result;       ///< per gate: site id (-1 pending)
+    std::vector<char> site_taken;  ///< per site: pinned by reuse
+    std::vector<int> pinned_sites; ///< the pinned sites, ascending
+    std::vector<int> free_gates;   ///< indices of unpinned gates
+    int num_free_sites = 0;        ///< sites not pinned
+    std::vector<GateWindow> wins;  ///< per free gate
+    SparseCostGraph graph;
+    std::vector<int> disk;             ///< sites a window's disks hold
+    std::vector<std::uint64_t> seen;   ///< per site: stamp
+    std::uint64_t stamp = 0;
+};
+
+struct PlacementScratch; // core/movement.hpp
+
+/**
  * Compute the site id for every gate of the stage on exact windows
  * (the result is bit-identical to placeGatesReference()).
  *
  * @param stats optional counters, accumulated across calls.
+ * @param scratch reusable buffers (null: call-local ones).
  * @throws zac::FatalError if the stage has more gates than sites.
  */
 std::vector<int> placeGates(const PlacementState &state,
                             const GatePlacementRequest &request,
-                            GatePlacerStats *stats = nullptr);
+                            GatePlacerStats *stats = nullptr,
+                            PlacementScratch *scratch = nullptr);
 
 /** The original dense full-matrix path (reference semantics). */
 std::vector<int> placeGatesReference(const PlacementState &state,

@@ -105,9 +105,8 @@ buildMoveIns(PlacementState &state, const RydbergStage &stage,
 double
 movementCostUs(const Architecture &arch,
                const std::vector<Movement> &out,
-               const std::vector<Movement> &in)
+               const std::vector<Movement> &in, std::vector<double> &dists)
 {
-    thread_local std::vector<double> dists;
     dists.clear();
     dists.reserve(out.size() + in.size());
     for (const Movement &m : out)
@@ -137,7 +136,8 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
               const ReuseMatching &next_matching,
               const std::vector<int> &cur_sites,
               const std::vector<int> &next_partner,
-              const ZacOptions &opts, PlacementProfile *profile)
+              const ZacOptions &opts, PlacementProfile *profile,
+              PlacementScratch &scratch)
 {
     const Architecture &arch = state.arch();
     const int next_t = t + 1;
@@ -146,7 +146,7 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
     BoundaryResult result;
 
     // ---- qubits staying at their sites across the boundary.
-    thread_local std::vector<char> stays;
+    std::vector<char> &stays = scratch.stays;
     stays.assign(static_cast<std::size_t>(staged.numQubits), 0);
     if (t >= 0) {
         const RydbergStage &cur_stage =
@@ -173,7 +173,7 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
 
         // ---- non-reuse qubit placement (move-out).
         const double t0 = profile ? nowSeconds() : 0.0;
-        thread_local QubitPlacementRequest qreq;
+        QubitPlacementRequest &qreq = scratch.qreq;
         qreq.k = opts.candidate_k;
         qreq.alpha = opts.lookahead_alpha;
         qreq.leaving.clear();
@@ -203,7 +203,8 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
         const std::vector<TrapRef> dests =
             opts.use_dynamic_placement
                 ? placeQubitsInStorage(
-                      state, qreq, profile ? &profile->qubit_placer : nullptr)
+                      state, qreq, profile ? &profile->qubit_placer : nullptr,
+                      &scratch)
                 : returnQubitsHome(state, qreq.leaving);
         result.move_out.reserve(qreq.leaving.size());
         for (std::size_t i = 0; i < qreq.leaving.size(); ++i) {
@@ -216,7 +217,7 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
     }
 
     // ---- gate placement for the entering stage.
-    thread_local GatePlacementRequest greq;
+    GatePlacementRequest &greq = scratch.greq;
     greq.gates = &next_stage.gates;
     greq.pinned_site.assign(next_stage.gates.size(), -1);
     greq.lookahead.assign(next_stage.gates.size(), std::nullopt);
@@ -248,11 +249,13 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
         }
     }
     const double t1 = profile ? nowSeconds() : 0.0;
-    result.gate_sites = placeGates(
-        state, greq, profile ? &profile->gate_placer : nullptr);
+    result.gate_sites =
+        placeGates(state, greq, profile ? &profile->gate_placer : nullptr,
+                   &scratch);
     const double t2 = profile ? nowSeconds() : 0.0;
     result.move_in = buildMoveIns(state, next_stage, result.gate_sites);
-    result.cost = movementCostUs(arch, result.move_out, result.move_in);
+    result.cost = movementCostUs(arch, result.move_out, result.move_in,
+                                 scratch.dists);
     if (profile) {
         profile->gate_placement_seconds += t2 - t1;
         profile->move_build_seconds += nowSeconds() - t2;
@@ -265,7 +268,8 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
 PlacementPlan
 runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
                     const std::vector<TrapRef> &initial,
-                    const ZacOptions &opts, PlacementProfile *profile)
+                    const ZacOptions &opts, PlacementProfile *profile,
+                    PlacementScratch *scratch)
 {
     if (static_cast<int>(initial.size()) != staged.numQubits)
         fatal("runDynamicPlacement: initial placement size mismatch");
@@ -278,6 +282,8 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
     if (num_stages == 0)
         return plan;
 
+    std::optional<PlacementScratch> local;
+    PlacementScratch &s = scratch ? *scratch : local.emplace();
     PlacementState state(arch, staged.numQubits);
     for (int q = 0; q < staged.numQubits; ++q)
         state.place(q, initial[static_cast<std::size_t>(q)]);
@@ -324,7 +330,7 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
     {
         BoundaryResult r =
             buildBoundary(state, staged, -1, no_match, matching_at(0),
-                          {}, next_partner, opts, profile);
+                          {}, next_partner, opts, profile, s);
         plan.gate_sites[0] = std::move(r.gate_sites);
         plan.transitions[0].move_in = std::move(r.move_in);
     }
@@ -347,7 +353,7 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
             reuse_variant = buildBoundary(
                 state, staged, t, with_reuse, lookahead,
                 plan.gate_sites[static_cast<std::size_t>(t)],
-                next_partner, opts, profile);
+                next_partner, opts, profile, s);
             state.snapshotInto(reuse_after);
             state.journalUndo();
         }
@@ -357,7 +363,7 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
         BoundaryResult plain = buildBoundary(
             state, staged, t, no_match, lookahead,
             plan.gate_sites[static_cast<std::size_t>(t)], next_partner,
-            opts, profile);
+            opts, profile, s);
 
         BoundaryResult *winner = &plain;
         if (reuse_variant.has_value() &&

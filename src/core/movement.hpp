@@ -99,17 +99,34 @@ struct PlacementProfile
 };
 
 /**
+ * Reusable buffers of runDynamicPlacement(): both placers', the sparse
+ * solver's they share, and its own. Value-reset where used.
+ */
+struct PlacementScratch
+{
+    GatePlacerScratch gates;
+    QubitPlacerScratch storage;
+    SparseMatchingScratch matching;
+    GatePlacementRequest greq;
+    QubitPlacementRequest qreq;
+    std::vector<char> stays;   ///< per qubit: stays at its site
+    std::vector<double> dists; ///< a boundary's move distances
+};
+
+/**
  * Run initial + dynamic placement for @p staged on @p arch.
  *
  * @param initial  the initial storage placement (from the SA or trivial
  *                 placer; one trap per qubit).
  * @param profile  optional per-phase timing accumulator.
+ * @param scratch  reusable buffers (null: call-local ones).
  */
 PlacementPlan runDynamicPlacement(const Architecture &arch,
                                   const StagedCircuit &staged,
                                   const std::vector<TrapRef> &initial,
                                   const ZacOptions &opts,
-                                  PlacementProfile *profile = nullptr);
+                                  PlacementProfile *profile = nullptr,
+                                  PlacementScratch *scratch = nullptr);
 
 /** Validate a plan against its staged circuit (testing hook). */
 void checkPlacementPlan(const Architecture &arch,

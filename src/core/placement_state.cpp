@@ -69,29 +69,6 @@ PlacementState::place(int q, TrapRef t)
 }
 
 void
-PlacementState::swapQubits(int a, int b)
-{
-    if (journaling_)
-        panic("placement state: swapQubits while journaling");
-    const TrapRef ta = trap_[static_cast<std::size_t>(a)];
-    const TrapRef tb = trap_[static_cast<std::size_t>(b)];
-    if (!ta.valid() || !tb.valid())
-        panic("placement state: swap of unplaced qubit");
-    trap_[static_cast<std::size_t>(a)] = tb;
-    trap_[static_cast<std::size_t>(b)] = ta;
-    std::swap(trapId_[static_cast<std::size_t>(a)],
-              trapId_[static_cast<std::size_t>(b)]);
-    occupantByTrap_[static_cast<std::size_t>(
-        trapId_[static_cast<std::size_t>(a)])] = a;
-    occupantByTrap_[static_cast<std::size_t>(
-        trapId_[static_cast<std::size_t>(b)])] = b;
-    if (arch_->isStorageTrap(tb))
-        home_[static_cast<std::size_t>(a)] = tb;
-    if (arch_->isStorageTrap(ta))
-        home_[static_cast<std::size_t>(b)] = ta;
-}
-
-void
 PlacementState::liftQubit(int q)
 {
     const TrapRef old = trap_[static_cast<std::size_t>(q)];

@@ -55,9 +55,6 @@ class PlacementState
      */
     void place(int q, TrapRef t);
 
-    /** Exchange the traps of two qubits (used by simulated annealing). */
-    void swapQubits(int a, int b);
-
     /**
      * Vacate @p q's trap without assigning a new one (used to apply a
      * permutation of qubits over traps: lift all, then place all).

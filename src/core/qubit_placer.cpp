@@ -8,7 +8,7 @@
 
 #include "common/logging.hpp"
 #include "core/cost.hpp"
-#include "matching/jonker_volgenant.hpp"
+#include "core/movement.hpp"
 
 namespace zac
 {
@@ -18,7 +18,7 @@ namespace
 
 /**
  * Candidate traps for one leaving qubit at one expansion level,
- * written into @p out (reused scratch). Candidate ids come straight
+ * written into @p out. Candidate ids come straight
  * from the arithmetic box enumerator; the candidate *set* — anchor
  * box, k-neighbourhood of the nearest trap, home trap, sorted and
  * deduplicated — is identical to the original TrapRef-based builder.
@@ -26,7 +26,7 @@ namespace
 void
 candidateTraps(const PlacementState &state, int q,
                const std::optional<Point> &related, int k,
-               std::vector<TrapId> &out)
+               QubitPlacerScratch &s, std::vector<TrapId> &out)
 {
     const Architecture &arch = state.arch();
     const Point cur = state.posOf(q);
@@ -53,7 +53,7 @@ candidateTraps(const PlacementState &state, int q,
     // are (the common single-storage-SLM case), so only the small
     // near/ring/home tail needs sorting; one merge walk then emits the
     // deduplicated, empty-only candidates without sorting the box.
-    thread_local std::vector<TrapId> box, tail;
+    std::vector<TrapId> &box = s.box, &tail = s.tail;
     box.clear();
     arch.storageTrapIdsInBox(lo, hi, box);
     // k-neighbourhood of the nearest trap (may extend beyond the box),
@@ -157,14 +157,16 @@ coverKey(const Architecture &arch, Point p)
 constexpr std::int64_t kRankedAnnulus = 32;
 
 /**
- * Nearest-empty-trap queries on one occupancy. The empty traps within
- * a radius are counted over storage row spans, with per-row prefix
- * counts for the rows the queries keep returning to: the buffers grow
- * with the rows the queries reach, not with the storage grid.
+ * Nearest-empty-trap queries on one occupancy, in a scratch's buffers.
+ * The empty traps within a radius are counted over storage row spans,
+ * with per-row prefix counts for the rows the queries keep returning
+ * to: those grow with the rows the queries reach, not the storage grid.
  */
 class NearestEmpty
 {
   public:
+    explicit NearestEmpty(QubitPlacerScratch &s) : s_(s) {}
+
     /** Start over on @p state's occupancy. */
     void
     reset(const PlacementState &state)
@@ -172,9 +174,9 @@ class NearestEmpty
         const Architecture &arch = state.arch();
         state_ = &state;
         const auto rows = static_cast<std::size_t>(arch.numStorageRows());
-        row_offset_.assign(rows, -1);
-        row_scanned_.assign(rows, 0);
-        prefix_.clear();
+        s_.row_offset.assign(rows, -1);
+        s_.row_scanned.assign(rows, 0);
+        s_.prefix.clear();
         pitch_ = 0.0;
         for (const ZoneSpec &z : arch.storageZones())
             for (int slm : z.slm_ids) {
@@ -235,31 +237,33 @@ class NearestEmpty
 
         // Rank the empty traps of the annulus lo < d <= hi: the spans
         // within hi less those within lo.
-        spans_.clear();
-        inner_.clear();
-        arch.storageSpansInDisk(p, hi, spans_);
-        arch.storageSpansInDisk(p, lo, inner_);
-        ranked_.clear();
+        std::vector<StorageSpan> &inner = s_.inner;
+        std::vector<std::pair<double, TrapId>> &ranked = s_.ranked;
+        s_.spans.clear();
+        inner.clear();
+        arch.storageSpansInDisk(p, hi, s_.spans);
+        arch.storageSpansInDisk(p, lo, inner);
+        ranked.clear();
         std::size_t j = 0;
-        for (const StorageSpan &s : spans_) {
-            while (j < inner_.size() && inner_[j].row < s.row)
+        for (const StorageSpan &s : s_.spans) {
+            while (j < inner.size() && inner[j].row < s.row)
                 ++j;
-            const bool has_inner = j < inner_.size() && inner_[j].row == s.row;
+            const bool has_inner = j < inner.size() && inner[j].row == s.row;
             for (int c = s.lo; c <= s.hi; ++c) {
-                if (has_inner && c == inner_[j].lo) {
-                    c = inner_[j].hi;
+                if (has_inner && c == inner[j].lo) {
+                    c = inner[j].hi;
                     continue;
                 }
                 const TrapId t = s.first + c;
                 if (state_->isEmpty(t))
-                    ranked_.emplace_back(distance(arch.trapPosition(t), p),
-                                         t);
+                    ranked.emplace_back(distance(arch.trapPosition(t), p),
+                                        t);
             }
         }
-        if (static_cast<std::int64_t>(ranked_.size()) != c_hi - c_lo)
+        if (static_cast<std::int64_t>(ranked.size()) != c_hi - c_lo)
             panic("nearestEmpty: annulus count mismatch");
-        const auto nth = ranked_.begin() + (n - c_lo - 1);
-        std::nth_element(ranked_.begin(), nth, ranked_.end());
+        const auto nth = ranked.begin() + (n - c_lo - 1);
+        std::nth_element(ranked.begin(), nth, ranked.end());
         return {nth->first, nth->second};
     }
 
@@ -268,10 +272,10 @@ class NearestEmpty
     std::int64_t
     countWithin(Point p, double radius)
     {
-        spans_.clear();
-        state_->arch().storageSpansInDisk(p, radius, spans_);
+        s_.spans.clear();
+        state_->arch().storageSpansInDisk(p, radius, s_.spans);
         std::int64_t count = 0;
-        for (const StorageSpan &s : spans_)
+        for (const StorageSpan &s : s_.spans)
             count += countSpan(s);
         return count;
     }
@@ -285,43 +289,32 @@ class NearestEmpty
     countSpan(const StorageSpan &s)
     {
         const auto row = static_cast<std::size_t>(s.row);
-        int &off = row_offset_[row];
+        int &off = s_.row_offset[row];
         if (off < 0) {
             const int len = s.hi - s.lo + 1;
-            if (row_scanned_[row] + len <= s.cols) {
-                row_scanned_[row] += len;
+            if (s_.row_scanned[row] + len <= s.cols) {
+                s_.row_scanned[row] += len;
                 std::int64_t count = 0;
                 for (TrapId t = s.first + s.lo; t <= s.first + s.hi; ++t)
                     count += state_->isEmpty(t) ? 1 : 0;
                 return count;
             }
-            off = static_cast<int>(prefix_.size());
+            off = static_cast<int>(s_.prefix.size());
             int count = 0;
-            prefix_.push_back(0);
+            s_.prefix.push_back(0);
             for (int c = 0; c < s.cols; ++c) {
                 count += state_->isEmpty(s.first + c) ? 1 : 0;
-                prefix_.push_back(count);
+                s_.prefix.push_back(count);
             }
         }
-        const int *pre = prefix_.data() + off;
+        const int *pre = s_.prefix.data() + off;
         return pre[s.hi + 1] - pre[s.lo];
     }
 
+    QubitPlacerScratch &s_;
     const PlacementState *state_ = nullptr;
     double pitch_ = 0.0;
-    std::vector<int> row_offset_;  ///< per storage row: prefix_ index, -1
-    std::vector<int> row_scanned_; ///< per storage row: traps scanned
-    std::vector<int> prefix_;
-    std::vector<StorageSpan> spans_, inner_;
-    std::vector<std::pair<double, TrapId>> ranked_;
 };
-
-NearestEmpty &
-nearestEmpty()
-{
-    thread_local NearestEmpty ne;
-    return ne;
-}
 
 /** Ascending id runs [first, last]. */
 using TrapRuns = std::vector<std::pair<TrapId, TrapId>>;
@@ -374,22 +367,6 @@ mergeRuns(TrapRuns &runs)
     }
     runs.resize(out);
 }
-
-/** Column per candidate trap, over the ids base..; -1 between calls. */
-struct ColumnIndex
-{
-    TrapId base = 0;
-    std::vector<int> of;
-
-    void
-    cover(TrapId lo, TrapId hi)
-    {
-        base = lo;
-        if (lo <= hi && of.size() < static_cast<std::size_t>(hi - lo + 1))
-            of.resize(static_cast<std::size_t>(hi - lo + 1), -1);
-    }
-    int &operator[](TrapId t) { return of[static_cast<std::size_t>(t - base)]; }
-};
 
 /**
  * Candidate window of one leaving qubit in an expanded solve. Its
@@ -462,11 +439,10 @@ growStorageWindow(const PlacementState &state, double alpha,
 void
 findNearestSets(const PlacementState &state,
                 const QubitPlacementRequest &req, std::int64_t count,
+                NearestEmpty &ne, QubitPlacerScratch &s,
                 std::vector<StorageWindow> &wins, TrapRuns &runs)
 {
-    thread_local std::vector<int> order;
-    thread_local std::vector<StorageSpan> spans;
-    NearestEmpty &ne = nearestEmpty();
+    std::vector<int> &order = s.order;
     const std::size_t n = req.leaving.size();
     order.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -489,7 +465,7 @@ findNearestSets(const PlacementState &state,
             w.kappa = ne.nthKey(w.cur, count, prev->kappa.d - slack,
                                 prev->kappa.d + slack);
         }
-        appendNearestRuns(state.arch(), w.cur, w.kappa, spans, runs);
+        appendNearestRuns(state.arch(), w.cur, w.kappa, s.spans, runs);
         prev = &w;
     }
     mergeRuns(runs);
@@ -504,12 +480,12 @@ nearestEmptyStorageTraps(const PlacementState &state, Point p,
     const Architecture &arch = state.arch();
     if (count == 0)
         return {};
-    NearestEmpty &ne = nearestEmpty();
+    QubitPlacerScratch s;
+    NearestEmpty ne(s);
     ne.reset(state);
     const TrapKey kappa = ne.nthKey(p, static_cast<std::int64_t>(count));
-    std::vector<StorageSpan> spans;
     TrapRuns runs;
-    appendNearestRuns(arch, p, kappa, spans, runs);
+    appendNearestRuns(arch, p, kappa, s.spans, runs);
     mergeRuns(runs);
     std::vector<TrapRef> out;
     for (const auto &[first, last] : runs)
@@ -522,7 +498,7 @@ nearestEmptyStorageTraps(const PlacementState &state, Point p,
 std::vector<TrapRef>
 placeQubitsInStorage(const PlacementState &state,
                      const QubitPlacementRequest &req,
-                     QubitPlacerStats *stats)
+                     QubitPlacerStats *stats, PlacementScratch *scratch)
 {
     const Architecture &arch = state.arch();
     const std::size_t n = req.leaving.size();
@@ -535,27 +511,30 @@ placeQubitsInStorage(const PlacementState &state,
     if (n == 0)
         return {};
 
-    int k = req.k;
-    thread_local std::vector<std::vector<TrapId>> cands;
-    thread_local std::vector<TrapId> cols;
-    thread_local std::vector<StorageSpan> spans;
-    thread_local ColumnIndex col;
-    thread_local SparseCostGraph graph;
-    cands.resize(std::max(cands.size(), n));
+    std::optional<PlacementScratch> local;
+    PlacementScratch &ps = scratch ? *scratch : local.emplace();
+    QubitPlacerScratch &s = ps.storage;
+    std::vector<TrapId> &cols = s.cols;
+    s.cands.resize(std::max(s.cands.size(), n));
+    NearestEmpty ne(s);
     // Per call: windows keep the lists they grew, which would pile up
     // across calls as each slot's largest list.
     TrapRuns runs;
     std::vector<StorageWindow> wins;
-    for (int attempt = 0; attempt < 8; ++attempt, k *= 2) {
-        // Local candidates per qubit, plus on expansion the union of
-        // every qubit's nearest n * (attempt + 1) empty traps.
-        const bool expanded = attempt > 0;
+    // The local solve, then one expanded solve. With E empty storage
+    // traps, every expanded row lists its min(2n, E) nearest ones, so
+    // when E >= n any r rows reach at least n >= r columns and Hall's
+    // condition holds; when E < n no assignment exists.
+    for (const bool expanded : {false, true}) {
+        // Local candidates per qubit (k doubled on expansion), plus on
+        // expansion the union of every qubit's nearest 2n empty traps.
+        const int k = expanded ? 2 * req.k : req.k;
         TrapId base = arch.numTraps();
         TrapId top = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            candidateTraps(state, req.leaving[i], req.related[i], k,
-                           cands[i]);
-            const std::vector<TrapId> &row = cands[i];
+            candidateTraps(state, req.leaving[i], req.related[i], k, s,
+                           s.cands[i]);
+            const std::vector<TrapId> &row = s.cands[i];
             if (!row.empty()) {
                 base = std::min(base, row.front());
                 top = std::max(top, row.back());
@@ -564,28 +543,33 @@ placeQubitsInStorage(const PlacementState &state,
         runs.clear();
         if (expanded) {
             wins.resize(n);
-            nearestEmpty().reset(state);
-            findNearestSets(state, req,
-                            static_cast<std::int64_t>(n) * (attempt + 1),
-                            wins, runs);
+            ne.reset(state);
+            findNearestSets(state, req, 2 * static_cast<std::int64_t>(n),
+                            ne, s, wins, runs);
             if (!runs.empty()) {
                 base = std::min(base, runs.front().first);
                 top = std::max(top, runs.back().second);
             }
         }
         // Their union, as columns in TrapId order: the dense matrix's
-        // column order, which decides the solver's ties.
-        col.cover(base, top);
+        // column order, which decides the solver's ties. The last
+        // solve's columns are cleared first, also when it threw; every
+        // numbered trap is listed in cols.
+        for (TrapId t : cols)
+            s.col[t] = -1;
+        s.col.base = base;
+        const auto span = static_cast<std::size_t>(std::max(top - base + 1, 0));
+        s.col.of.resize(std::max(s.col.of.size(), span), -1);
         cols.clear();
-        auto addColumn = [](TrapId t) {
-            int &c = col[t];
+        auto addColumn = [&s, &cols](TrapId t) {
+            int &c = s.col[t];
             if (c < 0) {
-                c = 0;
                 cols.push_back(t);
+                c = 0;
             }
         };
         for (std::size_t i = 0; i < n; ++i)
-            for (TrapId t : cands[i])
+            for (TrapId t : s.cands[i])
                 addColumn(t);
         for (const auto &[first, last] : runs)
             for (TrapId t = first; t <= last; ++t)
@@ -593,11 +577,11 @@ placeQubitsInStorage(const PlacementState &state,
                     addColumn(t);
         std::sort(cols.begin(), cols.end());
         for (std::size_t c = 0; c < cols.size(); ++c)
-            col[cols[c]] = static_cast<int>(c);
+            s.col[cols[c]] = static_cast<int>(c);
 
         Assignment assign;
         if (cols.size() >= n) {
-            graph.reset(static_cast<int>(cols.size()));
+            s.graph.reset(static_cast<int>(cols.size()));
             std::int64_t cells = 0;
             std::int64_t growths = 0;
             if (!expanded) {
@@ -605,51 +589,52 @@ placeQubitsInStorage(const PlacementState &state,
                 // Eq. 3 cost, cheapest first.
                 for (std::size_t i = 0; i < n; ++i) {
                     const Point cur = state.posOf(req.leaving[i]);
-                    const std::size_t first = graph.edges.size();
-                    for (TrapId t : cands[i]) {
+                    const std::size_t first = s.graph.edges.size();
+                    for (TrapId t : s.cands[i]) {
                         const Point tp = arch.trapPosition(t);
-                        graph.edges.push_back(
+                        s.graph.edges.push_back(
                             {storageCost(distance(tp, cur), tp,
                                          req.related[i], req.alpha),
-                             col[t]});
+                             s.col[t]});
                     }
-                    std::sort(graph.edges.begin() +
+                    std::sort(s.graph.edges.begin() +
                                   static_cast<std::ptrdiff_t>(first),
-                              graph.edges.end(),
+                              s.graph.edges.end(),
                               [](const SparseEdge &a, const SparseEdge &b) {
                                   return a.cost < b.cost;
                               });
-                    graph.row_start.push_back(graph.edges.size());
+                    s.graph.row_start.push_back(s.graph.edges.size());
                 }
-                cells = static_cast<std::int64_t>(graph.edges.size());
+                cells = static_cast<std::int64_t>(s.graph.edges.size());
             } else {
                 // One window per qubit, grown on demand.
-                const double pitch = nearestEmpty().pitch();
+                const double pitch = ne.pitch();
                 for (std::size_t i = 0; i < n; ++i) {
                     StorageWindow &w = wins[i];
                     w.related = &req.related[i];
-                    w.local = &cands[i];
+                    w.local = &s.cands[i];
                     w.near = distance(
                         arch.trapPosition(arch.nearestStorageTrap(w.cur)),
                         w.cur);
                     w.full = w.kappa.d;
-                    for (TrapId t : cands[i])
+                    for (TrapId t : s.cands[i])
                         w.full = std::max(
                             w.full, distance(arch.trapPosition(t), w.cur));
                     w.radius = w.near + 4.0 * pitch;
                     w.tail = -kAssignInfeasible;
                     w.edges.clear();
-                    growStorageWindow(state, req.alpha, col, w, spans, cells);
-                    graph.edges.insert(graph.edges.end(), w.edges.begin(),
-                                       w.edges.end());
-                    graph.row_start.push_back(graph.edges.size());
-                    graph.tail.push_back(w.tail);
+                    growStorageWindow(state, req.alpha, s.col, w, s.spans,
+                                      cells);
+                    s.graph.edges.insert(s.graph.edges.end(),
+                                         w.edges.begin(), w.edges.end());
+                    s.graph.row_start.push_back(s.graph.edges.size());
+                    s.graph.tail.push_back(w.tail);
                 }
             }
             auto grow = [&](int row) {
                 StorageWindow &w = wins[static_cast<std::size_t>(row)];
                 w.radius = w.near + 2.0 * (w.radius - w.near);
-                growStorageWindow(state, req.alpha, col, w, spans, cells);
+                growStorageWindow(state, req.alpha, s.col, w, s.spans, cells);
                 ++growths;
                 return SparseRowGrowth{w.edges, w.tail};
             };
@@ -657,7 +642,8 @@ placeQubitsInStorage(const PlacementState &state,
             if (expanded)
                 hook = std::ref(grow); // no allocation
             assign = minWeightSparseMatching(
-                graph, stats ? &stats->edges_relaxed : nullptr, hook);
+                s.graph, stats ? &stats->edges_relaxed : nullptr, hook,
+                &ps.matching);
             if (stats) {
                 ++stats->solves;
                 if (expanded)
@@ -668,8 +654,6 @@ placeQubitsInStorage(const PlacementState &state,
                 stats->window_growths += growths;
             }
         }
-        for (TrapId t : cols)
-            col[t] = -1;
         if (!assign.feasible)
             continue;
         std::vector<TrapRef> out(n);

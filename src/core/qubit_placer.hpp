@@ -15,9 +15,9 @@
  * minWeightSparseMatching(), which returns the dense solver's
  * assignment bit for bit, so plans match the dense-matrix formulation.
  * When the local candidates admit no full matching (a whole stage
- * leaving for the same storage edge violates Hall's condition), k
- * doubles and every qubit also gets its N = n * (attempt + 1) nearest
- * empty traps. Those rows are windows listed on demand:
+ * leaving for the same storage edge violates Hall's condition), one
+ * expanded solve follows: k doubles and every qubit also gets its
+ * N = 2n nearest empty traps. Those rows are windows listed on demand:
  *  - each qubit's N-th nearest (distance, trap) key is found by
  *    counting empty traps within a radius over storage row spans, and
  *    the columns are the exact union of the nearest sets, built from
@@ -36,9 +36,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/placement_state.hpp"
+#include "matching/jonker_volgenant.hpp"
 
 namespace zac
 {
@@ -68,8 +70,7 @@ struct QubitPlacerStats
 {
     std::int64_t calls = 0;           ///< placeQubitsInStorage() calls
     std::int64_t solves = 0;          ///< sparse JV solves run
-    std::int64_t expanded_solves = 0; ///< solves over the nearest-empty
-                                      ///< expansion (attempt > 0)
+    std::int64_t expanded_solves = 0; ///< nearest-empty expansions
     std::int64_t rows = 0;            ///< leaving qubits
     std::int64_t cols = 0;            ///< traps in the candidate union
     /** Candidate traps costed: every local candidate of a plain solve,
@@ -78,6 +79,34 @@ struct QubitPlacerStats
     std::int64_t window_growths = 0;  ///< expanded rows grown at a tail
     std::int64_t edges_relaxed = 0;   ///< reduced costs evaluated
 };
+
+/** Column per candidate trap, over the ids base.. (-1: none). */
+struct ColumnIndex
+{
+    TrapId base = 0;
+    std::vector<int> of;
+    int &operator[](TrapId t) { return of[static_cast<std::size_t>(t - base)]; }
+};
+
+/**
+ * Reusable buffers of placeQubitsInStorage(), value-reset at every use
+ * except the column index: it keeps the last solve's columns, which the
+ * next solve clears first, so a call that throws leaves nothing stale.
+ */
+struct QubitPlacerScratch
+{
+    std::vector<std::vector<TrapId>> cands; ///< per qubit: local traps
+    std::vector<TrapId> box, tail;          ///< candidate enumeration
+    std::vector<TrapId> cols;               ///< the solve's columns
+    ColumnIndex col;                        ///< trap -> column
+    std::vector<int> order;                 ///< qubits by position
+    std::vector<StorageSpan> spans, inner;
+    std::vector<int> row_offset, row_scanned, prefix; ///< empty counts
+    std::vector<std::pair<double, TrapId>> ranked; ///< an annulus
+    SparseCostGraph graph;
+};
+
+struct PlacementScratch; // core/movement.hpp
 
 /**
  * The @p count empty storage traps nearest to @p p by ascending
@@ -91,16 +120,17 @@ std::vector<TrapRef> nearestEmptyStorageTraps(const PlacementState &state,
 
 /**
  * Choose a distinct empty storage trap for every leaving qubit,
- * minimizing the total Eq. 3 cost. Candidate sets are expanded until a
- * full matching exists.
+ * minimizing the total Eq. 3 cost. Candidate sets are expanded once
+ * when the local ones admit no full matching.
  *
  * @param stats optional counters, accumulated across calls.
+ * @param scratch reusable buffers (null: call-local ones).
  * @throws zac::FatalError when alpha is negative or not finite, or
- *         when no expansion admits a full matching.
+ *         when the expansion admits no full matching either.
  */
 std::vector<TrapRef> placeQubitsInStorage(
     const PlacementState &state, const QubitPlacementRequest &request,
-    QubitPlacerStats *stats = nullptr);
+    QubitPlacerStats *stats = nullptr, PlacementScratch *scratch = nullptr);
 
 /**
  * The static alternative ('Vanilla' ablation): every leaving qubit

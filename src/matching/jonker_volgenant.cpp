@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -89,8 +90,8 @@ augmentingPath(const CostMatrix &cost, std::vector<double> &u,
 
 // ---------------------------------------------------------------- sparse
 
-/** Min-heap entry (key, index); the smallest key is on top. */
-using HeapEntry = std::pair<double, int>;
+using HeapEntry = SparseMatchingScratch::HeapEntry;
+using RowList = SparseMatchingScratch::RowList;
 
 void
 heapPush(std::vector<HeapEntry> &heap, double key, int index)
@@ -108,131 +109,85 @@ heapPop(std::vector<HeapEntry> &heap)
     return index;
 }
 
-/**
- * Row r's list: `len` edges from offset `at` in the graph's edges, or
- * in SparseScratch::pool once grown, and its tail.
- */
-struct RowList
+/** Size @p s's arrays for a call and point its rows at @p g. */
+void
+beginCall(SparseMatchingScratch &s, const SparseCostGraph &g)
 {
-    std::size_t at = 0;
-    std::size_t len = 0;
-    double tail = kInf;
-    bool pooled = false;
-};
+    const auto r = static_cast<std::size_t>(g.rows());
+    const auto c = static_cast<std::size_t>(g.cols);
+    if (s.shortest.size() < c) {
+        s.shortest.resize(c, kInf);
+        s.path.resize(c, -1);
+        s.path_cost.resize(c, 0.0);
+        s.row4col.resize(c, -1);
+        s.sc.resize(c, 0);
+        s.col_at.resize(c, -1);
+        s.pos_of.resize(c, -1);
+    }
+    if (s.order.size() < r) {
+        s.rows.resize(r);
+        s.matched_cost.resize(r);
+        s.order.resize(r, -1);
+        s.row_min.resize(r, 0.0);
+        s.next_edge.resize(r, 0);
+    }
+    s.graph_edges = g.edges.data();
+    for (std::size_t i = 0; i < r; ++i)
+        s.rows[i] = {g.row_start[i], g.row_start[i + 1] - g.row_start[i],
+                     g.tail.empty() ? kInf : g.tail[i], false};
+}
+
+/** Row @p r's edges. */
+const SparseEdge *
+edgesOf(const SparseMatchingScratch &s, std::size_t r)
+{
+    const RowList &row = s.rows[r];
+    return (row.pooled ? s.pool.data() : s.graph_edges) + row.at;
+}
+
+/** Undo one path's marks (its visited rows, touched columns). */
+void
+endPath(SparseMatchingScratch &s)
+{
+    for (int j : s.touched)
+        s.shortest[static_cast<std::size_t>(j)] = kInf;
+    for (int j : s.settled_cols)
+        s.sc[static_cast<std::size_t>(j)] = 0;
+    for (const auto &[p, c] : s.moved) {
+        s.col_at[static_cast<std::size_t>(p)] = -1;
+        s.pos_of[static_cast<std::size_t>(c)] = -1;
+    }
+    for (int i : s.visited_rows)
+        s.order[static_cast<std::size_t>(i)] = -1;
+    s.touched.clear();
+    s.visited_rows.clear();
+    s.settled_cols.clear();
+    s.moved.clear();
+    s.col_heap.clear();
+    s.row_heap.clear();
+}
 
 /**
- * Per-thread scratch of minWeightSparseMatching(). The per-column and
- * per-row arrays only grow, and between calls every entry is neutral
- * (shortest inf, marks 0, overrides and row4col -1): a path resets the
- * entries it touched and a call the columns it matched, so neither a
- * path nor a call pays O(columns) for its scratch.
+ * Returns a call's scratch to neutral however the call ends, which may
+ * be mid-path.
  */
-struct SparseScratch
-{
-    std::vector<double> shortest;  ///< per column; inf when untouched
-    std::vector<int> path;         ///< per column: predecessor row
-    std::vector<double> path_cost; ///< per column: cost of that edge
-    std::vector<int> row4col;      ///< per column: matched row or -1
-    std::vector<char> sc;          ///< per column: settled this path
-    /**
-     * SciPy's `remaining` array, stored as overrides of its initial
-     * order (position p holds column nc - 1 - p; -1 = not overridden).
-     */
-    std::vector<int> col_at, pos_of;
-    std::vector<RowList> rows;        ///< per row: set at each call
-    std::vector<double> matched_cost; ///< per row: its matched edge
-    std::vector<int> order;           ///< per row: visit rank, or -1
-    std::vector<double> row_min;      ///< per row: min_val at its visit
-    std::vector<std::size_t> next_edge; ///< per row: first unrelaxed
-    const SparseEdge *graph_edges = nullptr; ///< the call's graph
-    std::vector<SparseEdge> pool;     ///< grown rows' lists
-    std::vector<int> sinks;           ///< the call's matched columns
-    std::vector<int> touched, visited_rows, settled_cols, ties;
-    std::vector<std::pair<int, int>> moved; ///< (position, column)
-    std::vector<HeapEntry> col_heap;  ///< (shortest, column), lazy
-    std::vector<HeapEntry> row_heap;  ///< (bound, row), one per row
-
-    /** Size the arrays for a call and point its rows at @p g. */
-    void
-    begin(const SparseCostGraph &g)
-    {
-        const auto r = static_cast<std::size_t>(g.rows());
-        const auto c = static_cast<std::size_t>(g.cols);
-        if (shortest.size() < c) {
-            shortest.resize(c, kInf);
-            path.resize(c, -1);
-            path_cost.resize(c, 0.0);
-            row4col.resize(c, -1);
-            sc.resize(c, 0);
-            col_at.resize(c, -1);
-            pos_of.resize(c, -1);
-        }
-        if (order.size() < r) {
-            rows.resize(r);
-            matched_cost.resize(r);
-            order.resize(r, -1);
-            row_min.resize(r, 0.0);
-            next_edge.resize(r, 0);
-        }
-        graph_edges = g.edges.data();
-        for (std::size_t i = 0; i < r; ++i)
-            rows[i] = {g.row_start[i], g.row_start[i + 1] - g.row_start[i],
-                       g.tail.empty() ? kInf : g.tail[i], false};
-    }
-
-    /** Row @p r's edges. */
-    const SparseEdge *
-    edgesOf(std::size_t r) const
-    {
-        const RowList &row = rows[r];
-        return (row.pooled ? pool.data() : graph_edges) + row.at;
-    }
-
-    /** Return to neutral at the end of a call, which may end mid-path. */
-    void
-    endCall()
-    {
-        endPath();
-        for (int j : sinks)
-            row4col[static_cast<std::size_t>(j)] = -1;
-        sinks.clear();
-        pool.clear();
-    }
-
-    /** Undo one path's marks (its visited rows, touched columns). */
-    void
-    endPath()
-    {
-        for (int j : touched)
-            shortest[static_cast<std::size_t>(j)] = kInf;
-        for (int j : settled_cols)
-            sc[static_cast<std::size_t>(j)] = 0;
-        for (const auto &[p, c] : moved) {
-            col_at[static_cast<std::size_t>(p)] = -1;
-            pos_of[static_cast<std::size_t>(c)] = -1;
-        }
-        for (int i : visited_rows)
-            order[static_cast<std::size_t>(i)] = -1;
-        touched.clear();
-        visited_rows.clear();
-        settled_cols.clear();
-        moved.clear();
-        col_heap.clear();
-        row_heap.clear();
-    }
-};
-
-/** Returns a call's scratch to neutral however the call ends. */
 class ScratchReset
 {
   public:
-    explicit ScratchReset(SparseScratch &s) : s_(s) {}
+    explicit ScratchReset(SparseMatchingScratch &s) : s_(s) {}
     ScratchReset(const ScratchReset &) = delete;
     ScratchReset &operator=(const ScratchReset &) = delete;
-    ~ScratchReset() { s_.endCall(); }
+    ~ScratchReset()
+    {
+        endPath(s_);
+        for (int j : s_.sinks)
+            s_.row4col[static_cast<std::size_t>(j)] = -1;
+        s_.sinks.clear();
+        s_.pool.clear();
+    }
 
   private:
-    SparseScratch &s_;
+    SparseMatchingScratch &s_;
 };
 
 /**
@@ -243,13 +198,13 @@ class ScratchReset
  * holds for every later edge and every unlisted column too.
  */
 void
-fileRow(const std::vector<double> &u, double v_max, SparseScratch &s,
+fileRow(const std::vector<double> &u, double v_max, SparseMatchingScratch &s,
         int r)
 {
     const auto ri = static_cast<std::size_t>(r);
     const RowList &row = s.rows[ri];
     const std::size_t k = s.next_edge[ri];
-    const double next = k < row.len ? s.edgesOf(ri)[k].cost : row.tail;
+    const double next = k < row.len ? edgesOf(s, ri)[k].cost : row.tail;
     if (next < kInf)
         heapPush(s.row_heap, s.row_min[ri] + next - u[ri] - v_max, r);
 }
@@ -268,11 +223,11 @@ fileRow(const std::vector<double> &u, double v_max, SparseScratch &s,
  */
 void
 relaxRow(const std::vector<double> &u, const std::vector<double> &v,
-         double v_max, SparseScratch &s, int r, double &best,
+         double v_max, SparseMatchingScratch &s, int r, double &best,
          std::int64_t &relaxed)
 {
     const auto ri = static_cast<std::size_t>(r);
-    const SparseEdge *const edges = s.edgesOf(ri);
+    const SparseEdge *const edges = edgesOf(s, ri);
     const std::size_t len = s.rows[ri].len;
     const double base = s.row_min[ri];
     const double ur = u[ri];
@@ -324,7 +279,7 @@ relaxRow(const std::vector<double> &u, const std::vector<double> &v,
  * else as a copy (the old one stays as garbage until the call ends).
  */
 void
-growRow(const SparseRowGrower &grow, int nc, SparseScratch &s, int r)
+growRow(const SparseRowGrower &grow, int nc, SparseMatchingScratch &s, int r)
 {
     const auto ri = static_cast<std::size_t>(r);
     RowList &row = s.rows[ri];
@@ -336,7 +291,7 @@ growRow(const SparseRowGrower &grow, int nc, SparseScratch &s, int r)
     };
     if (e.size() < row.len)
         fail("is shorter than its list");
-    const SparseEdge *listed = s.edgesOf(ri);
+    const SparseEdge *listed = edgesOf(s, ri);
     for (std::size_t k = 0; k < row.len; ++k)
         if (e[k].col != listed[k].col || e[k].cost != listed[k].cost)
             fail("changed a listed edge");
@@ -381,8 +336,8 @@ int
 sparseAugmentingPath(const SparseCostGraph &g, const SparseRowGrower &grow,
                      const std::vector<double> &u,
                      const std::vector<double> &v, double v_max,
-                     SparseScratch &s, int start_row, double &min_val_out,
-                     std::int64_t &relaxed)
+                     SparseMatchingScratch &s, int start_row,
+                     double &min_val_out, std::int64_t &relaxed)
 {
     const int nc = g.cols;
     auto colAt = [&s, nc](int p) {
@@ -527,23 +482,12 @@ minWeightFullMatching(const CostMatrix &cost)
         return result;
     }
 
-    // Per-thread scratch: the placement pipeline solves thousands of
-    // small matchings per compile, and compile() is re-entrant across
-    // threads, so thread-local buffers drop the per-call allocations
-    // without any shared state. u/v/col4row move into the result and
-    // stay call-local.
-    thread_local std::vector<double> shortest;
-    thread_local std::vector<int> path, row4col, remaining;
-    thread_local std::vector<bool> sr, sc;
-    std::vector<double> u(static_cast<std::size_t>(nr), 0.0);
-    std::vector<double> v(static_cast<std::size_t>(nc), 0.0);
-    std::vector<int> col4row(static_cast<std::size_t>(nr), -1);
-    shortest.assign(static_cast<std::size_t>(nc), kInf);
-    path.assign(static_cast<std::size_t>(nc), -1);
-    row4col.assign(static_cast<std::size_t>(nc), -1);
-    remaining.resize(static_cast<std::size_t>(nc));
-    sr.assign(static_cast<std::size_t>(nr), false);
-    sc.assign(static_cast<std::size_t>(nc), false);
+    const auto rows = static_cast<std::size_t>(nr);
+    const auto cols = static_cast<std::size_t>(nc);
+    std::vector<double> u(rows, 0.0), v(cols, 0.0), shortest(cols, kInf);
+    std::vector<int> col4row(rows, -1), path(cols, -1), row4col(cols, -1),
+        remaining(cols);
+    std::vector<bool> sr(rows, false), sc(cols, false);
 
     for (int cur_row = 0; cur_row < nr; ++cur_row) {
         double min_val = 0.0;
@@ -592,7 +536,8 @@ minWeightFullMatching(const CostMatrix &cost)
 Assignment
 minWeightSparseMatching(const SparseCostGraph &graph,
                         std::int64_t *edges_relaxed,
-                        const SparseRowGrower &grow)
+                        const SparseRowGrower &grow,
+                        SparseMatchingScratch *scratch)
 {
     checkSparseGraph(graph, grow);
     const int nr = graph.rows();
@@ -607,10 +552,9 @@ minWeightSparseMatching(const SparseCostGraph &graph,
         return result;
     }
 
-    // Thread-local like the dense solver's scratch: compile() is
-    // re-entrant across threads.
-    thread_local SparseScratch s;
-    s.begin(graph);
+    std::optional<SparseMatchingScratch> local;
+    SparseMatchingScratch &s = scratch ? *scratch : local.emplace();
+    beginCall(s, graph);
     // However the call ends (no augmenting path, or a throw from the
     // grow hook or its check), the scratch goes back to neutral.
     const ScratchReset reset(s);
@@ -656,7 +600,7 @@ minWeightSparseMatching(const SparseCostGraph &graph,
             if (i == cur_row)
                 break;
         }
-        s.endPath();
+        endPath(s);
     }
     if (edges_relaxed)
         *edges_relaxed += relaxed;

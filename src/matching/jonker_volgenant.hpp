@@ -51,6 +51,7 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace zac
@@ -74,17 +75,6 @@ class CostMatrix
 
     int rows() const { return rows_; }
     int cols() const { return cols_; }
-
-    /** Re-shape in place, keeping the buffer capacity (scratch reuse). */
-    void
-    reset(int rows, int cols, double fill = kAssignInfeasible)
-    {
-        rows_ = rows;
-        cols_ = cols;
-        data_.assign(static_cast<std::size_t>(rows) *
-                         static_cast<std::size_t>(cols),
-                     fill);
-    }
 
     double &
     at(int r, int c)
@@ -186,12 +176,53 @@ struct SparseRowGrowth
     double tail = kAssignInfeasible;
 };
 
-/**
- * Grow hook of a solve with tails: row -> its longer list. It must not
- * start another minWeightSparseMatching() on its thread, whose scratch
- * the running solve holds.
- */
+/** Grow hook of a solve with tails: row -> its longer list. */
 using SparseRowGrower = std::function<SparseRowGrowth(int row)>;
+
+/**
+ * Reusable buffers of minWeightSparseMatching(). The per-column and
+ * per-row arrays only grow, and between calls every entry is neutral
+ * (shortest inf, marks 0, overrides and row4col -1): a path resets the
+ * entries it touched and a call, however it ends, the columns it
+ * matched, so neither pays O(columns) for its scratch.
+ */
+struct SparseMatchingScratch
+{
+    /** Row r's list: `len` edges from `at` in the graph's edges, or in
+     *  `pool` once grown, and its tail. */
+    struct RowList
+    {
+        std::size_t at = 0;
+        std::size_t len = 0;
+        double tail = kAssignInfeasible;
+        bool pooled = false;
+    };
+    /** Min-heap entry (key, index); the smallest key is on top. */
+    using HeapEntry = std::pair<double, int>;
+
+    std::vector<double> shortest;  ///< per column; inf when untouched
+    std::vector<int> path;         ///< per column: predecessor row
+    std::vector<double> path_cost; ///< per column: cost of that edge
+    std::vector<int> row4col;      ///< per column: matched row or -1
+    std::vector<char> sc;          ///< per column: settled this path
+    /**
+     * SciPy's `remaining` array, stored as overrides of its initial
+     * order (position p holds column nc - 1 - p; -1 = not overridden).
+     */
+    std::vector<int> col_at, pos_of;
+    std::vector<RowList> rows;        ///< per row: set at each call
+    std::vector<double> matched_cost; ///< per row: its matched edge
+    std::vector<int> order;           ///< per row: visit rank, or -1
+    std::vector<double> row_min;      ///< per row: min_val at its visit
+    std::vector<std::size_t> next_edge; ///< per row: first unrelaxed
+    const SparseEdge *graph_edges = nullptr; ///< the call's graph
+    std::vector<SparseEdge> pool;     ///< grown rows' lists
+    std::vector<int> sinks;           ///< the call's matched columns
+    std::vector<int> touched, visited_rows, settled_cols, ties;
+    std::vector<std::pair<int, int>> moved; ///< (position, column)
+    std::vector<HeapEntry> col_heap;  ///< (shortest, column), lazy
+    std::vector<HeapEntry> row_heap;  ///< (bound, row), one per row
+};
 
 /**
  * The sparse solver: bit-equal to minWeightFullMatching() on the dense
@@ -206,9 +237,9 @@ using SparseRowGrower = std::function<SparseRowGrowth(int row)>;
  * settles after a few columns touches a few edges per row instead of
  * the whole row. A call costs O(R log R) for the R edges its paths
  * relax, plus O(rows + cols) for the result. Rows are (offset,
- * length) spans into the graph, or into a per-thread pool once grown;
- * scratch is kept between calls and only the entries a call touched
- * are reset, so a warm call allocates nothing but its result.
+ * length) spans into the graph, or into the scratch's pool once grown;
+ * only the entries a call touched are reset, so a call on a warm
+ * scratch allocates nothing but its result.
  *
  * @param graph rows() <= cols required.
  * @param edges_relaxed optional counter, incremented by the number of
@@ -216,12 +247,14 @@ using SparseRowGrower = std::function<SparseRowGrowth(int row)>;
  * @param grow required when the graph has tails: called with a row
  *        whose tail the search reached. A list that breaks the
  *        SparseRowGrowth contract is fatal.
+ * @param scratch reusable buffers (null: call-local ones).
  * @return Assignment with feasible == false when the graph (grown as
  *         far as the hook takes it) admits no full matching.
  */
 Assignment minWeightSparseMatching(const SparseCostGraph &graph,
                                    std::int64_t *edges_relaxed = nullptr,
-                                   const SparseRowGrower &grow = {});
+                                   const SparseRowGrower &grow = {},
+                                   SparseMatchingScratch *scratch = nullptr);
 
 } // namespace zac
 

@@ -5,7 +5,8 @@
  *
  * This is the server mode called for by the heavy-traffic north star:
  * accept many circuits, compile them concurrently (compile() is const
- * and re-entrant since the per-thread-scratch rewrite), serve repeated
+ * and re-entrant: a compile's buffers belong to the call or to the
+ * worker's CompileScratch, never to a thread), serve repeated
  * submissions from a content-addressed result cache, and stream results
  * out through a sink as workers finish — no global barrier, no
  * buffering of whole batches.

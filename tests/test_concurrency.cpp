@@ -3,9 +3,10 @@
  * Stress test for the documented re-entrancy of ZacCompiler::compile():
  * N threads concurrently compiling across every option preset must
  * produce bit-identical ZAIR programs and fidelity values to a
- * single-threaded reference run. This locks in the per-thread-scratch
- * guarantee the placement hot paths rely on (and that the compile
- * service builds on).
+ * single-threaded reference run. This locks in that a compile's
+ * buffers belong to its call (or its caller's CompileScratch) and no
+ * state is shared between threads, which the compile service builds
+ * on.
  */
 
 #include <gtest/gtest.h>

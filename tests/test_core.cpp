@@ -17,6 +17,7 @@
 #include "core/cost.hpp"
 #include "core/gate_placer.hpp"
 #include "core/jobs.hpp"
+#include "core/movement.hpp"
 #include "core/placement_state.hpp"
 #include "core/qubit_placer.hpp"
 #include "core/reuse.hpp"
@@ -44,14 +45,11 @@ TEST(PlacementState, PlaceSwapAndOccupancy)
     st.place(2, {0, 98, 0});
     EXPECT_EQ(st.occupant({0, 99, 1}), 1);
     EXPECT_TRUE(st.isEmpty({0, 97, 5}));
-    st.swapQubits(0, 2);
-    EXPECT_EQ(st.trapOf(0), (TrapRef{0, 98, 0}));
-    EXPECT_EQ(st.occupant({0, 99, 0}), 2);
     EXPECT_THROW(st.place(1, {0, 98, 0}), PanicError); // occupied
     // Out-of-range refs read as empty rather than throwing.
     EXPECT_EQ(st.occupant({0, 100, 0}), -1);
     EXPECT_EQ(st.occupant(TrapRef{}), -1);
-    EXPECT_EQ(st.occupant(arch.trapId({0, 98, 0})), 0);
+    EXPECT_EQ(st.occupant(arch.trapId({0, 98, 0})), 2);
 }
 
 TEST(PlacementState, HomeTracksLastStorageTrap)
@@ -592,6 +590,62 @@ TEST(QubitPlacer, ExpandedWindowsMatchDenseSolve)
         EXPECT_LT(stats.candidate_cells, n * std::min(2 * n, empties))
             << tc.arch.name();
     }
+}
+
+TEST(QubitPlacer, ThrowingCallLeavesNoStaleColumns)
+{
+    // A call that throws after numbering its columns must not change
+    // the next plan on its scratch. An alpha of 1e308 passes the
+    // option check, but it overflows the Eq. 3 lookahead term to
+    // infinity, which the solver rejects once the local solve's
+    // columns are numbered.
+    const Architecture arch = presets::multiZoneArch1();
+    const int num_qubits = 60;
+    PlacementState st(arch, num_qubits);
+    const auto init = trivialInitialPlacement(arch, num_qubits);
+    for (int q = 0; q < num_qubits; ++q)
+        st.place(q, init[static_cast<std::size_t>(q)]);
+    QubitPlacementRequest req;
+    for (int q = 0; q < 10; ++q) {
+        const RydbergSite &site = arch.site(q / 2);
+        st.place(q, q % 2 == 0 ? site.left : site.right);
+        req.leaving.push_back(q);
+        req.related.emplace_back(st.posOf(num_qubits - 1 - q));
+    }
+    QubitPlacerStats stats;
+    const std::vector<TrapRef> fresh = placeQubitsInStorage(st, req, &stats);
+    EXPECT_EQ(stats.expanded_solves, 0);
+    PlacementScratch scratch;
+    QubitPlacementRequest overflow = req;
+    overflow.alpha = 1e308;
+    EXPECT_THROW(placeQubitsInStorage(st, overflow, nullptr, &scratch),
+                 FatalError);
+    ASSERT_FALSE(scratch.storage.cols.empty());
+    EXPECT_EQ(placeQubitsInStorage(st, req, nullptr, &scratch), fresh);
+}
+
+TEST(QubitPlacer, FullStorageIsFatal)
+{
+    // Every storage trap is taken and n qubits leave the zone: with
+    // fewer empty traps than leaving qubits, even the expanded solve
+    // has no full matching.
+    const Architecture arch = presets::multiZoneArch1();
+    const std::vector<TrapRef> &storage = arch.allStorageTraps();
+    const int traps = static_cast<int>(storage.size());
+    const int n = 6;
+    PlacementState st(arch, traps + n);
+    for (int q = 0; q < traps; ++q)
+        st.place(q, storage[static_cast<std::size_t>(q)]);
+    QubitPlacementRequest req;
+    for (int i = 0; i < n; ++i) {
+        const RydbergSite &site = arch.site(i / 2);
+        st.place(traps + i, i % 2 == 0 ? site.left : site.right);
+        req.leaving.push_back(traps + i);
+        req.related.emplace_back(std::nullopt);
+    }
+    QubitPlacerStats stats;
+    EXPECT_THROW(placeQubitsInStorage(st, req, &stats), FatalError);
+    EXPECT_EQ(stats.solves, 0);
 }
 
 // -------------------------------- pre-index semantics, golden digests

@@ -252,20 +252,41 @@ fixedGrowth(const std::vector<SparseEdge> &grown, double tail)
 /**
  * Solve a one-row graph over three columns that lists @p listed under
  * tail @p tail, with a hook that grows the row to @p grown under
- * @p grown_tail. The tail is reached at once when the row lists
- * nothing, or when its tail ties its last cost.
+ * @p grown_tail, on @p scratch. The tail is reached at once when the
+ * row lists nothing, or when its tail ties its last cost.
  */
 Assignment
 solveGrown(const std::vector<SparseEdge> &listed, double tail,
-           const std::vector<SparseEdge> &grown, double grown_tail)
+           const std::vector<SparseEdge> &grown, double grown_tail,
+           SparseMatchingScratch *scratch = nullptr)
 {
     SparseCostGraph g;
     g.reset(3);
     g.edges = listed;
     g.row_start.push_back(listed.size());
     g.tail = {tail};
-    return minWeightSparseMatching(g, nullptr,
-                                   fixedGrowth(grown, grown_tail));
+    return minWeightSparseMatching(
+        g, nullptr, fixedGrowth(grown, grown_tail), scratch);
+}
+
+/** Every entry of @p s is neutral, as between two calls. */
+void
+expectNeutral(const SparseMatchingScratch &s)
+{
+    auto all = [](const auto &v, auto x) {
+        return std::all_of(v.begin(), v.end(),
+                           [x](auto e) { return e == x; });
+    };
+    EXPECT_TRUE(all(s.shortest, kAssignInfeasible));
+    EXPECT_TRUE(all(s.row4col, -1));
+    EXPECT_TRUE(all(s.sc, char{0}));
+    EXPECT_TRUE(all(s.col_at, -1));
+    EXPECT_TRUE(all(s.pos_of, -1));
+    EXPECT_TRUE(all(s.order, -1));
+    EXPECT_TRUE(s.sinks.empty() && s.pool.empty() && s.touched.empty() &&
+                s.visited_rows.empty() && s.settled_cols.empty() &&
+                s.moved.empty() && s.col_heap.empty() &&
+                s.row_heap.empty());
 }
 
 TEST(JonkerVolgenant, SparseRejectsMalformedGraphs)
@@ -318,15 +339,25 @@ TEST(JonkerVolgenant, SparseRejectsMalformedGraphs)
     // A tail below the row's last cost.
     EXPECT_THROW(solveGrown(none, 1.0, {{2.0, 0}}, 1.5), FatalError);
     // No new edge and no higher tail: the solve would not progress.
-    EXPECT_THROW(solveGrown(one, 1.0, one, 1.0), FatalError);
-    // A solve that threw mid-path left no state behind.
+    // It throws mid-path, and leaves its scratch neutral for the next
+    // solves on it.
+    SparseMatchingScratch scratch;
+    EXPECT_THROW(solveGrown(one, 1.0, one, 1.0, &scratch), FatalError);
+    ASSERT_FALSE(scratch.shortest.empty());
+    expectNeutral(scratch);
     CostMatrix cost(3, 3, 0.0);
     cost.at(0, 1) = cost.at(1, 0) = cost.at(2, 2) = -1.0;
-    EXPECT_EQ(solveBoth(cost).row_to_col, (std::vector<int>{1, 0, 2}));
+    const Assignment dense = minWeightFullMatching(cost);
+    EXPECT_EQ(dense.row_to_col, (std::vector<int>{1, 0, 2}));
+    expectSameAssignment(
+        minWeightSparseMatching(sparseGraphOf(cost), nullptr, {}, &scratch),
+        dense);
     CostMatrix grown(1, 3);
     grown.at(0, 0) = grown.at(0, 1) = 1.0;
-    expectSameAssignment(solveGrown(one, 1.0, two, kAssignInfeasible),
-                         minWeightFullMatching(grown));
+    expectSameAssignment(
+        solveGrown(one, 1.0, two, kAssignInfeasible, &scratch),
+        minWeightFullMatching(grown));
+    expectNeutral(scratch);
 }
 
 /**

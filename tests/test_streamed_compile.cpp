@@ -17,8 +17,10 @@
 #include <vector>
 
 #include "arch/presets.hpp"
+#include "arch/scaling.hpp"
 #include "arch/serialize.hpp"
 #include "circuit/generators.hpp"
+#include "circuit/scaling.hpp"
 #include "common/logging.hpp"
 #include "core/compiler.hpp"
 #include "service/protocol.hpp"
@@ -133,9 +135,18 @@ TEST(StreamedCompile, ScratchReuseIsDeterministic)
         compiler.compileStreamed(a, CompileControl{}, &fresh)
             .program_json;
 
-    // ...vs. scratch dirtied by a different circuit first: reuse must
-    // never leak state between jobs.
+    // ...vs. scratch dirtied first by a larger compile, whose storage
+    // placement expands and whose windows grow, then by a different
+    // circuit: reuse must never leak state between jobs.
     CompileScratch reused;
+    const ZacStreamedResult big =
+        ZacCompiler(scaledZoned(256), ZacOptions::full())
+            .compileStreamed(
+                scaling::generate(scaling::Family::Ising, 256, 1),
+                CompileControl{}, &reused);
+    EXPECT_GT(big.phases.placement.qubit_placer.expanded_solves, 0);
+    EXPECT_GT(big.phases.placement.qubit_placer.window_growths, 0);
+    EXPECT_GT(big.phases.placement.gate_placer.window_growths, 0);
     (void)compiler.compileStreamed(b, CompileControl{}, &reused);
     EXPECT_EQ(
         compiler.compileStreamed(a, CompileControl{}, &reused)
