@@ -318,7 +318,10 @@ main(int argc, char **argv)
             };
             point["max_rss_kb"] = static_cast<std::int64_t>(rss_kb);
             // Work counters of the first compile (the gate fits the
-            // exponents of three of them).
+            // exponents of five of them).
+            point["placement"] = json::Object{
+                {"rollback_qubits", ph.placement.rollback_qubits},
+            };
             const QubitPlacerStats &qp = ph.placement.qubit_placer;
             point["qubit_placer"] = json::Object{
                 {"calls", qp.calls},
@@ -338,6 +341,7 @@ main(int argc, char **argv)
                 {"fallbacks", gp.fallbacks},
                 {"window_cells", gp.window_cells},
                 {"full_cells", gp.full_cells},
+                {"edges_relaxed", gp.edges_relaxed},
             };
             point["fidelity"] = r.fidelity.total;
             point["program_bytes"] =

@@ -40,11 +40,14 @@ carry the same tag either way):
       which compares raw seconds, so a committed baseline from
       different hardware still gates meaningfully:
         * point gate — for every (family, size) present in both files,
-          each curve is normalized by its own time at the smallest
-          common size (machine speed cancels); the fresh normalized
-          point must stay within SCALING_POINT_THRESHOLD (1.75x) of
-          the committed one. Points faster than 5 ms in both files are
-          skipped as noise.
+          each curve is normalized by its own time at the first common
+          size that takes at least SCALING_MIN_GATE_SECONDS (5 ms) in
+          both files (machine speed cancels; a sub-millisecond base
+          would carry its timing noise into every ratio); the fresh
+          normalized point must stay within SCALING_POINT_THRESHOLD
+          (1.75x) of the committed one. Points faster than 5 ms in
+          both files are skipped as noise, and a family with no such
+          base size has no point gate.
         * exponent gate — the asymptotic log-log slope is refitted on
           the common sizes for both files (so a --fast fresh run
           compares against the same point set of the full committed
@@ -56,8 +59,10 @@ carry the same tag either way):
           tame.
         * counter gate — the same refit on the work counters
           ``qubit_placer.candidate_cells``,
-          ``qubit_placer.edges_relaxed`` and
-          ``gate_placer.window_cells`` (a zero count fits as 1); the
+          ``qubit_placer.edges_relaxed``,
+          ``gate_placer.window_cells``,
+          ``gate_placer.edges_relaxed`` and
+          ``placement.rollback_qubits`` (a zero count fits as 1); the
           fresh exponent must not exceed the committed one by more
           than SCALING_COUNTER_EXPONENT_MARGIN (0.1). The counters are
           deterministic, so this gate reads the same on every host.
@@ -102,6 +107,8 @@ SCALING_COUNTER_KEYS = (
     "qubit_placer.candidate_cells",
     "qubit_placer.edges_relaxed",
     "gate_placer.window_cells",
+    "gate_placer.edges_relaxed",
+    "placement.rollback_qubits",
 )
 
 
@@ -253,13 +260,17 @@ def gate_scaling_curves(committed, fresh, cpath, fpath, args):
         fsecs = [point_value(fpoints[n], fpath, "compile_seconds")
                  for n in common]
 
-        # Point gate: normalize each curve by its own smallest common
-        # point so machine speed cancels out of the ratio.
-        cbase, fbase = csecs[0], fsecs[0]
-        if cbase > 0.0 and fbase > 0.0:
-            for i in range(1, len(common)):
-                if (csecs[i] < SCALING_MIN_GATE_SECONDS
-                        and fsecs[i] < SCALING_MIN_GATE_SECONDS):
+        # Point gate: normalize each curve by its own time at the first
+        # common size that is timeable in both files, so machine speed
+        # cancels out of the ratio and the base adds no timing noise.
+        base = next((i for i in range(len(common))
+                     if min(csecs[i], fsecs[i])
+                     >= SCALING_MIN_GATE_SECONDS), None)
+        if base is not None:
+            cbase, fbase = csecs[base], fsecs[base]
+            for i in range(len(common)):
+                if i == base or (csecs[i] < SCALING_MIN_GATE_SECONDS
+                                 and fsecs[i] < SCALING_MIN_GATE_SECONDS):
                     continue
                 ratio = (fsecs[i] / fbase) / (csecs[i] / cbase)
                 if ratio > SCALING_POINT_THRESHOLD:

@@ -6,7 +6,9 @@ so the tests exercise it the way CI does: subprocess invocations on
 JSON fixtures. The headline cases inject a superlinear regression into
 a linear scaling curve and assert the zac.perf_scaling.v2 exponent
 gate fails the build, for the wall clock and for a work counter;
-further cases pin the per-point gate, the phase-exponent gate, exit 2
+further cases pin the per-point gate (and that a noisy sub-millisecond
+smallest point does not normalize the curve), the phase-exponent gate,
+exit 2
 (not a KeyError traceback) on missing gated flag keys and counters and
 on retired scaling-v1 and placement-v5 files, and that the committed
 repo baselines still pass through the table-driven registry.
@@ -45,6 +47,8 @@ COUNTER_KEYS = (
     "qubit_placer.candidate_cells",
     "qubit_placer.edges_relaxed",
     "gate_placer.window_cells",
+    "gate_placer.edges_relaxed",
+    "placement.rollback_qubits",
 )
 
 
@@ -66,7 +70,8 @@ def scaling_point(n, seconds, phase_share=0.25):
             "candidate_cells": 40 * n,
             "edges_relaxed": 90 * n,
         },
-        "gate_placer": {"window_cells": 7 * n},
+        "gate_placer": {"window_cells": 7 * n, "edges_relaxed": 5 * n},
+        "placement": {"rollback_qubits": 11 * n},
         "fidelity": 0.9,
         "program_bytes": 1000 * n,
     }
@@ -126,8 +131,8 @@ class TestScalingGate(ScalingTempFiles):
         for cp, fp in zip(base_doc["families"][0]["points"],
                           fresh_doc["families"][0]["points"]):
             self.assertEqual(
-                (cp["qubit_placer"], cp["gate_placer"]),
-                (fp["qubit_placer"], fp["gate_placer"]))
+                (cp["qubit_placer"], cp["gate_placer"], cp["placement"]),
+                (fp["qubit_placer"], fp["gate_placer"], fp["placement"]))
         base = self.write("base.json", base_doc)
         fresh = self.write("fresh.json", fresh_doc)
         r = run("--schema", "zac.perf_scaling.v2", base, fresh)
@@ -212,6 +217,21 @@ class TestScalingGate(ScalingTempFiles):
         self.assertIn("counter gate_placer.window_cells exponent "
                       "committed 0.00, fresh 0.00", r.stdout)
 
+    def test_fast_smallest_point_does_not_normalize(self):
+        # Sub-millisecond smallest points are timing noise: one that
+        # reads 2x faster (and nothing else moves) must not scale the
+        # rest of the curve past the point threshold. The curve is
+        # normalized by its first point timeable in both files.
+        base = self.write("base.json", scaling_doc(lambda n: 1e-5 * n))
+        doc = scaling_doc(lambda n: 1e-5 * n)
+        pt = doc["families"][0]["points"][0]
+        assert pt["num_qubits"] == 10
+        pt["compile_seconds"] /= 2.0
+        fresh = self.write("fresh.json", doc)
+        r = run("--schema", "zac.perf_scaling.v2", base, fresh)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertNotIn("normalized compile time", r.stdout)
+
     def test_sub_noise_points_not_gated(self):
         # Points under 5 ms in both files are timing noise; a 3x blip
         # there must not fail the build (the exponent fit still sees
@@ -272,14 +292,15 @@ class TestMissingKeys(ScalingTempFiles):
 
     def test_missing_gated_counter_is_exit_2(self):
         base = self.write("base.json", scaling_doc(lambda n: 1e-3 * n))
-        doc = scaling_doc(lambda n: 1e-3 * n)
-        del doc["families"][0]["points"][2]["qubit_placer"][
-            "edges_relaxed"]
-        fresh = self.write("fresh.json", doc)
-        r = run("--schema", "zac.perf_scaling.v2", base, fresh)
-        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
-        self.assertIn("'qubit_placer.edges_relaxed'", r.stderr)
-        self.assertNotIn("Traceback", r.stderr)
+        for group, name in (("qubit_placer", "edges_relaxed"),
+                            ("placement", "rollback_qubits")):
+            doc = scaling_doc(lambda n: 1e-3 * n)
+            del doc["families"][0]["points"][2][group][name]
+            fresh = self.write("fresh.json", doc)
+            r = run("--schema", "zac.perf_scaling.v2", base, fresh)
+            self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+            self.assertIn(f"'{group}.{name}'", r.stderr)
+            self.assertNotIn("Traceback", r.stderr)
 
     def test_missing_nested_service_flag_is_exit_2(self):
         doc = json.loads(

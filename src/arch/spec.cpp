@@ -500,22 +500,24 @@ Architecture::storageTrapsInBox(const std::vector<Point> &anchors) const
 }
 
 void
-Architecture::storageTrapIdsInBox(Point lo, Point hi,
-                                  std::vector<TrapId> &out) const
+Architecture::storageSpansInBox(Point lo, Point hi,
+                                std::vector<StorageSpan> &out) const
 {
+    int row_base = 0;
     for (int slm_id : storageSlmIds_) {
         const SlmSpec &s = slms_[static_cast<std::size_t>(slm_id)];
         const GridRange cols =
             gridRange(lo.x, hi.x, s.origin.x, s.sep_x, s.cols);
         const GridRange rows =
             gridRange(lo.y, hi.y, s.origin.y, s.sep_y, s.rows);
-        const TrapId base =
-            slmTrapBase_[static_cast<std::size_t>(slm_id)];
-        for (int r = rows.lo; r <= rows.hi; ++r) {
-            const TrapId row_base = base + r * s.cols;
-            for (int c = cols.lo; c <= cols.hi; ++c)
-                out.push_back(row_base + c);
+        if (cols.lo <= cols.hi) {
+            const TrapId base =
+                slmTrapBase_[static_cast<std::size_t>(slm_id)];
+            for (int r = rows.lo; r <= rows.hi; ++r)
+                out.push_back({row_base + r, base + r * s.cols, s.cols,
+                               cols.lo, cols.hi});
         }
+        row_base += s.rows;
     }
 }
 

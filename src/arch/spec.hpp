@@ -252,14 +252,13 @@ class Architecture
     std::vector<TrapRef> storageTrapsInBox(
         const std::vector<Point> &anchors) const;
     /**
-     * Append the dense ids of every storage trap inside the box
-     * [lo, hi] (inclusive up to a small epsilon). Enumeration order is
-     * identical to storageTrapsInBox() — storage SLMs in zone order,
-     * row-major — with the ids computed arithmetically instead of one
-     * validating trapId() call per trap.
+     * Append, per storage row, the span of columns inside the box
+     * [lo, hi] (inclusive up to a small epsilon), in ascending row
+     * order. Expanded to trap ids, the spans list storageTrapsInBox()'s
+     * traps in its order: storage SLMs in zone order, row-major.
      */
-    void storageTrapIdsInBox(Point lo, Point hi,
-                             std::vector<TrapId> &out) const;
+    void storageSpansInBox(Point lo, Point hi,
+                           std::vector<StorageSpan> &out) const;
     /** Rows over all storage SLMs (see StorageSpan). */
     int numStorageRows() const;
     /**

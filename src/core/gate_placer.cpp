@@ -24,7 +24,9 @@ constexpr double kCostMargin = 1.5;
 
 /**
  * Pin handling shared by the windowed and reference paths. `result` is
- * moved out to the caller and reallocated per call.
+ * moved out to the caller and reallocated per call. `site_taken` is
+ * clear but for the last call's pins, which are cleared first, also
+ * after a throw: each is listed in `pinned_sites` once set.
  */
 void
 applyPins(const PlacementState &state, const GatePlacementRequest &req,
@@ -38,8 +40,11 @@ applyPins(const PlacementState &state, const GatePlacementRequest &req,
         panic("placeGates: request vectors out of shape");
 
     p.result.assign(num_gates, -1);
-    p.site_taken.assign(static_cast<std::size_t>(arch.numSites()), 0);
+    for (int pin : p.pinned_sites)
+        p.site_taken[static_cast<std::size_t>(pin)] = 0;
     p.pinned_sites.clear();
+    if (p.site_taken.size() < static_cast<std::size_t>(arch.numSites()))
+        p.site_taken.resize(static_cast<std::size_t>(arch.numSites()), 0);
     p.free_gates.clear();
     for (std::size_t i = 0; i < num_gates; ++i) {
         const int pin = req.pinned_site[i];
@@ -231,7 +236,7 @@ solveWindows(const PlacementState &state, const GatePlacementRequest &req,
     };
     // std::ref: the hook holds a pointer to the lambda, no allocation.
     const Assignment assign = minWeightSparseMatching(
-        p.graph, nullptr, std::ref(grow), &scratch.matching);
+        p.graph, &st.edges_relaxed, std::ref(grow), &scratch.matching);
     if (!assign.feasible)
         panic("placeGates: windows that grow to every free site must be "
               "feasible");
@@ -255,6 +260,7 @@ GatePlacerStats::operator+=(const GatePlacerStats &o)
     fallbacks += o.fallbacks;
     window_cells += o.window_cells;
     full_cells += o.full_cells;
+    edges_relaxed += o.edges_relaxed;
     return *this;
 }
 

@@ -67,6 +67,7 @@ struct GatePlacerStats
     std::int64_t fallbacks = 0;      ///< a window grew to all sites
     std::int64_t window_cells = 0;   ///< sites costed per window built
     std::int64_t full_cells = 0;     ///< |free gates| x |sites|
+    std::int64_t edges_relaxed = 0;  ///< the solver's reduced costs
 
     GatePlacerStats &operator+=(const GatePlacerStats &o);
 };
@@ -95,7 +96,10 @@ struct GateWindow
     std::vector<SparseEdge> edges;    ///< listed sites, ascending cost
 };
 
-/** Reusable buffers of placeGates(), value-reset at every call. */
+/**
+ * Reusable buffers of placeGates(), value-reset at every call; the
+ * per-site arrays only where the last call set them.
+ */
 struct GatePlacerScratch
 {
     std::vector<int> result;       ///< per gate: site id (-1 pending)

@@ -37,12 +37,17 @@ struct BoundaryResult
 /**
  * Per-stage qubit -> 2Q-partner table replacing the O(#gates)
  * partnerInStage() scans (each stage touches a qubit at most once, so
- * a flat array keyed by qubit suffices).
+ * a flat array keyed by qubit suffices). The table holds @p prev's
+ * partners or none: only @p prev's entries are cleared.
  */
 void
-buildPartnerTable(const RydbergStage &stage, std::vector<int> &partner)
+buildPartnerTable(const RydbergStage &prev, const RydbergStage &stage,
+                  std::vector<int> &partner)
 {
-    std::fill(partner.begin(), partner.end(), -1);
+    for (const StagedGate &g : prev.gates) {
+        partner[static_cast<std::size_t>(g.q0)] = -1;
+        partner[static_cast<std::size_t>(g.q1)] = -1;
+    }
     for (const StagedGate &g : stage.gates) {
         if (partner[static_cast<std::size_t>(g.q0)] == -1)
             partner[static_cast<std::size_t>(g.q0)] = g.q1;
@@ -145,9 +150,9 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
         staged.rydberg[static_cast<std::size_t>(next_t)];
     BoundaryResult result;
 
-    // ---- qubits staying at their sites across the boundary.
+    // ---- qubits staying at their sites across the boundary (the
+    // flags are all clear on entry, and cleared again below).
     std::vector<char> &stays = scratch.stays;
-    stays.assign(static_cast<std::size_t>(staged.numQubits), 0);
     if (t >= 0) {
         const RydbergStage &cur_stage =
             staged.rydberg[static_cast<std::size_t>(t)];
@@ -211,6 +216,10 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
             const int q = qreq.leaving[i];
             result.move_out.push_back({q, state.trapOf(q), dests[i]});
             state.place(q, dests[i]);
+        }
+        for (const StagedGate &g : cur_stage.gates) {
+            stays[static_cast<std::size_t>(g.q0)] = 0;
+            stays[static_cast<std::size_t>(g.q1)] = 0;
         }
         if (profile)
             profile->qubit_placement_seconds += nowSeconds() - t0;
@@ -284,6 +293,7 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
 
     std::optional<PlacementScratch> local;
     PlacementScratch &s = scratch ? *scratch : local.emplace();
+    s.stays.assign(static_cast<std::size_t>(staged.numQubits), 0);
     PlacementState state(arch, staged.numQubits);
     for (int q = 0; q < staged.numQubits; ++q)
         state.place(q, initial[static_cast<std::size_t>(q)]);
@@ -335,18 +345,28 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
         plan.transitions[0].move_in = std::move(r.move_in);
     }
 
+    // Rollbacks count as move building.
+    auto rollback = [&](auto &&undo) {
+        const double t0 = profile ? nowSeconds() : 0.0;
+        const std::size_t written = undo();
+        if (profile) {
+            profile->move_build_seconds += nowSeconds() - t0;
+            profile->rollback_qubits += static_cast<std::int64_t>(written);
+        }
+    };
+
     // ---- boundaries t -> t+1.
-    std::vector<TrapRef> reuse_after;
     for (int t = 0; t + 1 < num_stages; ++t) {
         const ReuseMatching &with_reuse = matching_at(t);
         const ReuseMatching &lookahead = matching_at(t + 1);
         buildPartnerTable(
-            staged.rydberg[static_cast<std::size_t>(t) + 1],
-            next_partner);
+            staged.rydberg[static_cast<std::size_t>(t)],
+            staged.rydberg[static_cast<std::size_t>(t) + 1], next_partner);
 
-        // The reuse variant runs journaled and is rolled back in place
-        // (no full-trap-vector snapshot/restore round trip); only its
-        // final placement is captured in case it wins the comparison.
+        // Both variants run journaled. The reuse variant is undone at
+        // once, its end traps kept; if it wins, the plain variant is
+        // undone and those traps replayed. Either way the cost is the
+        // qubits the variants moved.
         std::optional<BoundaryResult> reuse_variant;
         if (opts.use_reuse && !with_reuse.empty()) {
             state.journalBegin();
@@ -354,8 +374,8 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
                 state, staged, t, with_reuse, lookahead,
                 plan.gate_sites[static_cast<std::size_t>(t)],
                 next_partner, opts, profile, s);
-            state.snapshotInto(reuse_after);
-            state.journalUndo();
+            rollback([&] { return state.journalUndo(&s.reuse_ends); });
+            state.journalBegin();
         }
         // The no-reuse variant: the unsized all-unmatched placeholder
         // behaves identically to a per-boundary sized one (no pins, no
@@ -370,10 +390,11 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
             reuse_variant->cost <= plain.cost) {
             winner = &*reuse_variant;
             ++plan.reuse_boundaries;
-            // Jump from the plain variant's final placement to the
-            // reuse variant's (when plain wins the state is already
-            // final: the old restore(plain.state_after) was a no-op).
-            state.restore(reuse_after);
+            rollback([&] {
+                return state.journalUndoAndReplay(s.reuse_ends);
+            });
+        } else if (state.journaling()) {
+            state.journalCommit();
         }
         plan.reused_qubits += winner->reused;
         plan.direct_moves += winner->direct;

@@ -7,12 +7,15 @@
  * zone. At every stage boundary two complete variants are built — one
  * with qubit reuse and one without — and the cheaper one (by the
  * transition-cost proxy) is committed, per the paper's "commit to the
- * better solution between the two".
+ * better solution between the two". Both variants run journaled on one
+ * PlacementState, so keeping either costs the qubits the two moved,
+ * not the qubit count.
  */
 
 #ifndef ZAC_CORE_MOVEMENT_HPP
 #define ZAC_CORE_MOVEMENT_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "arch/spec.hpp"
@@ -83,6 +86,9 @@ struct PlacementProfile
     double check_seconds = 0.0;           ///< final plan replay check
     GatePlacerStats gate_placer;          ///< window/growth/dense counters
     QubitPlacerStats qubit_placer;        ///< storage-placement counters
+    /** Qubit slots the variant rollbacks wrote: one per undone journal
+     *  entry and one per replayed end trap (see PlacementState). */
+    std::int64_t rollback_qubits = 0;
 
     double
     movementSeconds() const
@@ -100,7 +106,8 @@ struct PlacementProfile
 
 /**
  * Reusable buffers of runDynamicPlacement(): both placers', the sparse
- * solver's they share, and its own. Value-reset where used.
+ * solver's they share, and its own. Value-reset where used; the stay
+ * flags once per call, then per boundary only the stage's qubits.
  */
 struct PlacementScratch
 {
@@ -111,6 +118,7 @@ struct PlacementScratch
     QubitPlacementRequest qreq;
     std::vector<char> stays;   ///< per qubit: stays at its site
     std::vector<double> dists; ///< a boundary's move distances
+    std::vector<QubitTrap> reuse_ends; ///< the reuse variant's end traps
 };
 
 /**

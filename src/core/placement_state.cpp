@@ -41,10 +41,42 @@ PlacementState::occupant(TrapRef t) const
                : occupantByTrap_[static_cast<std::size_t>(id)];
 }
 
+void
+PlacementState::appendEmptyTraps(const StorageSpan &s,
+                                 std::vector<TrapId> &out) const
+{
+    const std::int32_t *occ = occupantByTrap_.data();
+    for (TrapId t = s.first + s.lo; t <= s.first + s.hi; ++t)
+        if (occ[t] == -1)
+            out.push_back(t);
+}
+
 TrapRef
 PlacementState::homeOf(int q) const
 {
     return home_[static_cast<std::size_t>(q)];
+}
+
+void
+PlacementState::occupy(int q, TrapRef t, TrapId id)
+{
+    const auto qi = static_cast<std::size_t>(q);
+    trap_[qi] = t;
+    trapId_[qi] = id;
+    occupantByTrap_[static_cast<std::size_t>(id)] = q;
+    if (arch_->isStorageTrap(id))
+        home_[qi] = t;
+}
+
+void
+PlacementState::vacate(int q)
+{
+    const auto qi = static_cast<std::size_t>(q);
+    if (!trap_[qi].valid())
+        return;
+    occupantByTrap_[static_cast<std::size_t>(trapId_[qi])] = -1;
+    trap_[qi] = TrapRef{};
+    trapId_[qi] = kInvalidTrapId;
 }
 
 void
@@ -54,18 +86,10 @@ PlacementState::place(int q, TrapRef t)
     if (occ != -1 && occ != q)
         panic("placement state: trap already occupied by qubit " +
               std::to_string(occ));
-    const TrapRef old = trap_[static_cast<std::size_t>(q)];
     if (journaling_)
-        journal_.push_back({q, old});
-    if (old.valid())
-        occupantByTrap_[static_cast<std::size_t>(
-            trapId_[static_cast<std::size_t>(q)])] = -1;
-    const TrapId id = arch_->trapId(t);
-    trap_[static_cast<std::size_t>(q)] = t;
-    trapId_[static_cast<std::size_t>(q)] = id;
-    occupantByTrap_[static_cast<std::size_t>(id)] = q;
-    if (arch_->isStorageTrap(id))
-        home_[static_cast<std::size_t>(q)] = t;
+        journal_.push_back({q, trap_[static_cast<std::size_t>(q)]});
+    vacate(q);
+    occupy(q, t, arch_->trapId(t));
 }
 
 void
@@ -76,10 +100,7 @@ PlacementState::liftQubit(int q)
         panic("placement state: lift of unplaced qubit");
     if (journaling_)
         journal_.push_back({q, old});
-    occupantByTrap_[static_cast<std::size_t>(
-        trapId_[static_cast<std::size_t>(q)])] = -1;
-    trap_[static_cast<std::size_t>(q)] = TrapRef{};
-    trapId_[static_cast<std::size_t>(q)] = kInvalidTrapId;
+    vacate(q);
 }
 
 void
@@ -92,14 +113,14 @@ PlacementState::journalBegin()
 }
 
 void
-PlacementState::journalUndo()
+PlacementState::undoTraps()
 {
     if (!journaling_)
-        panic("placement state: journalUndo without journalBegin");
+        panic("placement state: journal undo without journalBegin");
     // Reverse replay: when an entry is undone the state equals the
     // post-state of its operation, so occupantByTrap_[trap_[q]] == q.
     for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
-        const std::size_t q = static_cast<std::size_t>(it->q);
+        const auto q = static_cast<std::size_t>(it->q);
         if (trap_[q].valid())
             occupantByTrap_[static_cast<std::size_t>(trapId_[q])] = -1;
         trap_[q] = it->prev;
@@ -111,17 +132,60 @@ PlacementState::journalUndo()
             trapId_[q] = kInvalidTrapId;
         }
     }
-    // Home traps: restore(snap) sets home_[q] = snap[q] exactly for the
-    // qubits whose snapshot trap is a storage trap (a qubit sitting at a
-    // storage trap always has it as home, so untouched qubits need no
-    // correction) and leaves every other home at its mutated value.
+}
+
+std::size_t
+PlacementState::endJournal()
+{
+    // restore(snap) sets home_[q] = snap[q] exactly for the qubits whose
+    // snapshot trap is a storage trap and keeps every other home. A
+    // qubit sitting at a storage trap always has it as home, so only
+    // the journaled qubits need the rule.
     for (const JournalEntry &e : journal_) {
-        const TrapRef t = trap_[static_cast<std::size_t>(e.q)];
-        if (t.valid() && arch_->isStorageTrap(t))
-            home_[static_cast<std::size_t>(e.q)] = t;
+        const auto q = static_cast<std::size_t>(e.q);
+        if (trap_[q].valid() && arch_->isStorageTrap(trapId_[q]))
+            home_[q] = trap_[q];
     }
+    const std::size_t written = journal_.size();
     journal_.clear();
     journaling_ = false;
+    return written;
+}
+
+std::size_t
+PlacementState::journalUndo(std::vector<QubitTrap> *ends)
+{
+    if (ends != nullptr) {
+        ends->clear();
+        for (const JournalEntry &e : journal_) {
+            const auto q = static_cast<std::size_t>(e.q);
+            ends->push_back({e.q, trapId_[q]});
+        }
+    }
+    undoTraps();
+    return endJournal();
+}
+
+std::size_t
+PlacementState::journalUndoAndReplay(const std::vector<QubitTrap> &ends)
+{
+    undoTraps();
+    // The state now equals the one ends were captured from before their
+    // variant ran, and in that variant's end state the replayed qubits
+    // hold their traps while every other qubit holds its trap of now:
+    // once they are lifted, their traps are free. A qubit listed twice
+    // is placed twice at its one trap.
+    for (const QubitTrap &e : ends)
+        vacate(e.q);
+    for (const QubitTrap &e : ends) {
+        if (e.trap == kInvalidTrapId)
+            continue;
+        const int occ = occupantByTrap_[static_cast<std::size_t>(e.trap)];
+        if (occ != -1 && occ != e.q)
+            panic("placement state: replayed trap already occupied");
+        occupy(e.q, arch_->trapRef(e.trap), e.trap);
+    }
+    return endJournal() + ends.size();
 }
 
 void

@@ -14,6 +14,13 @@
 namespace zac
 {
 
+/** A qubit and the trap it ends at in a journaled variant. */
+struct QubitTrap
+{
+    int q = -1;
+    TrapId trap = kInvalidTrapId; ///< kInvalidTrapId: it ends lifted
+};
+
 /**
  * Tracks which trap every qubit occupies, the reverse occupancy map,
  * and each qubit's "home" trap (its most recent storage location, used
@@ -44,8 +51,15 @@ class PlacementState
         return occupantByTrap_[static_cast<std::size_t>(id)];
     }
     bool isEmpty(TrapId id) const { return occupant(id) == -1; }
+    /** Append the empty traps of span @p s, in ascending id. */
+    void appendEmptyTraps(const StorageSpan &s,
+                          std::vector<TrapId> &out) const;
 
-    /** Last storage trap @p q occupied. */
+    /**
+     * Last storage trap @p q occupied, with one exception: after a
+     * rollback to the reuse variant it can be a trap only the discarded
+     * plain variant sent q to (see the journal notes below).
+     */
     TrapRef homeOf(int q) const;
 
     /**
@@ -61,33 +75,57 @@ class PlacementState
      */
     void liftQubit(int q);
 
-    /** Snapshot the full placement (for variant roll-back). */
+    /** Snapshot the full placement (the journal's test reference). */
     std::vector<TrapRef> snapshot() const { return trap_; }
-    /** snapshot() into a reused buffer (no allocation). */
-    void
-    snapshotInto(std::vector<TrapRef> &out) const
-    {
-        out.assign(trap_.begin(), trap_.end());
-    }
-    /** Restore a snapshot taken from this state. */
+    /**
+     * Restore a snapshot taken from this state: every qubit takes its
+     * snapshot trap, and adopts it as home when it is a storage trap
+     * (every other home keeps its current value).
+     */
     void restore(const std::vector<TrapRef> &snap);
 
     // ----- journaled apply/undo -----------------------------------------
     //
-    // A cheaper alternative to snapshot()/restore() for speculative
-    // variants (mirrors the SA placer's journaled best-state rewind):
-    // between journalBegin() and journalUndo() every place()/liftQubit()
-    // records its pre-state, and journalUndo() replays the records in
-    // reverse. The rolled-back state is bit-identical to what
-    // snapshot-before / restore-after would produce, including the home
-    // traps: restore(snap) re-adopts snap[q] as home exactly when it is
-    // a storage trap and otherwise keeps the mutated value, and
-    // journalUndo() reproduces that rule.
+    // runDynamicPlacement() builds two variants per stage boundary and
+    // keeps one, in O(qubits moved) instead of O(qubits) (mirrors the
+    // SA placer's journaled best-state rewind). Between journalBegin()
+    // and the call that ends the journal, every place()/liftQubit()
+    // records its pre-state. Each way of ending it leaves the state the
+    // snapshot()/restore() round trip it replaces leaves, bit for bit,
+    // home traps included:
+    //  - journalUndo() equals restore(snapshot-at-journalBegin());
+    //  - journalUndoAndReplay(ends), with `ends` captured by journalUndo()
+    //    of an earlier variant A that started from the same state,
+    //    equals restore(snapshot-after-A);
+    //  - journalCommit() keeps the state as it is.
+    //
+    // restore() keeps the current home of every qubit whose snapshot
+    // trap is not a storage trap, and the journal reproduces that. So
+    // when runDynamicPlacement() rolls back to the reuse variant A from
+    // the plain variant B, a qubit that A keeps in the zone but B sent
+    // to storage keeps B's storage trap as its home, a trap it never
+    // occupied in the committed plan, which homeOf() then offers as its
+    // candidate (i). Correcting that would change the compiled plans.
 
     /** Start recording mutations. @throws zac::PanicError if active. */
     void journalBegin();
-    /** Undo every mutation since journalBegin() and stop recording. */
-    void journalUndo();
+    /**
+     * Undo every mutation since journalBegin() and stop recording.
+     * With @p ends, first record the trap each journaled qubit ends at,
+     * for journalUndoAndReplay(): one entry per journal entry, so a
+     * qubit moved twice is listed twice with the same trap.
+     * @return the qubit slots written: one per journal entry.
+     */
+    std::size_t journalUndo(std::vector<QubitTrap> *ends = nullptr);
+    /**
+     * Undo every mutation since journalBegin(), stop recording, and
+     * re-apply an undone variant's @p ends: lift every qubit in @p ends,
+     * then place each at its trap. Homes follow restore(): a journaled
+     * or replayed qubit that ends at a storage trap takes it as home.
+     * @return the qubit slots written: one per journal entry and one
+     *         per entry of @p ends.
+     */
+    std::size_t journalUndoAndReplay(const std::vector<QubitTrap> &ends);
     /** Keep the mutations and stop recording. */
     void journalCommit();
     bool journaling() const { return journaling_; }
@@ -102,6 +140,16 @@ class PlacementState
         int q;
         TrapRef prev;
     };
+
+    /** Set @p q's trap to @p t, whose id is @p id, and occupy it (q's
+     *  old trap is vacated already). */
+    void occupy(int q, TrapRef t, TrapId id);
+    /** Vacate @p q's trap, if any (no journal entry). */
+    void vacate(int q);
+    /** Reverse-replay the journal's traps (homes untouched). */
+    void undoTraps();
+    /** restore()'s home rule for the journaled qubits, then stop. */
+    std::size_t endJournal();
 
     const Architecture *arch_;
     int numQubits_;

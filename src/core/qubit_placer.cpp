@@ -18,10 +18,10 @@ namespace
 
 /**
  * Candidate traps for one leaving qubit at one expansion level,
- * written into @p out. Candidate ids come straight
- * from the arithmetic box enumerator; the candidate *set* — anchor
- * box, k-neighbourhood of the nearest trap, home trap, sorted and
- * deduplicated — is identical to the original TrapRef-based builder.
+ * written into @p out: the empty traps of the anchor box, the
+ * k-neighbourhood of the nearest trap and the home trap, in ascending
+ * id, each once. The box is scanned as storage row spans, so a trap
+ * the box holds costs one occupancy load unless it is empty.
  */
 void
 candidateTraps(const PlacementState &state, int q,
@@ -49,18 +49,17 @@ candidateTraps(const PlacementState &state, int q,
     if (related.has_value())
         widen(arch.trapPosition(arch.nearestStorageTrap(*related)));
 
-    // The box enumeration is ascending whenever the storage SLM bases
-    // are (the common single-storage-SLM case), so only the small
-    // near/ring/home tail needs sorting; one merge walk then emits the
-    // deduplicated, empty-only candidates without sorting the box.
-    std::vector<TrapId> &box = s.box, &tail = s.tail;
-    box.clear();
-    arch.storageTrapIdsInBox(lo, hi, box);
+    out.clear();
+    s.spans.clear();
+    arch.storageSpansInBox(lo, hi, s.spans);
+    for (const StorageSpan &span : s.spans)
+        state.appendEmptyTraps(span, out);
     // k-neighbourhood of the nearest trap (may extend beyond the box),
-    // by id arithmetic on the trap's SLM grid.
+    // by id arithmetic on the trap's SLM grid, and the home trap.
     const TrapId near_id = arch.trapId(near_cur);
     const SlmSpec &slm =
         arch.slms()[static_cast<std::size_t>(near_cur.slm)];
+    std::vector<TrapId> &tail = s.tail;
     tail.clear();
     tail.push_back(near_id);
     for (int d = 1; d <= k; ++d) {
@@ -75,36 +74,38 @@ candidateTraps(const PlacementState &state, int q,
     }
     if (home.valid())
         tail.push_back(arch.trapId(home));
-    std::sort(tail.begin(), tail.end());
 
-    // TrapId order equals TrapRef (slm, r, c) order, so the merged
-    // ascending walk yields the same candidate sequence the old
-    // sort + unique + filter produced.
-    out.clear();
-    if (!std::is_sorted(box.begin(), box.end())) {
-        box.insert(box.end(), tail.begin(), tail.end());
-        std::sort(box.begin(), box.end());
-        box.erase(std::unique(box.begin(), box.end()), box.end());
-        for (TrapId t : box)
+    // TrapId order equals TrapRef (slm, r, c) order. The spans list
+    // ascending ids whenever the storage SLM bases ascend in zone order
+    // (the common single-storage-SLM case): then only the small tail
+    // needs sorting, and its empty traps the box lacks merge in.
+    if (!std::is_sorted(out.begin(), out.end())) {
+        for (TrapId t : tail)
             if (state.isEmpty(t))
                 out.push_back(t);
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
         return;
     }
-    std::size_t bi = 0, ti = 0;
+    std::sort(tail.begin(), tail.end());
+    std::size_t extra = 0;
     TrapId last = kInvalidTrapId;
-    while (bi < box.size() || ti < tail.size()) {
-        TrapId t;
-        if (ti >= tail.size() ||
-            (bi < box.size() && box[bi] <= tail[ti]))
-            t = box[bi++];
-        else
-            t = tail[ti++];
+    for (TrapId t : tail) {
         if (t == last)
             continue;
         last = t;
-        if (state.isEmpty(t))
-            out.push_back(t);
+        if (state.isEmpty(t) &&
+            !std::binary_search(out.begin(), out.end(), t))
+            tail[extra++] = t;
     }
+    // Merge the extra traps in from the back.
+    std::size_t box = out.size();
+    std::size_t at = box + extra;
+    out.resize(at);
+    while (extra > 0)
+        out[--at] = box > 0 && out[box - 1] > tail[extra - 1]
+                        ? out[--box]
+                        : tail[--extra];
 }
 
 /** Eq. 3 cost of a trap at @p tp, @p d_cur = distance(tp, cur) away. */

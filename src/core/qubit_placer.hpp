@@ -96,7 +96,7 @@ struct ColumnIndex
 struct QubitPlacerScratch
 {
     std::vector<std::vector<TrapId>> cands; ///< per qubit: local traps
-    std::vector<TrapId> box, tail;          ///< candidate enumeration
+    std::vector<TrapId> tail;               ///< a qubit's ring and home
     std::vector<TrapId> cols;               ///< the solve's columns
     ColumnIndex col;                        ///< trap -> column
     std::vector<int> order;                 ///< qubits by position

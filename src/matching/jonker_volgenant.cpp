@@ -117,6 +117,7 @@ beginCall(SparseMatchingScratch &s, const SparseCostGraph &g)
     const auto c = static_cast<std::size_t>(g.cols);
     if (s.shortest.size() < c) {
         s.shortest.resize(c, kInf);
+        s.v.resize(c, 0.0);
         s.path.resize(c, -1);
         s.path_cost.resize(c, 0.0);
         s.row4col.resize(c, -1);
@@ -180,8 +181,11 @@ class ScratchReset
     ~ScratchReset()
     {
         endPath(s_);
-        for (int j : s_.sinks)
+        // Only matched columns were settled, so only they hold duals.
+        for (int j : s_.sinks) {
             s_.row4col[static_cast<std::size_t>(j)] = -1;
+            s_.v[static_cast<std::size_t>(j)] = 0.0;
+        }
         s_.sinks.clear();
         s_.pool.clear();
     }
@@ -537,7 +541,7 @@ Assignment
 minWeightSparseMatching(const SparseCostGraph &graph,
                         std::int64_t *edges_relaxed,
                         const SparseRowGrower &grow,
-                        SparseMatchingScratch *scratch)
+                        SparseMatchingScratch *scratch, Duals duals)
 {
     checkSparseGraph(graph, grow);
     const int nr = graph.rows();
@@ -559,7 +563,7 @@ minWeightSparseMatching(const SparseCostGraph &graph,
     // grow hook or its check), the scratch goes back to neutral.
     const ScratchReset reset(s);
     std::vector<double> u(static_cast<std::size_t>(nr), 0.0);
-    std::vector<double> v(static_cast<std::size_t>(nc), 0.0);
+    std::vector<double> &v = s.v;
     std::vector<int> col4row(static_cast<std::size_t>(nr), -1);
     double v_max = 0.0; // running max of v; v starts at 0
     std::int64_t relaxed = 0;
@@ -609,8 +613,10 @@ minWeightSparseMatching(const SparseCostGraph &graph,
     result.row_to_col = std::move(col4row);
     for (int i = 0; i < nr; ++i)
         result.total_cost += s.matched_cost[static_cast<std::size_t>(i)];
-    result.row_duals = std::move(u);
-    result.col_duals = std::move(v);
+    if (duals == Duals::Return) {
+        result.row_duals = std::move(u);
+        result.col_duals.assign(v.begin(), v.begin() + nc);
+    }
     return result;
 }
 

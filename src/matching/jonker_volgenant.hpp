@@ -28,8 +28,9 @@
  * the sparse solver makes every choice the dense one makes — the same
  * column settled at each step, including SciPy's tie order, and the
  * same predecessor row per column — so `feasible`, `row_to_col`, the
- * duals and `total_cost` are bit-equal. tests/test_matching.cpp checks
- * this on seeded instances full of exact ties.
+ * duals (returned on request) and `total_cost` are bit-equal.
+ * tests/test_matching.cpp checks this on seeded instances full of
+ * exact ties.
  *
  * Tails extend the contract to a graph listed on demand. A row's tail
  * is a lower bound on the cost of every column it does not list; the
@@ -112,8 +113,10 @@ struct Assignment
     bool feasible = false;        ///< false if no full matching exists
     std::vector<int> row_to_col;  ///< column index per row (when feasible)
     double total_cost = 0.0;
-    std::vector<double> row_duals; ///< u, one per row (when feasible)
-    std::vector<double> col_duals; ///< v, one per column (when feasible)
+    /** u, one per row (when feasible; the sparse solver's on request). */
+    std::vector<double> row_duals;
+    /** v, one per column (likewise). */
+    std::vector<double> col_duals;
 };
 
 /**
@@ -182,9 +185,10 @@ using SparseRowGrower = std::function<SparseRowGrowth(int row)>;
 /**
  * Reusable buffers of minWeightSparseMatching(). The per-column and
  * per-row arrays only grow, and between calls every entry is neutral
- * (shortest inf, marks 0, overrides and row4col -1): a path resets the
- * entries it touched and a call, however it ends, the columns it
- * matched, so neither pays O(columns) for its scratch.
+ * (shortest inf, column duals 0, marks 0, overrides and row4col -1): a
+ * path resets the entries it touched and a call, however it ends, the
+ * columns it matched (only those ever settle, so only they hold a
+ * dual), so neither pays O(columns) for its scratch.
  */
 struct SparseMatchingScratch
 {
@@ -201,6 +205,7 @@ struct SparseMatchingScratch
     using HeapEntry = std::pair<double, int>;
 
     std::vector<double> shortest;  ///< per column; inf when untouched
+    std::vector<double> v;         ///< per column: dual, 0 when unmatched
     std::vector<int> path;         ///< per column: predecessor row
     std::vector<double> path_cost; ///< per column: cost of that edge
     std::vector<int> row4col;      ///< per column: matched row or -1
@@ -224,6 +229,9 @@ struct SparseMatchingScratch
     std::vector<HeapEntry> row_heap;  ///< (bound, row), one per row
 };
 
+/** Whether minWeightSparseMatching() returns the dual potentials. */
+enum class Duals { Skip, Return };
+
 /**
  * The sparse solver: bit-equal to minWeightFullMatching() on the dense
  * matrix of the same graph, tails grown on demand to the full matrix
@@ -236,10 +244,11 @@ struct SparseMatchingScratch
  * its bound could reach the cheapest tentative column, so a path that
  * settles after a few columns touches a few edges per row instead of
  * the whole row. A call costs O(R log R) for the R edges its paths
- * relax, plus O(rows + cols) for the result. Rows are (offset,
- * length) spans into the graph, or into the scratch's pool once grown;
- * only the entries a call touched are reset, so a call on a warm
- * scratch allocates nothing but its result.
+ * relax, plus O(rows) for the result (O(cols) more when the duals are
+ * returned). Rows are (offset, length) spans into the graph, or into
+ * the scratch's pool once grown; the column duals live in the scratch
+ * too, and only the entries a call touched are reset, so a call on a
+ * warm scratch allocates nothing but its per-row result.
  *
  * @param graph rows() <= cols required.
  * @param edges_relaxed optional counter, incremented by the number of
@@ -248,13 +257,16 @@ struct SparseMatchingScratch
  *        whose tail the search reached. A list that breaks the
  *        SparseRowGrowth contract is fatal.
  * @param scratch reusable buffers (null: call-local ones).
+ * @param duals Duals::Return fills row_duals and col_duals (the
+ *        bit-equality tests compare them with the dense solver's).
  * @return Assignment with feasible == false when the graph (grown as
  *         far as the hook takes it) admits no full matching.
  */
 Assignment minWeightSparseMatching(const SparseCostGraph &graph,
                                    std::int64_t *edges_relaxed = nullptr,
                                    const SparseRowGrower &grow = {},
-                                   SparseMatchingScratch *scratch = nullptr);
+                                   SparseMatchingScratch *scratch = nullptr,
+                                   Duals duals = Duals::Skip);
 
 } // namespace zac
 

@@ -13,6 +13,7 @@
 #include "arch/spec.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "core/placement_state.hpp"
 
 #include "golden.hpp"
 #include "test_archs.hpp"
@@ -435,26 +436,76 @@ TEST(ArchQueryEquivalence, StorageTrapsInBoxMatchesScan)
     }
 }
 
-TEST(ArchQueryEquivalence, StorageTrapIdsInBoxMatchesRefEnumeration)
+TEST(ArchQueryEquivalence, StorageSpansInBoxMatchRefEnumeration)
 {
-    // The arithmetic id enumerator must produce exactly the ids of the
-    // TrapRef-based enumeration, in the same order.
+    // Expanded to ids, the row spans must list exactly the traps of the
+    // TrapRef-based enumeration, in the same order, also where zone
+    // order and id order disagree (two_pitch_storage). Under random
+    // occupancy the empty-trap scan over them must equal a brute-force
+    // filter of that enumeration.
     Rng rng(777);
-    for (const Architecture &arch : allPresets()) {
+    std::vector<Architecture> archs = allPresets();
+    archs.push_back(test_archs::twoPitchStorage());
+    for (const Architecture &arch : archs) {
+        std::vector<int> row_of; // storage row of each storage trap id
+        row_of.assign(static_cast<std::size_t>(arch.numTraps()), -1);
+        int rows = 0;
+        for (const ZoneSpec &z : arch.storageZones())
+            for (int slm : z.slm_ids) {
+                const SlmSpec &s = arch.slms()[static_cast<std::size_t>(slm)];
+                for (int r = 0; r < s.rows; ++r, ++rows)
+                    for (int c = 0; c < s.cols; ++c)
+                        row_of[static_cast<std::size_t>(
+                            arch.trapId(TrapRef{slm, r, c}))] = rows;
+            }
+        const auto &storage = arch.allStorageTraps();
         Point lo, hi;
         archBounds(arch, lo, hi);
         for (int i = 0; i < 100; ++i) {
+            PlacementState state(arch, static_cast<int>(storage.size() / 2));
+            std::vector<char> occupied(
+                static_cast<std::size_t>(arch.numTraps()), 0);
+            for (int q = 0; q < state.numQubits(); ++q) {
+                TrapRef t;
+                do {
+                    t = storage[rng.nextBelow(storage.size())];
+                } while (!state.isEmpty(t));
+                state.place(q, t);
+                occupied[static_cast<std::size_t>(arch.trapId(t))] = 1;
+            }
             const Point a = randomPoint(rng, lo, hi);
             const Point b = randomPoint(rng, lo, hi);
             const Point box_lo{std::min(a.x, b.x), std::min(a.y, b.y)};
             const Point box_hi{std::max(a.x, b.x), std::max(a.y, b.y)};
-            std::vector<TrapId> expected;
+            std::vector<TrapId> expected, expected_empty;
             for (const TrapRef &t :
-                 arch.storageTrapsInBox({box_lo, box_hi}))
-                expected.push_back(arch.trapId(t));
-            std::vector<TrapId> got;
-            arch.storageTrapIdsInBox(box_lo, box_hi, got);
+                 arch.storageTrapsInBox({box_lo, box_hi})) {
+                const TrapId id = arch.trapId(t);
+                expected.push_back(id);
+                if (!occupied[static_cast<std::size_t>(id)])
+                    expected_empty.push_back(id);
+            }
+            std::vector<StorageSpan> spans;
+            arch.storageSpansInBox(box_lo, box_hi, spans);
+            std::vector<TrapId> got, got_empty;
+            for (std::size_t k = 0; k < spans.size(); ++k) {
+                const StorageSpan &s = spans[k];
+                ASSERT_LE(0, s.lo);
+                ASSERT_LE(s.lo, s.hi);
+                ASSERT_LT(s.hi, s.cols);
+                if (k > 0) {
+                    EXPECT_LT(spans[k - 1].row, s.row);
+                }
+                for (int c = s.lo; c <= s.hi; ++c) {
+                    EXPECT_EQ(row_of[static_cast<std::size_t>(s.first + c)],
+                              s.row);
+                    got.push_back(s.first + c);
+                }
+                EXPECT_EQ(arch.trapRef(s.first).c, 0);
+                state.appendEmptyTraps(s, got_empty);
+            }
             EXPECT_EQ(got, expected) << arch.name();
+            EXPECT_EQ(got_empty, expected_empty) << arch.name();
         }
     }
 }

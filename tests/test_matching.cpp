@@ -186,7 +186,8 @@ Assignment
 solveBoth(const CostMatrix &cost)
 {
     const Assignment dense = minWeightFullMatching(cost);
-    expectSameAssignment(minWeightSparseMatching(sparseGraphOf(cost)),
+    expectSameAssignment(minWeightSparseMatching(sparseGraphOf(cost), nullptr,
+                                                 {}, nullptr, Duals::Return),
                          dense);
     return dense;
 }
@@ -266,7 +267,7 @@ solveGrown(const std::vector<SparseEdge> &listed, double tail,
     g.row_start.push_back(listed.size());
     g.tail = {tail};
     return minWeightSparseMatching(
-        g, nullptr, fixedGrowth(grown, grown_tail), scratch);
+        g, nullptr, fixedGrowth(grown, grown_tail), scratch, Duals::Return);
 }
 
 /** Every entry of @p s is neutral, as between two calls. */
@@ -278,6 +279,7 @@ expectNeutral(const SparseMatchingScratch &s)
                            [x](auto e) { return e == x; });
     };
     EXPECT_TRUE(all(s.shortest, kAssignInfeasible));
+    EXPECT_TRUE(all(s.v, 0.0));
     EXPECT_TRUE(all(s.row4col, -1));
     EXPECT_TRUE(all(s.sc, char{0}));
     EXPECT_TRUE(all(s.col_at, -1));
@@ -345,12 +347,31 @@ TEST(JonkerVolgenant, SparseRejectsMalformedGraphs)
     EXPECT_THROW(solveGrown(one, 1.0, one, 1.0, &scratch), FatalError);
     ASSERT_FALSE(scratch.shortest.empty());
     expectNeutral(scratch);
+    // The same throw after two paths moved a column dual (row 1's path
+    // goes through column 0, taking v[0] to -1): the scratch's duals go
+    // back to 0 too.
+    SparseCostGraph dual_graph;
+    dual_graph.reset(3);
+    dual_graph.edges = {{0.0, 0}, {1.0, 1}, {0.0, 0}, {5.0, 1}};
+    dual_graph.row_start = {0, 2, 4};
+    dual_graph.tail = {kAssignInfeasible, kAssignInfeasible};
+    const Assignment two_rows = minWeightSparseMatching(
+        dual_graph, nullptr, fixedGrowth(none, 1.0), nullptr, Duals::Return);
+    ASSERT_TRUE(two_rows.feasible);
+    EXPECT_EQ(two_rows.col_duals, (std::vector<double>{-1.0, 0.0, 0.0}));
+    dual_graph.row_start.push_back(4); // row 2 lists nothing ...
+    dual_graph.tail.push_back(1.0);    // ... and cannot grow
+    EXPECT_THROW(minWeightSparseMatching(dual_graph, nullptr,
+                                         fixedGrowth(none, 1.0), &scratch),
+                 FatalError);
+    expectNeutral(scratch);
     CostMatrix cost(3, 3, 0.0);
     cost.at(0, 1) = cost.at(1, 0) = cost.at(2, 2) = -1.0;
     const Assignment dense = minWeightFullMatching(cost);
     EXPECT_EQ(dense.row_to_col, (std::vector<int>{1, 0, 2}));
     expectSameAssignment(
-        minWeightSparseMatching(sparseGraphOf(cost), nullptr, {}, &scratch),
+        minWeightSparseMatching(sparseGraphOf(cost), nullptr, {}, &scratch,
+                                Duals::Return),
         dense);
     CostMatrix grown(1, 3);
     grown.at(0, 0) = grown.at(0, 1) = 1.0;
@@ -411,7 +432,8 @@ TEST(JonkerVolgenant, SparseBitEqualsDenseOnRandomInstances)
         for (std::uint64_t tie_seed : {1u, 2u})
             expectSameAssignment(
                 minWeightSparseMatching(sparseGraphOf(cost, tie_seed),
-                                        &relaxed),
+                                        &relaxed, {}, nullptr,
+                                        Duals::Return),
                 dense);
         ++(dense.feasible ? feasible : infeasible);
     }
@@ -510,8 +532,9 @@ TEST(JonkerVolgenant, SparseWithTailsGrowsToBitEqualFull)
                 tail};
         };
         SCOPED_TRACE("seed " + std::to_string(seed));
-        expectSameAssignment(minWeightSparseMatching(g, nullptr, grow),
-                             minWeightFullMatching(cost));
+        expectSameAssignment(
+            minWeightSparseMatching(g, nullptr, grow, nullptr, Duals::Return),
+            minWeightFullMatching(cost));
         growths += calls;
         if (calls > 0)
             ++grown_instances;
