@@ -66,6 +66,12 @@ carry the same tag either way):
           fresh exponent must not exceed the committed one by more
           than SCALING_COUNTER_EXPONENT_MARGIN (0.1). The counters are
           deterministic, so this gate reads the same on every host.
+        * digest gate — every point of both files carries
+          ``program_digest``, the FNV-1a digest of its compiled
+          program's bytes (a file without it is an input error, exit
+          2); a point present in both files must have the same digest,
+          or the gate fails naming the family and size. A change that
+          means to alter the output regenerates the baseline.
       Also gates on ``streamed_vs_dom_identical`` and
       ``deterministic``, and requires the fresh sweep to reach at
       least 1000 qubits (``max_point_qubits``). A v1 file (timed with
@@ -331,6 +337,42 @@ def gate_scaling_curves(committed, fresh, cpath, fpath, args):
     return ok
 
 
+def scaling_digests(doc, path):
+    """{(family, num_qubits): program_digest} of every point, exiting 2
+    when a point has none."""
+    digests = {}
+    for family, points in scaling_curves(doc, path).items():
+        for n, point in points.items():
+            digest = point.get("program_digest")
+            if not isinstance(digest, str) or not digest:
+                fail_input(
+                    f"{path}: scaling point {family} n={n} has no "
+                    f"'program_digest'; regenerate with "
+                    f"./build/perf_scaling"
+                )
+            digests[family, n] = digest
+    return digests
+
+
+def gate_scaling_digests(committed, fresh, cpath, fpath, args):
+    """Output identity: a point both files hold compiled to the same
+    bytes."""
+    cdigests = scaling_digests(committed, cpath)
+    fdigests = scaling_digests(fresh, fpath)
+    common = sorted(set(cdigests) & set(fdigests))
+    changed = [(family, n) for family, n in common
+               if cdigests[family, n] != fdigests[family, n]]
+    for family, n in changed:
+        print(
+            f"FAIL: {family} n={n}: program_digest "
+            f"{cdigests[family, n]} -> {fdigests[family, n]} (the "
+            f"compiled program changed)"
+        )
+    print(f"program_digest: {len(common) - len(changed)} of "
+          f"{len(common)} common points unchanged")
+    return not changed
+
+
 def gate_scaling_reach(committed, fresh, cpath, fpath, args):
     reach = require(fresh, fpath, "max_point_qubits")
     if not isinstance(reach, (int, float)) or isinstance(reach, bool):
@@ -463,7 +505,8 @@ SCHEMAS = {
         metric_name="scaling curves (per-family, machine-normalized)",
         flag_keys=("streamed_vs_dom_identical", "deterministic"),
         summary_rows=summary_rows_scaling,
-        extra_gates=(gate_scaling_reach, gate_scaling_curves),
+        extra_gates=(gate_scaling_reach, gate_scaling_curves,
+                     gate_scaling_digests),
     ),
 }
 

@@ -8,10 +8,10 @@ a linear scaling curve and assert the zac.perf_scaling.v2 exponent
 gate fails the build, for the wall clock and for a work counter;
 further cases pin the per-point gate (and that a noisy sub-millisecond
 smallest point does not normalize the curve), the phase-exponent gate,
-exit 2
-(not a KeyError traceback) on missing gated flag keys and counters and
-on retired scaling-v1 and placement-v5 files, and that the committed
-repo baselines still pass through the table-driven registry.
+the program-digest gate, exit 2 (not a KeyError traceback) on missing
+gated flag keys, counters and digests and on retired scaling-v1 and
+placement-v5 files, and that the committed repo baselines still pass
+through the table-driven registry.
 """
 
 import copy
@@ -74,6 +74,7 @@ def scaling_point(n, seconds, phase_share=0.25):
         "placement": {"rollback_qubits": 11 * n},
         "fidelity": 0.9,
         "program_bytes": 1000 * n,
+        "program_digest": f"0x{n:016x}",
     }
 
 
@@ -267,6 +268,20 @@ class TestScalingGate(ScalingTempFiles):
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("streamed_vs_dom_identical == false", r.stdout)
 
+    def test_changed_program_digest_fails(self):
+        # Same timings and counters, but one point compiled to other
+        # bytes: the digest gate fails and names the family and size.
+        base = self.write("base.json", scaling_doc(lambda n: 1e-3 * n))
+        doc = scaling_doc(lambda n: 1e-3 * n)
+        pt = doc["families"][0]["points"][2]
+        assert pt["num_qubits"] == 1000
+        pt["program_digest"] = "0x00000000deadbeef"
+        fresh = self.write("fresh.json", doc)
+        r = run("--schema", "zac.perf_scaling.v2", base, fresh)
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("FAIL: ghz n=1000: program_digest", r.stdout)
+        self.assertEqual(r.stdout.count("FAIL"), 1, r.stdout)
+
     def test_short_sweep_reach_fails(self):
         base = self.write("base.json", scaling_doc(lambda n: 1e-3 * n))
         fresh = self.write(
@@ -300,6 +315,21 @@ class TestMissingKeys(ScalingTempFiles):
             r = run("--schema", "zac.perf_scaling.v2", base, fresh)
             self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
             self.assertIn(f"'{group}.{name}'", r.stderr)
+            self.assertNotIn("Traceback", r.stderr)
+
+    def test_missing_program_digest_is_exit_2(self):
+        # Either file without a point's digest is an input error.
+        for missing in ("base", "fresh"):
+            docs = {"base": scaling_doc(lambda n: 1e-3 * n),
+                    "fresh": scaling_doc(lambda n: 1e-3 * n)}
+            del docs[missing]["families"][0]["points"][1][
+                "program_digest"]
+            base = self.write("base.json", docs["base"])
+            fresh = self.write("fresh.json", docs["fresh"])
+            r = run("--schema", "zac.perf_scaling.v2", base, fresh)
+            self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+            self.assertIn(f"{missing}.json: scaling point ghz n=100 "
+                          f"has no 'program_digest'", r.stderr)
             self.assertNotIn("Traceback", r.stderr)
 
     def test_missing_nested_service_flag_is_exit_2(self):

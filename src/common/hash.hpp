@@ -15,8 +15,10 @@
 #define ZAC_COMMON_HASH_HPP
 
 #include <bit>
+#include <cinttypes>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -108,6 +110,18 @@ fnv1a(std::string_view s)
     Fnv1a h;
     h.bytes(s.data(), s.size());
     return h.digest();
+}
+
+/**
+ * A 64-bit hash as "0x" and 16 hex digits, the form JSON records carry:
+ * a JSON number is a double and cannot hold every uint64.
+ */
+inline std::string
+hexDigest(std::uint64_t h)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
+    return buf;
 }
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -15,12 +16,15 @@ namespace
 {
 
 /**
- * Initial radius headroom, in sqrt-um cost units: the window admits
- * every site whose cost lower bound is within this margin of the
- * gate's near-site cost, absorbing moderate assignment conflicts
- * without a growth round.
+ * Initial radius headroom, in sqrt-um cost units: the first window
+ * admits every site whose cost lower bound is within this margin of
+ * the cost of the gate's cheapest near site, absorbing moderate
+ * assignment conflicts without a growth round.
  */
 constexpr double kCostMargin = 1.5;
+
+/** Relative shrink of a window's tail below its bound (GateWindow). */
+constexpr double kTailRelTol = 1e-12;
 
 /**
  * Pin handling shared by the windowed and reference paths. `result` is
@@ -166,10 +170,8 @@ growWindow(const Architecture &arch, GatePlacerScratch &p, GateWindow &w,
 
     // A site sitesInDisk() left out is farther than the shrunk radius
     // from every center. With every free site found there is no tail.
-    w.tail = costed == p.num_free_sites
-                 ? kAssignInfeasible
-                 : w.cost_k * std::sqrt(std::max(
-                                  0.0, w.radius - kDiskEdgeTolUm));
+    w.tail = costed == p.num_free_sites ? kAssignInfeasible
+                                        : w.tailAt(w.radius);
     const auto added = w.edges.begin() + static_cast<std::ptrdiff_t>(listed);
     const auto kept = std::remove_if(
         added, w.edges.end(),
@@ -197,25 +199,16 @@ solveWindows(const PlacementState &state, const GatePlacementRequest &req,
     const std::size_t num_free = p.free_gates.size();
 
     // Initial windows admit every site whose cost lower bound is
-    // within kCostMargin of the gate's near-site cost.
+    // within kCostMargin of the gate's cheapest near site.
     wins.resize(num_free);
     p.graph.reset(p.num_free_sites);
     for (std::size_t gi = 0; gi < num_free; ++gi) {
         const auto gate = static_cast<std::size_t>(p.free_gates[gi]);
         const StagedGate &g = gates[gate];
         GateWindow &w = wins[gi];
-        w.p0 = state.posOf(g.q0);
-        w.p1 = state.posOf(g.q1);
-        w.look = &req.lookahead[gate];
-        w.cost_k = (std::abs(w.p0.y - w.p1.y) < kSameRowTolUm ? 1.0 : 2.0) +
-                   (w.look->has_value() ? 1.0 : 0.0);
-        const int near = nearestSiteForGate(arch, state.trapIdOf(g.q0),
-                                            state.trapIdOf(g.q1));
-        const double root =
-            (edgeWeight(arch.sitePosition(near), w.p0, w.p1, *w.look) +
-             kCostMargin) /
-            w.cost_k;
-        w.radius = root * root;
+        w.aim(state.posOf(g.q0), state.posOf(g.q1), &req.lookahead[gate]);
+        w.radius = firstGateWindowRadius(state, g, w,
+                                         static_cast<int>(num_free));
         w.tail = -kAssignInfeasible;
         w.edges.clear();
         growWindow(arch, p, w, st.window_cells);
@@ -228,7 +221,7 @@ solveWindows(const PlacementState &state, const GatePlacementRequest &req,
     bool grew_full = false;
     auto grow = [&](int row) {
         GateWindow &w = wins[static_cast<std::size_t>(row)];
-        w.radius = std::max(2.0 * w.radius, w.radius + arch.maxSitePitch());
+        w.radius = w.grownRadius(arch.maxSitePitch());
         growWindow(arch, p, w, st.window_cells);
         grew_full = grew_full || w.tail == kAssignInfeasible;
         ++st.window_growths;
@@ -250,6 +243,87 @@ solveWindows(const PlacementState &state, const GatePlacementRequest &req,
 }
 
 } // namespace
+
+void
+GateWindow::aim(Point q0, Point q1, const std::optional<Point> *lookahead)
+{
+    p0 = q0;
+    p1 = q1;
+    look = lookahead;
+    sep = distance(q0, q1);
+    same_row = std::abs(q0.y - q1.y) < kSameRowTolUm;
+}
+
+double
+GateWindow::tailAt(double r) const
+{
+    r = std::max(0.0, r - kDiskEdgeTolUm);
+    double bound = same_row ? std::sqrt(std::max(r, 0.5 * sep))
+                            : std::sqrt(r) + std::sqrt(std::max(r, sep - r));
+    if (look->has_value())
+        bound += std::sqrt(r);
+    return bound * (1.0 - kTailRelTol);
+}
+
+double
+GateWindow::radiusFor(double t) const
+{
+    const bool has_look = look->has_value();
+    const double half = 0.5 * sep;
+    if (same_row) {
+        // sqrt(max(r, D/2)) [+ sqrt(r)]: flat below D/2 without a
+        // lookahead point.
+        if (!has_look)
+            return t * t > half ? t * t : 0.0;
+        if (t * t >= 4.0 * half)
+            return 0.25 * t * t;
+        const double s = t - std::sqrt(half);
+        return s > 0.0 ? s * s : 0.0;
+    }
+    // (1 + L) sqrt(r) + sqrt(max(r, D - r)), L = 1 with a lookahead
+    // point: (2 + L) sqrt(r) from D/2 on; below, with a = 1 + L,
+    // a s + sqrt(D - s^2) = t at s = sqrt(r) is a quadratic in s whose
+    // smaller root lies in [0, sqrt(D/2)] for t in [sqrt(D), (1 + a)
+    // sqrt(D/2)].
+    const double k = has_look ? 3.0 : 2.0;
+    if (t * t >= k * k * half)
+        return t * t / (k * k);
+    if (t * t <= sep)
+        return 0.0;
+    const double a = k - 1.0;
+    const double s =
+        (a * t - std::sqrt(std::max(0.0, (1.0 + a * a) * sep - t * t))) /
+        (1.0 + a * a);
+    return s > 0.0 ? s * s : 0.0;
+}
+
+double
+GateWindow::grownRadius(double pitch) const
+{
+    const double next = std::max(2.0 * radius, radius + pitch);
+    if (same_row && !look->has_value())
+        return std::max(next, sep + kDiskEdgeTolUm);
+    return next;
+}
+
+double
+firstGateWindowRadius(const PlacementState &state, const StagedGate &g,
+                      const GateWindow &w, int num_free)
+{
+    const Architecture &arch = state.arch();
+    const TrapId t0 = state.trapIdOf(g.q0);
+    const TrapId t1 = state.trapIdOf(g.q1);
+    double cheapest = kAssignInfeasible;
+    for (const int site : {nearestSiteForGate(arch, t0, t1),
+                           arch.nearestSiteOfTrap(t0),
+                           arch.nearestSiteOfTrap(t1)})
+        cheapest = std::min(cheapest, edgeWeight(arch.sitePosition(site),
+                                                 w.p0, w.p1, *w.look));
+    const double floor =
+        arch.maxSitePitch() *
+        std::sqrt(static_cast<double>(num_free) / (2.0 * std::numbers::pi));
+    return std::max(w.radiusFor(cheapest + kCostMargin), floor);
+}
 
 GatePlacerStats &
 GatePlacerStats::operator+=(const GatePlacerStats &o)

@@ -14,12 +14,15 @@
  * sparse solve on windows. Each gate lists the free sites of its
  * window Omega_cand (sites near its qubits and its lookahead point)
  * cheaper than a tail, a lower bound on the cost of every free site it
- * does not list, on the dense path's columns. Where the full matrix
- * could choose a site outside a window, the sparse Jonker–Volgenant
- * solver has that window grown and continues the same augmenting
- * path. It therefore makes the dense solver's choices, so ties resolve
- * exactly as the reference resolves them, with no certificate and no
- * dense fallback.
+ * does not list, on the dense path's columns. The tail follows from
+ * the triangle inequality between the gate's two qubits (GateWindow),
+ * and the first window is sized by inverting it at the cost of the
+ * gate's cheapest near site plus a margin. Where the full matrix could
+ * choose a site outside a window, the sparse Jonker–Volgenant solver
+ * has that window grown and continues the same augmenting path. It
+ * therefore makes the dense solver's choices, so ties resolve exactly
+ * as the reference resolves them, with no certificate and no dense
+ * fallback; the windows change only the work per call.
  */
 
 #ifndef ZAC_CORE_GATE_PLACER_HPP
@@ -78,23 +81,62 @@ struct GatePlacerStats
  * `tail`, a lower bound on the cost of every free site it does not
  * list; once the disks cover every free site it lists them all and
  * has no tail.
+ *
+ * The tail bounds a free site farther than r from both qubits and the
+ * lookahead point, where D = |p0 p1| and d0 + d1 >= D (triangle
+ * inequality). With the qubits on different rows its qubit terms sum
+ * to sqrt(d0) + sqrt(d1) >= sqrt(r) + sqrt(max(r, D - r)): the square
+ * root is concave, so at a fixed d0 + d1 the sum is least with one term
+ * at r. On one row they combine by max, at least sqrt(max(r, D / 2)).
+ * A lookahead point adds sqrt(r). The tail is that bound shrunk by a
+ * relative 1e-12, so that it holds in floating point too: a computed
+ * distance is within a few ulps of the exact one, so the triangle
+ * inequality holds between computed distances up to a relative
+ * ~1e-15, and a site's computed cost and the computed bound round by a
+ * few ulps more.
  */
 struct GateWindow
 {
     Point p0, p1;
     const std::optional<Point> *look = nullptr;
-    /**
-     * A site farther than R from both qubits and the lookahead point
-     * costs at least cost_k * sqrt(R): max-combined qubit terms (same
-     * row) add one sqrt(R), summed ones two, the lookahead one more.
-     * Rounding is monotone and 2x and 3x round like those sums, so the
-     * bound holds in floating point.
-     */
-    double cost_k = 2.0;
+    double sep = 0.0;      ///< D = |p0 p1|
+    bool same_row = false; ///< qubit terms combine by max (Eq. 1)
     double radius = 0.0;
     double tail = -kAssignInfeasible; ///< nothing listed yet
     std::vector<SparseEdge> edges;    ///< listed sites, ascending cost
+
+    /** Aim the window at a gate's qubits and lookahead point. */
+    void aim(Point q0, Point q1, const std::optional<Point> *lookahead);
+    /**
+     * The tail of a window of radius @p r: a lower bound on the cost of
+     * every site whose distance() to both qubits and the lookahead
+     * point exceeds r - kDiskEdgeTolUm (the sites sitesInDisk() may
+     * leave out).
+     */
+    double tailAt(double r) const;
+    /**
+     * The radius at which the exact bound reaches cost @p t, in closed
+     * form (0 when it is at least @p t everywhere).
+     */
+    double radiusFor(double t) const;
+    /**
+     * The radius that follows `radius`: max(2 radius, radius + @p pitch),
+     * and at least D on one row without a lookahead point, where the
+     * bound is flat below D / 2. Its tailAt() exceeds tailAt(radius).
+     */
+    double grownRadius(double pitch) const;
 };
+
+/**
+ * The first radius of free gate @p g's window @p w (aimed at it) in a
+ * call with @p num_free free gates: w.radiusFor(t) at t = the cost of
+ * the gate's cheapest near site (nearestSiteForGate() and each qubit's
+ * nearestSiteOfTrap()) plus a margin, and at least
+ * pitch * sqrt(num_free / 2 pi), a disk of about num_free / 2 sites.
+ */
+double firstGateWindowRadius(const PlacementState &state,
+                             const StagedGate &g, const GateWindow &w,
+                             int num_free);
 
 /**
  * Reusable buffers of placeGates(), value-reset at every call; the

@@ -1,7 +1,7 @@
 #include "service/cache_store.hpp"
 
-#include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,14 +16,6 @@ namespace zac::service
 
 namespace
 {
-
-std::string
-hexString(std::uint64_t h)
-{
-    char buf[19];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
-    return buf;
-}
 
 std::uint64_t
 parseHex(const std::string &s)
@@ -175,10 +167,10 @@ saveCacheSnapshot(const std::string &path, const ResultCache &cache)
             // checksum is computed over the exact bytes a loader will
             // re-dump after parsing.
             out << "{\"checksum\":\""
-                << hexString(recordChecksum(key, payload))
-                << "\",\"key\":[\"" << hexString(key.circuit_hash)
-                << "\",\"" << hexString(key.arch_fingerprint)
-                << "\",\"" << hexString(key.options_digest)
+                << hexDigest(recordChecksum(key, payload))
+                << "\",\"key\":[\"" << hexDigest(key.circuit_hash)
+                << "\",\"" << hexDigest(key.arch_fingerprint)
+                << "\",\"" << hexDigest(key.options_digest)
                 << "\"],\"payload\":" << payload
                 << ",\"type\":\"entry\"}\n";
         }

@@ -1,27 +1,9 @@
 #include "service/protocol.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "common/hash.hpp"
 
 namespace zac::service
 {
-
-namespace
-{
-
-/**
- * 64-bit hashes are emitted as fixed-width hex strings: the JSON layer
- * stores numbers as double, which cannot represent every uint64.
- */
-std::string
-hashString(std::uint64_t h)
-{
-    char buf[19];
-    std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
-    return buf;
-}
-
-} // namespace
 
 json::Value
 makeSubmitRecord(std::uint64_t job_id, const std::string &name,
@@ -33,7 +15,7 @@ makeSubmitRecord(std::uint64_t job_id, const std::string &name,
     o["job_id"] = static_cast<std::int64_t>(job_id);
     o["circuit"] = name;
     o["target"] = target_name;
-    o["circuit_hash"] = hashString(circuit_hash);
+    o["circuit_hash"] = hexDigest(circuit_hash);
     return o;
 }
 
@@ -48,7 +30,7 @@ makeJobRecord(const JobRecord &record, const std::string &target_name,
     o["status"] = jobStatusName(record.status);
     o["attempts"] = record.attempts;
     o["cache_hit"] = record.cache_hit;
-    o["circuit_hash"] = hashString(record.circuit_hash);
+    o["circuit_hash"] = hexDigest(record.circuit_hash);
     o["queue_seconds"] = record.queue_seconds;
     o["service_seconds"] = record.service_seconds;
 

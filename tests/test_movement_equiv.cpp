@@ -5,7 +5,10 @@
  *  - the windowed placeGates() must return the bit-identical assignment
  *    of the full-matrix reference on randomized stages over every
  *    preset architecture, including mirror-symmetric stages whose cost
- *    ties leave several optimal assignments;
+ *    ties leave several optimal assignments, stages whose optimum sits
+ *    exactly where the window tail's bound is attained, and far-apart
+ *    gates at scale, whose windows must stay small; every window
+ *    growth must raise the tail;
  *  - the journaled PlacementState undo, and its replay of an undone
  *    variant, must reproduce the snapshot/restore semantics
  *    bit-exactly (including home traps);
@@ -30,6 +33,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
+#include "core/cost.hpp"
 #include "core/gate_placer.hpp"
 #include "core/sa_placer.hpp"
 #include "transpile/optimize.hpp"
@@ -376,6 +380,268 @@ TEST(GatePlacerEquiv, SitesInDiskMatchesFullScan)
             EXPECT_EQ(got, expected) << arch.name() << " r=" << radius;
         }
     }
+}
+
+// ------------------------------------------ window tails and radii
+
+/**
+ * One entanglement zone of rows x cols sites at @p pitch from
+ * @p origin (a site's right trap 2 um to its right) and one
+ * single-trap storage SLM at each of @p traps; trap i is
+ * TrapRef{2 + i, 0, 0}.
+ */
+Architecture
+gridWithTraps(Point origin, double pitch, int rows, int cols,
+              const std::vector<Point> &traps)
+{
+    Architecture arch("grid_with_traps");
+    SlmSpec left;
+    left.id = 0;
+    left.sep_x = pitch;
+    left.sep_y = pitch;
+    left.rows = rows;
+    left.cols = cols;
+    left.origin = origin;
+    SlmSpec right = left;
+    right.id = 1;
+    right.origin.x += 2.0;
+    ZoneSpec zone;
+    zone.id = 0;
+    zone.offset = origin;
+    zone.width = (cols - 1) * pitch + 2.0;
+    zone.height = (rows - 1) * pitch;
+    zone.slm_ids = {arch.addSlm(left), arch.addSlm(right)};
+    arch.addZone(ZoneKind::Entanglement, zone);
+
+    ZoneSpec storage;
+    storage.id = 0;
+    storage.offset = traps.front();
+    Point top = traps.front();
+    for (const Point &t : traps) {
+        SlmSpec slm;
+        slm.id = 2 + static_cast<int>(storage.slm_ids.size());
+        slm.rows = 1;
+        slm.cols = 1;
+        slm.origin = t;
+        storage.slm_ids.push_back(arch.addSlm(slm));
+        storage.offset = {std::min(storage.offset.x, t.x),
+                          std::min(storage.offset.y, t.y)};
+        top = {std::max(top.x, t.x), std::max(top.y, t.y)};
+    }
+    storage.width = top.x - storage.offset.x;
+    storage.height = top.y - storage.offset.y;
+    arch.addZone(ZoneKind::Storage, storage);
+    arch.addAod(AodSpec{});
+    arch.finalize();
+    return arch;
+}
+
+/**
+ * A gate whose window tail is attained at its first radius: site `s`
+ * lies on the segment between the qubits at p0 and p1 (d0 + d1 = D), at
+ * distance `radius` from p0 and from the lookahead point, if any, so
+ * that its cost is the bound's exact value there. `pin` is the gate's
+ * cheapest near site; a second gate pins it, which makes `s` an
+ * optimum. The grid's bottom-left site is at `origin`; coordinates are
+ * dyadic, so every distance, root and radius below is exact.
+ */
+struct TailEqualityCase
+{
+    const char *name;
+    Point origin;
+    double pitch;
+    int rows, cols;
+    Point p0, p1;
+    std::optional<Point> look;
+    Point s, pin;
+    double radius;
+    double cost; ///< s's cost: the bound at `radius`
+};
+
+TEST(GatePlacerEquiv, SiteAtFirstRadiusWhereTheBoundIsTight)
+{
+    // Different rows: the bound is sqrt(R) + sqrt(D - R) (+ sqrt(R)),
+    // the anchor p1's own site. One row: sqrt(max(R, D/2)) (+ sqrt(R)),
+    // the anchor the middle site.
+    const TailEqualityCase cases[] = {
+        {"different rows", {0.0, 0.0}, 6.0, 7, 3, {6.0, -3.0625},
+         {6.0, 36.0}, std::nullopt, {6.0, 0.0}, {6.0, 36.0}, 3.0625,
+         7.75},
+        {"different rows, lookahead", {0.0, 0.0}, 36.75, 4, 3,
+         {36.75, -100.0}, {36.75, 110.25}, Point{36.75, -100.0},
+         {36.75, 0.0}, {36.75, 110.25}, 100.0, 30.5},
+        {"one row", {13.75, 0.0}, 17.25, 1, 11, {75.0, 0.0},
+         {125.0, 0.0}, std::nullopt, {117.25, 0.0}, {100.0, 0.0}, 42.25,
+         6.5},
+        {"one row, lookahead", {87.875, 0.0}, 6.5625, 1, 5, {100.0, 0.0},
+         {110.0, 0.0}, Point{100.0, 0.0}, {107.5625, 0.0}, {101.0, 0.0},
+         7.5625, 5.5},
+    };
+    for (const TailEqualityCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        const Point far{c.origin.x - 300.0, c.origin.y - 300.0};
+        const Architecture arch =
+            gridWithTraps(c.origin, c.pitch, c.rows, c.cols,
+                          {c.p0, c.p1, far, {far.x + 3.0, far.y}});
+        PlacementState st(arch, 4);
+        for (int q = 0; q < 4; ++q)
+            st.place(q, TrapRef{2 + q, 0, 0});
+        const std::vector<StagedGate> gates = {{0, 0, 1}, {1, 2, 3}};
+        const int s = arch.nearestSite(c.s);
+        const int pin = arch.nearestSite(c.pin);
+        ASSERT_EQ(distance(arch.sitePosition(s), c.s), 0.0);
+        ASSERT_EQ(distance(arch.sitePosition(pin), c.pin), 0.0);
+        GatePlacementRequest req;
+        req.gates = &gates;
+        req.pinned_site = {-1, pin};
+        req.lookahead = {c.look, std::nullopt};
+        const auto costAt = [&](Point site) {
+            return gateCost(site, c.p0, c.p1) +
+                   (c.look ? sqrtDistance(site, *c.look) : 0.0);
+        };
+
+        GateWindow w;
+        w.aim(st.posOf(0), st.posOf(1), &req.lookahead[0]);
+        ASSERT_EQ(firstGateWindowRadius(st, gates[0], w, 1), c.radius);
+        EXPECT_EQ(distance(c.s, c.p0), c.radius);
+        if (c.look) {
+            EXPECT_EQ(distance(c.s, *c.look), c.radius);
+        }
+        EXPECT_EQ(costAt(c.s), c.cost);
+        EXPECT_EQ(w.radiusFor(c.cost), c.radius);
+        // The tail sits just below the attained bound.
+        EXPECT_LT(w.tailAt(c.radius), c.cost);
+        EXPECT_GT(w.tailAt(c.radius), c.cost * (1.0 - 1e-6));
+
+        const std::vector<int> reference = placeGatesReference(st, req);
+        GatePlacerStats stats;
+        EXPECT_EQ(placeGates(st, req, &stats), reference);
+        EXPECT_EQ(costAt(arch.sitePosition(reference[0])), c.cost);
+        EXPECT_EQ(stats.certified + stats.fallbacks, 1);
+    }
+}
+
+/** Grow @p w from its radius past @p extent; each growth raises the tail. */
+void
+expectGrowthRaisesTail(GateWindow w, double pitch, double extent)
+{
+    double tail = w.tailAt(w.radius);
+    while (w.radius < extent) {
+        const double from = w.radius;
+        w.radius = w.grownRadius(pitch);
+        const double next = w.tailAt(w.radius);
+        ASSERT_GT(next, tail) << "radius " << from << " -> " << w.radius
+                              << ", D " << w.sep << ", one row "
+                              << w.same_row << ", lookahead "
+                              << w.look->has_value();
+        tail = next;
+    }
+}
+
+/** A qubit pool: the storage traps nearest the zone, and site traps. */
+std::vector<TrapRef>
+nearZoneTraps(const Architecture &arch)
+{
+    std::vector<TrapRef> pool = storageTrapsByProximity(arch);
+    pool.resize(std::min(pool.size(),
+                         static_cast<std::size_t>(4 * arch.numSites())));
+    for (const RydbergSite &site : arch.sites()) {
+        pool.push_back(site.left);
+        pool.push_back(site.right);
+    }
+    return pool;
+}
+
+/**
+ * Calls with 1-3 free gates whose qubits sit at least 100 um apart on
+ * scaledZoned(2000), with and without lookahead points, as in the late
+ * stages of deep circuits. Every call equals the reference, every
+ * growth from a first radius raises the tail, and the windows, growths
+ * included, cost under half the cells of first windows anchored at the
+ * gates' midpoint sites (nearestSiteForGate()), each only as wide as
+ * the bound needs to reach that site's own cost (0.39 of them when
+ * written; most of the rest are lookahead disks and one-row gates,
+ * whose bound needs a radius past D / 2).
+ */
+TEST(GatePlacerEquiv, FarApartGatesOpenSmallWindowsAtScale)
+{
+    const Architecture arch = scaledZoned(2000);
+    const std::vector<TrapRef> pool = nearZoneTraps(arch);
+    const double pitch = arch.maxSitePitch();
+    Rng rng(2512);
+    GatePlacerStats stats;
+    std::int64_t midpoint_cells = 0;
+    for (int round = 0; round < 40; ++round) {
+        const int num_gates = 1 + static_cast<int>(rng.nextBelow(3));
+        PlacementState st(arch, 2 * num_gates);
+        std::vector<StagedGate> gates;
+        for (int g = 0; g < num_gates; ++g) {
+            TrapRef a, b;
+            do {
+                a = pool[rng.nextBelow(pool.size())];
+                b = pool[rng.nextBelow(pool.size())];
+            } while (!st.isEmpty(a) || !st.isEmpty(b) ||
+                     distance(arch.trapPosition(a),
+                              arch.trapPosition(b)) < 100.0);
+            st.place(2 * g, a);
+            st.place(2 * g + 1, b);
+            gates.push_back({g, 2 * g, 2 * g + 1});
+        }
+        GatePlacementRequest req;
+        req.gates = &gates;
+        req.pinned_site.assign(gates.size(), -1);
+        req.lookahead.assign(gates.size(), std::nullopt);
+        for (auto &look : req.lookahead)
+            if (rng.nextBool())
+                look = arch.trapPosition(pool[rng.nextBelow(pool.size())]);
+
+        const std::vector<int> reference = placeGatesReference(st, req);
+        EXPECT_EQ(placeGates(st, req, &stats), reference)
+            << "round " << round;
+
+        for (const StagedGate &g : gates) {
+            GateWindow w;
+            w.aim(st.posOf(g.q0), st.posOf(g.q1),
+                  &req.lookahead[static_cast<std::size_t>(g.id)]);
+            w.radius = firstGateWindowRadius(st, g, w, num_gates);
+            expectGrowthRaisesTail(w, pitch, 4000.0);
+
+            const Point mid = arch.sitePosition(nearestSiteForGate(
+                arch, st.trapIdOf(g.q0), st.trapIdOf(g.q1)));
+            const double mid_cost =
+                gateCost(mid, w.p0, w.p1) +
+                (w.look->has_value() ? sqrtDistance(mid, **w.look) : 0.0);
+            const double radius = w.radiusFor(mid_cost);
+            std::vector<int> disk;
+            arch.sitesInDisk(w.p0, radius, disk);
+            arch.sitesInDisk(w.p1, radius, disk);
+            if (w.look->has_value())
+                arch.sitesInDisk(**w.look, radius, disk);
+            std::sort(disk.begin(), disk.end());
+            midpoint_cells += std::unique(disk.begin(), disk.end()) -
+                              disk.begin();
+        }
+    }
+    EXPECT_LT(2 * stats.window_cells, midpoint_cells)
+        << "window cells " << stats.window_cells << ", midpoint "
+        << midpoint_cells;
+}
+
+TEST(GatePlacerEquiv, EveryGrowthRaisesTheTail)
+{
+    // Below D/2 the one-row bound is flat; a growth from there must
+    // still raise it.
+    const std::optional<Point> none;
+    const std::optional<Point> look = Point{40.0, 10.0};
+    for (const std::optional<Point> *l : {&none, &look})
+        for (const double dy : {0.0, 7.5}) {
+            GateWindow w;
+            w.aim({0.0, 0.0}, {163.0, dy}, l);
+            for (const double r : {0.5, 3.0, 40.0, 81.0, 200.0}) {
+                w.radius = r;
+                expectGrowthRaisesTail(w, 15.0, 4000.0);
+            }
+        }
 }
 
 // --------------------------------------------- journaled state undo
