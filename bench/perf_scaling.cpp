@@ -22,8 +22,7 @@
  *   --fast  CI smoke mode: the subset sweep (largest points trimmed
  *           so a PR leg stays in seconds; every fast size is also a
  *           full-sweep size, so fresh/committed point sets intersect),
- *           points of 50 ms or more timed once (the largest point of
- *           each family is still compiled twice, to check determinism).
+ *           timed like the full sweep.
  */
 
 #include <algorithm>
@@ -255,11 +254,10 @@ main(int argc, char **argv)
                 circuit, CompileControl{}, &scratch);
             best = nowSeconds() - best;
             CompilePhaseTimings ph = r.phases;
-            // Best of 3, so a fitted exponent reads the same across
-            // sweeps. Fast mode re-measures only the small points,
-            // which shared runners make noisiest.
-            const int extra_reps = fast ? (best < 0.05 ? 1 : 0) : 2;
-            for (int rep = 0; rep < extra_reps; ++rep) {
+            // Best of 3 in both modes, so a fitted exponent reads the
+            // same across sweeps and a fresh --fast point compares with
+            // a committed full-sweep one timed alike.
+            for (int rep = 0; rep < 2; ++rep) {
                 const double t0 = nowSeconds();
                 const ZacStreamedResult again = compiler.compileStreamed(
                     circuit, CompileControl{}, &scratch);
@@ -268,14 +266,6 @@ main(int argc, char **argv)
                     best = secs;
                     ph = again.phases;
                 }
-                if (again.program_json != r.program_json)
-                    all_deterministic = false;
-            }
-            if (n == plan.sizes.back() && extra_reps == 0) {
-                // Largest point: recompile once to assert bitwise
-                // determinism of the full pipeline at scale.
-                const ZacStreamedResult again = compiler.compileStreamed(
-                    circuit, CompileControl{}, &scratch);
                 if (again.program_json != r.program_json)
                     all_deterministic = false;
             }

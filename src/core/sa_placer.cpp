@@ -501,8 +501,9 @@ storageTrapsByProximity(const Architecture &arch)
     // Row distance to the nearest Rydberg-site row decides the order;
     // column index breaks ties so filling proceeds left to right. Site
     // rows are deduplicated (a zone shares one y per row), and the
-    // per-trap distance is computed once up front rather than inside
-    // the sort comparator.
+    // distance is computed once per storage row (a trap's y depends on
+    // its SLM and row only; allStorageTraps() lists each row's traps
+    // together) rather than per trap or inside the sort comparator.
     std::vector<double> site_rows;
     for (const RydbergSite &s : arch.sites())
         site_rows.push_back(s.pos_left.y);
@@ -516,12 +517,17 @@ storageTrapsByProximity(const Architecture &arch)
     };
     std::vector<Keyed> keyed;
     keyed.reserve(all.size());
+    TrapRef row{};
+    double row_d = 0.0;
     for (const TrapRef &t : all) {
-        const double y = arch.trapPosition(t).y;
-        double best = std::numeric_limits<double>::max();
-        for (double sy : site_rows)
-            best = std::min(best, std::abs(sy - y));
-        keyed.push_back({t, best});
+        if (t.slm != row.slm || t.r != row.r) {
+            row = t;
+            const double y = arch.trapPosition(t).y;
+            row_d = std::numeric_limits<double>::max();
+            for (double sy : site_rows)
+                row_d = std::min(row_d, std::abs(sy - y));
+        }
+        keyed.push_back({t, row_d});
     }
     std::stable_sort(keyed.begin(), keyed.end(),
                      [](const Keyed &a, const Keyed &b) {

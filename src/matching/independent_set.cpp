@@ -1,7 +1,6 @@
 #include "matching/independent_set.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hpp"
 
@@ -11,29 +10,36 @@ namespace zac
 namespace
 {
 
+/** Make the first @p n vertices eligible, each at its full degree. */
+void
+beginPartition(const std::vector<std::vector<int>> &adj, std::size_t n,
+               MisPartitionScratch &s)
+{
+    s.degree.resize(n);
+    s.order.resize(n);
+    s.blocked.assign(n, 0);
+    s.eligible.assign(n, 1);
+    for (std::size_t u = 0; u < n; ++u) {
+        s.degree[u] = static_cast<int>(adj[u].size());
+        s.order[u] = static_cast<int>(u);
+    }
+}
+
 /**
- * Greedy minimum-degree-first MIS over the eligible subset of the
- * first @p n vertices, written into @p mis (ascending). The single
- * algorithm definition behind every entry point of this module.
+ * Extract the next group into @p mis (ascending): a greedy
+ * minimum-degree-first MIS over the eligible vertices, which
+ * s.order lists, by their degrees within the eligible subgraph. The
+ * group then leaves the eligible subgraph, and each neighbour's degree
+ * drops by one per edge to it, so s.degree stays up to date without a
+ * recount. The single algorithm definition behind every entry point
+ * of this module.
  */
 void
-misOnSubsetInto(const std::vector<std::vector<int>> &adj, std::size_t n,
-                const std::vector<char> &eligible,
-                std::vector<int> &degree, std::vector<int> &order,
-                std::vector<char> &blocked, std::vector<int> &mis)
+extractGroup(const std::vector<std::vector<int>> &adj,
+             MisPartitionScratch &s, std::vector<int> &mis)
 {
-    // Degree within the eligible subgraph.
-    degree.assign(n, 0);
-    order.clear();
-    for (std::size_t u = 0; u < n; ++u) {
-        if (!eligible[u])
-            continue;
-        for (int v : adj[u])
-            if (eligible[static_cast<std::size_t>(v)])
-                ++degree[u];
-        order.push_back(static_cast<int>(u));
-    }
-    std::sort(order.begin(), order.end(), [&degree](int a, int b) {
+    const std::vector<int> &degree = s.degree;
+    std::sort(s.order.begin(), s.order.end(), [&degree](int a, int b) {
         if (degree[static_cast<std::size_t>(a)] !=
             degree[static_cast<std::size_t>(b)])
             return degree[static_cast<std::size_t>(a)] <
@@ -41,16 +47,29 @@ misOnSubsetInto(const std::vector<std::vector<int>> &adj, std::size_t n,
         return a < b;
     });
 
-    blocked.assign(n, 0);
     mis.clear();
-    for (int u : order) {
-        if (blocked[static_cast<std::size_t>(u)])
+    for (int u : s.order) {
+        if (s.blocked[static_cast<std::size_t>(u)])
             continue;
         mis.push_back(u);
-        blocked[static_cast<std::size_t>(u)] = 1;
+        s.blocked[static_cast<std::size_t>(u)] = 1;
         for (int v : adj[static_cast<std::size_t>(u)])
-            blocked[static_cast<std::size_t>(v)] = 1;
+            s.blocked[static_cast<std::size_t>(v)] = 1;
     }
+    for (int u : mis) {
+        s.eligible[static_cast<std::size_t>(u)] = 0;
+        for (int v : adj[static_cast<std::size_t>(u)])
+            --s.degree[static_cast<std::size_t>(v)];
+    }
+    // The rest stay in the order, unblocked for the next group.
+    std::size_t kept = 0;
+    for (int u : s.order) {
+        if (!s.eligible[static_cast<std::size_t>(u)])
+            continue;
+        s.blocked[static_cast<std::size_t>(u)] = 0;
+        s.order[kept++] = u;
+    }
+    s.order.resize(kept);
     std::sort(mis.begin(), mis.end());
 }
 
@@ -62,12 +81,10 @@ greedyMaximalIndependentSet(int num_vertices,
 {
     if (static_cast<int>(adj.size()) != num_vertices)
         fatal("greedyMaximalIndependentSet: adjacency size mismatch");
-    const std::size_t n = static_cast<std::size_t>(num_vertices);
     MisPartitionScratch scratch;
-    scratch.eligible.assign(n, 1);
+    beginPartition(adj, static_cast<std::size_t>(num_vertices), scratch);
     std::vector<int> mis;
-    misOnSubsetInto(adj, n, scratch.eligible, scratch.degree,
-                    scratch.order, scratch.blocked, mis);
+    extractGroup(adj, scratch, mis);
     return mis;
 }
 
@@ -79,24 +96,17 @@ partitionIntoIndependentSets(int num_vertices,
 {
     if (static_cast<int>(adj.size()) < num_vertices)
         fatal("partitionIntoIndependentSets: adjacency size mismatch");
-    const std::size_t n = static_cast<std::size_t>(num_vertices);
-    scratch.eligible.assign(n, 1);
-    std::size_t remaining = n;
+    beginPartition(adj, static_cast<std::size_t>(num_vertices), scratch);
     int num_groups = 0;
-    while (remaining > 0) {
+    while (!scratch.order.empty()) {
         if (groups.size() <= static_cast<std::size_t>(num_groups))
             groups.emplace_back();
         std::vector<int> &mis =
             groups[static_cast<std::size_t>(num_groups)];
-        misOnSubsetInto(adj, n, scratch.eligible, scratch.degree,
-                        scratch.order, scratch.blocked, mis);
+        extractGroup(adj, scratch, mis);
         if (mis.empty())
             panic("partitionIntoIndependentSets: empty MIS with "
                   "vertices remaining");
-        for (int u : mis) {
-            scratch.eligible[static_cast<std::size_t>(u)] = 0;
-            --remaining;
-        }
         ++num_groups;
     }
     return num_groups;

@@ -17,10 +17,14 @@ namespace zac
 {
 
 /**
- * Compute a maximal independent set greedily (minimum-degree-first).
+ * Compute a maximal independent set greedily (minimum-degree-first):
+ * visit the vertices by ascending (degree, id) and take each one no
+ * taken vertex neighbours. It is the first group of
+ * partitionIntoIndependentSets().
  *
  * @param num_vertices vertex count.
- * @param adj          symmetric adjacency lists of the conflict graph.
+ * @param adj          symmetric adjacency lists of the conflict graph,
+ *                     each neighbour listed once.
  * @return vertex indices of the maximal independent set, ascending.
  */
 std::vector<int> greedyMaximalIndependentSet(
@@ -28,7 +32,13 @@ std::vector<int> greedyMaximalIndependentSet(
 
 /**
  * Repeatedly extract maximal independent sets until every vertex is
- * covered: a partition of the vertices into conflict-free groups.
+ * covered: a partition of the vertices into conflict-free groups. Each
+ * group is the greedy set above over the vertices not yet grouped, by
+ * their degrees among those vertices. The degrees are kept up to date
+ * as groups leave (each group's neighbours lose one per edge), and each
+ * round sorts only the vertices left, so a partition into g groups
+ * costs O(E + g n log n) for n vertices and E edges, not
+ * O(g (n log n + E)) for a recount per group.
  */
 std::vector<std::vector<int>> partitionIntoIndependentSets(
     int num_vertices, const std::vector<std::vector<int>> &adj);
@@ -36,10 +46,10 @@ std::vector<std::vector<int>> partitionIntoIndependentSets(
 /** Reusable buffers for the scratch partition overload below. */
 struct MisPartitionScratch
 {
-    std::vector<int> degree;
-    std::vector<int> order;
-    std::vector<char> blocked;
-    std::vector<char> eligible;
+    std::vector<int> degree;    ///< per vertex: degree among the rest
+    std::vector<int> order;     ///< the vertices not yet grouped
+    std::vector<char> blocked;  ///< per vertex: next to this group
+    std::vector<char> eligible; ///< per vertex: not yet grouped
 };
 
 /**

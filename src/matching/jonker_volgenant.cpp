@@ -93,6 +93,7 @@ augmentingPath(const CostMatrix &cost, std::vector<double> &u,
 using HeapEntry = SparseMatchingScratch::HeapEntry;
 using RowList = SparseMatchingScratch::RowList;
 
+/** Row heap: push (key, index). */
 void
 heapPush(std::vector<HeapEntry> &heap, double key, int index)
 {
@@ -100,6 +101,7 @@ heapPush(std::vector<HeapEntry> &heap, double key, int index)
     std::push_heap(heap.begin(), heap.end(), std::greater<HeapEntry>());
 }
 
+/** Row heap: pop the smallest key's index. */
 int
 heapPop(std::vector<HeapEntry> &heap)
 {
@@ -107,6 +109,86 @@ heapPop(std::vector<HeapEntry> &heap)
     const int index = heap.back().second;
     heap.pop_back();
     return index;
+}
+
+// The column heap is a d-ary min-heap on shortest[] holding each
+// tentative column once; heap_slot[j] is column j's entry, -1 when
+// absent.
+constexpr std::size_t kColArity = 4;
+
+/** Put @p e at slot @p i, recording its slot. */
+void
+colPlace(SparseMatchingScratch &s, std::size_t i, const HeapEntry &e)
+{
+    s.col_heap[i] = e;
+    s.heap_slot[static_cast<std::size_t>(e.second)] = static_cast<int>(i);
+}
+
+/** Settle @p e into the column heap from slot @p i upwards. */
+void
+colSiftUp(SparseMatchingScratch &s, std::size_t i, const HeapEntry &e)
+{
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / kColArity;
+        if (!(e.first < s.col_heap[parent].first))
+            break;
+        colPlace(s, i, s.col_heap[parent]);
+        i = parent;
+    }
+    colPlace(s, i, e);
+}
+
+/** Settle @p e into the column heap from slot @p i downwards. */
+void
+colSiftDown(SparseMatchingScratch &s, std::size_t i, const HeapEntry &e)
+{
+    const std::size_t n = s.col_heap.size();
+    for (;;) {
+        const std::size_t first = i * kColArity + 1;
+        if (first >= n)
+            break;
+        const std::size_t end = std::min(first + kColArity, n);
+        std::size_t child = first;
+        for (std::size_t k = first + 1; k < end; ++k)
+            if (s.col_heap[k].first < s.col_heap[child].first)
+                child = k;
+        if (!(s.col_heap[child].first < e.first))
+            break;
+        colPlace(s, i, s.col_heap[child]);
+        i = child;
+    }
+    colPlace(s, i, e);
+}
+
+/** Lower column @p j's key to @p d, filing it when @p absent. */
+void
+colLower(SparseMatchingScratch &s, int j, double d, bool absent)
+{
+    std::size_t i = 0;
+    if (absent) {
+        i = s.col_heap.size();
+        s.col_heap.emplace_back();
+    } else {
+        i = static_cast<std::size_t>(s.heap_slot[static_cast<std::size_t>(j)]);
+    }
+    colSiftUp(s, i, {d, j});
+}
+
+/**
+ * Take column @p j's entry out of the column heap. Its key is the
+ * minimum, so its parent's is too, and the last entry, moved into its
+ * slot, can only sink.
+ */
+void
+colRemove(SparseMatchingScratch &s, int j)
+{
+    int &slot = s.heap_slot[static_cast<std::size_t>(j)];
+    const auto i = static_cast<std::size_t>(slot);
+    slot = -1;
+    const HeapEntry last = s.col_heap.back();
+    s.col_heap.pop_back();
+    if (i < s.col_heap.size())
+        colSiftDown(s, i, last);
 }
 
 /** Size @p s's arrays for a call and point its rows at @p g. */
@@ -119,11 +201,12 @@ beginCall(SparseMatchingScratch &s, const SparseCostGraph &g)
         s.shortest.resize(c, kInf);
         s.v.resize(c, 0.0);
         s.path.resize(c, -1);
-        s.path_cost.resize(c, 0.0);
+        s.path_edge.resize(c, 0);
         s.row4col.resize(c, -1);
         s.sc.resize(c, 0);
         s.col_at.resize(c, -1);
         s.pos_of.resize(c, -1);
+        s.heap_slot.resize(c, -1);
     }
     if (s.order.size() < r) {
         s.rows.resize(r);
@@ -160,6 +243,8 @@ endPath(SparseMatchingScratch &s)
     }
     for (int i : s.visited_rows)
         s.order[static_cast<std::size_t>(i)] = -1;
+    for (const HeapEntry &e : s.col_heap)
+        s.heap_slot[static_cast<std::size_t>(e.second)] = -1;
     s.touched.clear();
     s.visited_rows.clear();
     s.settled_cols.clear();
@@ -245,18 +330,20 @@ relaxRow(const std::vector<double> &u, const std::vector<double> &v,
             const double d = base + e.cost - ur - v[j];
             double &sj = s.shortest[j];
             if (d < sj) {
-                if (sj == kInf)
+                // An unsettled column is in the heap once reached.
+                const bool absent = sj == kInf;
+                if (absent)
                     s.touched.push_back(e.col);
                 sj = d;
                 s.path[j] = r;
-                s.path_cost[j] = e.cost;
-                heapPush(s.col_heap, d, e.col);
+                s.path_edge[j] = static_cast<int>(k);
+                colLower(s, e.col, d, absent);
                 best = std::min(best, d);
             } else if (d == sj &&
                        rank < s.order[static_cast<std::size_t>(
                                   s.path[j])]) {
                 s.path[j] = r;
-                s.path_cost[j] = e.cost;
+                s.path_edge[j] = static_cast<int>(k);
             }
         }
         // Re-filed under its next edge's bound, or its tail's past its
@@ -331,8 +418,9 @@ growRow(const SparseRowGrower &grow, int nc, SparseMatchingScratch &s, int r)
 
 /**
  * The sparse twin of augmentingPath(): the same Dijkstra search, with
- * the `remaining` array's order kept as overrides and each visited
- * row's edges relaxed lazily behind its bound in the row heap.
+ * the `remaining` array's order kept as overrides, each visited row's
+ * edges relaxed lazily behind its bound in the row heap and the
+ * tentative columns in the indexed column heap.
  *
  * @return the sink column, or -1 if no augmenting path exists.
  */
@@ -369,13 +457,6 @@ sparseAugmentingPath(const SparseCostGraph &g, const SparseRowGrower &grow,
         // are spent was filed under its tail: a column it does not
         // list could reach (or tie) it, so it grows, and its row_min
         // and u are still those of its visit.
-        while (!s.col_heap.empty()) {
-            const auto [d, j] = s.col_heap.front();
-            if (!s.sc[static_cast<std::size_t>(j)] &&
-                s.shortest[static_cast<std::size_t>(j)] == d)
-                break;
-            heapPop(s.col_heap); // stale
-        }
         double best = s.col_heap.empty() ? kInf : s.col_heap.front().first;
         while (!s.row_heap.empty() && s.row_heap.front().first <= best) {
             const int r = heapPop(s.row_heap);
@@ -390,19 +471,25 @@ sparseAugmentingPath(const SparseCostGraph &g, const SparseRowGrower &grow,
         if (best == kInf)
             return -1; // infeasible
 
-        // SciPy's tie order over the `remaining` array: the last free
-        // column at the minimum, else the first.
-        s.ties.clear();
-        while (!s.col_heap.empty() && s.col_heap.front().first == best) {
-            const int j = heapPop(s.col_heap);
-            if (!s.sc[static_cast<std::size_t>(j)] &&
-                s.shortest[static_cast<std::size_t>(j)] == best)
-                s.ties.push_back(j);
+        // The columns tied at the minimum are the root's subtree of
+        // entries at key `best` (every ancestor of such an entry holds
+        // it too); SciPy's order over the `remaining` array picks the
+        // last free one, else the first.
+        s.ties.assign(1, 0);
+        for (std::size_t t = 0; t < s.ties.size(); ++t) {
+            const std::size_t first =
+                static_cast<std::size_t>(s.ties[t]) * kColArity + 1;
+            const std::size_t end =
+                std::min(first + kColArity, s.col_heap.size());
+            for (std::size_t k = first; k < end; ++k)
+                if (s.col_heap[k].first == best)
+                    s.ties.push_back(static_cast<int>(k));
         }
         int pick = -1;
         int pick_pos = 0;
         bool pick_free = false;
-        for (int j : s.ties) {
+        for (int slot : s.ties) {
+            const int j = s.col_heap[static_cast<std::size_t>(slot)].second;
             const int p = posOf(j);
             const bool free = s.row4col[static_cast<std::size_t>(j)] == -1;
             if (pick < 0 || (free && (!pick_free || p > pick_pos)) ||
@@ -412,9 +499,7 @@ sparseAugmentingPath(const SparseCostGraph &g, const SparseRowGrower &grow,
                 pick_free = free;
             }
         }
-        for (int j : s.ties)
-            if (j != pick)
-                heapPush(s.col_heap, best, j);
+        colRemove(s, pick);
 
         min_val = best;
         s.sc[static_cast<std::size_t>(pick)] = 1;
@@ -598,8 +683,11 @@ minWeightSparseMatching(const SparseCostGraph &graph,
         while (true) {
             const int i = s.path[static_cast<std::size_t>(j)];
             s.row4col[static_cast<std::size_t>(j)] = i;
+            // A grown list keeps its prefix, so the index still holds.
             s.matched_cost[static_cast<std::size_t>(i)] =
-                s.path_cost[static_cast<std::size_t>(j)];
+                edgesOf(s, static_cast<std::size_t>(i))
+                    [s.path_edge[static_cast<std::size_t>(j)]]
+                        .cost;
             std::swap(col4row[static_cast<std::size_t>(i)], j);
             if (i == cur_row)
                 break;

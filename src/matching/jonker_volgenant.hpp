@@ -23,6 +23,15 @@
  *    Hall's condition, on nearest-empty windows with tails; gate
  *    placement on per-gate windows with tails (below).
  *
+ * The sparse solver keeps its tentative columns in an indexed 4-ary
+ * heap on their distance, one entry per column, so it never holds
+ * more than the C <= R columns a path reached: a relaxation that
+ * lowers a column's distance lowers its key in place (O(log C)), and
+ * the settled column leaves its slot. The columns tied at the minimum
+ * are the root's subtree of entries at the root's key (every ancestor
+ * of such an entry holds that key too), so SciPy's tie rule reads them
+ * off the heap without popping; the others keep their slots.
+ *
  * Bit-identity contract: on the same graph (a dense cell is feasible
  * exactly when the sparse row lists that column, with the same cost),
  * the sparse solver makes every choice the dense one makes — the same
@@ -185,9 +194,10 @@ using SparseRowGrower = std::function<SparseRowGrowth(int row)>;
 /**
  * Reusable buffers of minWeightSparseMatching(). The per-column and
  * per-row arrays only grow, and between calls every entry is neutral
- * (shortest inf, column duals 0, marks 0, overrides and row4col -1): a
- * path resets the entries it touched and a call, however it ends, the
- * columns it matched (only those ever settle, so only they hold a
+ * (shortest inf, column duals 0, marks 0, overrides, heap slots and
+ * row4col -1): a path resets the entries it touched, including the
+ * slots of the columns still in its heap, and a call, however it ends,
+ * the columns it matched (only those ever settle, so only they hold a
  * dual), so neither pays O(columns) for its scratch.
  */
 struct SparseMatchingScratch
@@ -207,9 +217,11 @@ struct SparseMatchingScratch
     std::vector<double> shortest;  ///< per column; inf when untouched
     std::vector<double> v;         ///< per column: dual, 0 when unmatched
     std::vector<int> path;         ///< per column: predecessor row
-    std::vector<double> path_cost; ///< per column: cost of that edge
+    std::vector<int> path_edge;    ///< per column: that edge's index
+                                   ///< in the row's list
     std::vector<int> row4col;      ///< per column: matched row or -1
     std::vector<char> sc;          ///< per column: settled this path
+    std::vector<int> heap_slot;    ///< per column: col_heap entry or -1
     /**
      * SciPy's `remaining` array, stored as overrides of its initial
      * order (position p holds column nc - 1 - p; -1 = not overridden).
@@ -223,9 +235,12 @@ struct SparseMatchingScratch
     const SparseEdge *graph_edges = nullptr; ///< the call's graph
     std::vector<SparseEdge> pool;     ///< grown rows' lists
     std::vector<int> sinks;           ///< the call's matched columns
-    std::vector<int> touched, visited_rows, settled_cols, ties;
+    std::vector<int> touched, visited_rows, settled_cols;
+    std::vector<int> ties;            ///< col_heap slots at the minimum
     std::vector<std::pair<int, int>> moved; ///< (position, column)
-    std::vector<HeapEntry> col_heap;  ///< (shortest, column), lazy
+    /** (shortest, column), a 4-ary heap indexed by heap_slot: one
+     *  entry per tentative column. */
+    std::vector<HeapEntry> col_heap;
     std::vector<HeapEntry> row_heap;  ///< (bound, row), one per row
 };
 

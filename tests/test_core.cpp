@@ -11,6 +11,7 @@
 #include <set>
 
 #include "arch/presets.hpp"
+#include "arch/scaling.hpp"
 #include "common/logging.hpp"
 #include "circuit/generators.hpp"
 #include "common/rng.hpp"
@@ -649,6 +650,41 @@ TEST(QubitPlacer, FullStorageIsFatal)
 }
 
 // -------------------------------- pre-index semantics, golden digests
+
+/**
+ * storageTrapsByProximity() keys each storage row once; its order
+ * equals a per-trap scan of every site row, sorted by the same rule,
+ * on scaled architectures up to 204,304 storage traps.
+ */
+TEST(SaPlacer, ProximityOrderMatchesPerTrapScan)
+{
+    for (int n : {10, 128, 640, 2000}) {
+        const Architecture arch = scaledZoned(n);
+        std::set<double> site_rows;
+        for (const RydbergSite &site : arch.sites())
+            site_rows.insert(site.pos_left.y);
+        std::vector<std::pair<TrapRef, double>> keyed;
+        for (const TrapRef &t : arch.allStorageTraps()) {
+            const double y = arch.trapPosition(t).y;
+            double d = std::numeric_limits<double>::max();
+            for (double sy : site_rows)
+                d = std::min(d, std::abs(sy - y));
+            keyed.emplace_back(t, d);
+        }
+        std::stable_sort(keyed.begin(), keyed.end(),
+                         [](const auto &a, const auto &b) {
+                             if (std::abs(a.second - b.second) > 1e-9)
+                                 return a.second < b.second;
+                             if (a.first.r != b.first.r)
+                                 return a.first.r < b.first.r;
+                             return a.first.c < b.first.c;
+                         });
+        std::vector<TrapRef> want;
+        for (const auto &k : keyed)
+            want.push_back(k.first);
+        EXPECT_EQ(storageTrapsByProximity(arch), want) << "n = " << n;
+    }
+}
 
 TEST(SaPlacer, ProximityOrderMatchesLegacy)
 {

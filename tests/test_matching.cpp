@@ -285,6 +285,7 @@ expectNeutral(const SparseMatchingScratch &s)
     EXPECT_TRUE(all(s.col_at, -1));
     EXPECT_TRUE(all(s.pos_of, -1));
     EXPECT_TRUE(all(s.order, -1));
+    EXPECT_TRUE(all(s.heap_slot, -1));
     EXPECT_TRUE(s.sinks.empty() && s.pool.empty() && s.touched.empty() &&
                 s.visited_rows.empty() && s.settled_cols.empty() &&
                 s.moved.empty() && s.col_heap.empty() &&
@@ -346,6 +347,7 @@ TEST(JonkerVolgenant, SparseRejectsMalformedGraphs)
     SparseMatchingScratch scratch;
     EXPECT_THROW(solveGrown(one, 1.0, one, 1.0, &scratch), FatalError);
     ASSERT_FALSE(scratch.shortest.empty());
+    ASSERT_FALSE(scratch.heap_slot.empty());
     expectNeutral(scratch);
     // The same throw after two paths moved a column dual (row 1's path
     // goes through column 0, taking v[0] to -1): the scratch's duals go
@@ -650,6 +652,117 @@ TEST_P(MisRandomProperty, SetsAreIndependentAndMaximal)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MisRandomProperty,
                          ::testing::Range(0, 25));
+
+/**
+ * The partition by its definition: each group is the greedy
+ * minimum-degree-first MIS of the vertices not yet grouped, with every
+ * degree recounted among them.
+ */
+std::vector<std::vector<int>>
+recountedPartition(int n, const std::vector<std::vector<int>> &adj)
+{
+    const auto un = static_cast<std::size_t>(n);
+    std::vector<char> grouped(un, 0);
+    std::vector<std::vector<int>> groups;
+    for (int left = n; left > 0;) {
+        std::vector<int> degree(un, 0);
+        std::vector<int> order;
+        for (int u = 0; u < n; ++u) {
+            if (grouped[static_cast<std::size_t>(u)])
+                continue;
+            for (int v : adj[static_cast<std::size_t>(u)])
+                degree[static_cast<std::size_t>(u)] +=
+                    grouped[static_cast<std::size_t>(v)] ? 0 : 1;
+            order.push_back(u);
+        }
+        std::sort(order.begin(), order.end(), [&degree](int a, int b) {
+            const auto da = degree[static_cast<std::size_t>(a)];
+            const auto db = degree[static_cast<std::size_t>(b)];
+            return da != db ? da < db : a < b;
+        });
+        std::vector<char> blocked(un, 0);
+        std::vector<int> group;
+        for (int u : order) {
+            if (blocked[static_cast<std::size_t>(u)])
+                continue;
+            group.push_back(u);
+            blocked[static_cast<std::size_t>(u)] = 1;
+            for (int v : adj[static_cast<std::size_t>(u)])
+                blocked[static_cast<std::size_t>(v)] = 1;
+        }
+        std::sort(group.begin(), group.end());
+        for (int u : group)
+            grouped[static_cast<std::size_t>(u)] = 1;
+        left -= static_cast<int>(group.size());
+        groups.push_back(std::move(group));
+    }
+    return groups;
+}
+
+/**
+ * The partition, with its degrees kept up to date as groups leave,
+ * equals the recounted one, through both overloads; the scratch one
+ * also on a reused scratch and an adjacency buffer wider than the
+ * graph, whose extra lists are never read.
+ */
+TEST(IndependentSet, PartitionEqualsRecountedDegrees)
+{
+    std::vector<std::vector<std::vector<int>>> graphs;
+    graphs.emplace_back();                                 // empty
+    graphs.emplace_back(std::vector<std::vector<int>>(4)); // no edges
+    for (int n : {1, 2, 7}) {                              // complete
+        std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
+        for (int u = 0; u < n; ++u)
+            for (int v = 0; v < n; ++v)
+                if (u != v)
+                    adj[static_cast<std::size_t>(u)].push_back(v);
+        graphs.push_back(adj);
+    }
+    for (int n : {2, 9}) { // path
+        std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
+        for (int u = 0; u + 1 < n; ++u) {
+            adj[static_cast<std::size_t>(u)].push_back(u + 1);
+            adj[static_cast<std::size_t>(u) + 1].push_back(u);
+        }
+        graphs.push_back(adj);
+    }
+    Rng rng(17);
+    for (int seed = 0; seed < 60; ++seed) { // random, of every density
+        const int n = 1 + static_cast<int>(rng.nextBelow(40));
+        const double p = rng.nextDouble();
+        std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
+        for (int u = 0; u < n; ++u)
+            for (int v = u + 1; v < n; ++v)
+                if (rng.nextBool(p)) {
+                    adj[static_cast<std::size_t>(u)].push_back(v);
+                    adj[static_cast<std::size_t>(v)].push_back(u);
+                }
+        for (auto &list : adj) // neighbours in any order
+            for (std::size_t k = list.size(); k > 1; --k)
+                std::swap(list[k - 1], list[rng.nextBelow(k)]);
+        graphs.push_back(adj);
+    }
+
+    MisPartitionScratch scratch;
+    std::vector<std::vector<int>> groups;
+    int multi_round = 0;
+    for (const auto &adj : graphs) {
+        const int n = static_cast<int>(adj.size());
+        const auto want = recountedPartition(n, adj);
+        multi_round += want.size() > 2 ? 1 : 0;
+        EXPECT_EQ(partitionIntoIndependentSets(n, adj), want);
+        EXPECT_EQ(greedyMaximalIndependentSet(n, adj),
+                  want.empty() ? std::vector<int>{} : want.front());
+        auto wide = adj; // a reused buffer, two lists longer
+        wide.resize(adj.size() + 2);
+        const int got =
+            partitionIntoIndependentSets(n, wide, scratch, groups);
+        ASSERT_EQ(got, static_cast<int>(want.size()));
+        for (std::size_t g = 0; g < want.size(); ++g)
+            EXPECT_EQ(groups[g], want[g]) << "group " << g;
+    }
+    EXPECT_GT(multi_round, 20);
+}
 
 // -------------------------------------------------------- edge coloring
 
