@@ -46,7 +46,9 @@ int nearestSiteForGate(const Architecture &arch, TrapId t0, TrapId t1);
 
 /**
  * Stage-transition cost proxy used to commit reuse vs no-reuse: each
- * moved qubit contributes two atom transfers plus its move duration.
+ * moved qubit contributes two atom transfers plus its move duration,
+ * summed left to right from 0. A term never falls as its distance
+ * grows, in floating point too (see transitionCostFloor()).
  *
  * @param move_dists_um distances of the individual qubit movements.
  * @param t_transfer_us the atom-transfer time.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <optional>
 
 #include "common/logging.hpp"
@@ -56,10 +57,43 @@ buildPartnerTable(const RydbergStage &prev, const RydbergStage &stage,
     }
 }
 
-/**
- * Build the movements bringing the gates of stage @p t into their
- * sites. Qubits already sitting at a trap of their target site stay.
- */
+/** Append the distance of every move in @p moves, in order. */
+void
+appendMoveDists(const Architecture &arch, const std::vector<Movement> &moves,
+                std::vector<double> &dists)
+{
+    for (const Movement &m : moves)
+        dists.push_back(distance(arch.trapPosition(m.from),
+                                 arch.trapPosition(m.to)));
+}
+
+double
+movementCostUs(const Architecture &arch,
+               const std::vector<Movement> &out,
+               const std::vector<Movement> &in, std::vector<double> &dists)
+{
+    dists.clear();
+    dists.reserve(out.size() + in.size());
+    appendMoveDists(arch, out, dists);
+    appendMoveDists(arch, in, dists);
+    return transitionCost(dists, arch.params().t_transfer_us);
+}
+
+} // namespace
+
+SiteTrapBox
+siteTrapBox(const Architecture &arch)
+{
+    SiteTrapBox box{arch.site(0).pos_left, arch.site(0).pos_left};
+    for (const RydbergSite &s : arch.sites()) {
+        for (const Point p : {s.pos_left, s.pos_right}) {
+            box.lo = {std::min(box.lo.x, p.x), std::min(box.lo.y, p.y)};
+            box.hi = {std::max(box.hi.x, p.x), std::max(box.hi.y, p.y)};
+        }
+    }
+    return box;
+}
+
 std::vector<Movement>
 buildMoveIns(PlacementState &state, const RydbergStage &stage,
              const std::vector<int> &sites)
@@ -107,125 +141,168 @@ buildMoveIns(PlacementState &state, const RydbergStage &stage,
     return moves;
 }
 
+/*
+ * Why the floor is at most the cost, bit for bit. Both are
+ * transitionCost() of a distance list: the floor's list is the
+ * move-out distances, computed as movementCostUs() computes them, then
+ * one box distance per storage qubit of the stage; the cost's list is
+ * the same move-out distances, then one distance per move-in. Every
+ * storage qubit moves in, so its box distance is matched with its own
+ * move-in, in the same relative order: buildMoveIns() lists moves in
+ * gate order and, within a gate whose qubits both move, the one with
+ * the smaller x first, and a qubit sitting in storage is never at its
+ * gate's site. Move-ins of zone qubits have no box term.
+ *  - A term never falls as its distance grows, and rounding is
+ *    monotone: a storage qubit at p moves to a site trap s in the box;
+ *    with q the box point nearest p (p clamped per axis), q.x lies
+ *    between p.x and s.x, so |p.x - q.x| <= |p.x - s.x| exactly and
+ *    after rounding, likewise in y, and the squares, their sum, the
+ *    square roots, sqrt(d / a) and the term follow.
+ *  - Sums: fl(a + b) <= fl(a' + b') for a <= a' and b <= b', and a
+ *    cost term without a floor term only adds a term >= 0. By
+ *    induction along the cost's list, each partial floor is at most
+ *    the matching partial cost.
+ */
 double
-movementCostUs(const Architecture &arch,
-               const std::vector<Movement> &out,
-               const std::vector<Movement> &in, std::vector<double> &dists)
+transitionCostFloor(const PlacementState &state, const RydbergStage &stage,
+                    const std::vector<Movement> &move_out,
+                    const SiteTrapBox &box, std::vector<double> &dists)
 {
+    const Architecture &arch = state.arch();
     dists.clear();
-    dists.reserve(out.size() + in.size());
-    for (const Movement &m : out)
-        dists.push_back(distance(arch.trapPosition(m.from),
-                                 arch.trapPosition(m.to)));
-    for (const Movement &m : in)
-        dists.push_back(distance(arch.trapPosition(m.from),
-                                 arch.trapPosition(m.to)));
+    appendMoveDists(arch, move_out, dists);
+    auto box_dist = [&](TrapId t) {
+        const Point p = arch.trapPosition(t);
+        return distance(p, {std::clamp(p.x, box.lo.x, box.hi.x),
+                            std::clamp(p.y, box.lo.y, box.hi.y)});
+    };
+    for (const StagedGate &g : stage.gates) {
+        TrapId first = state.trapIdOf(g.q0);
+        TrapId second = state.trapIdOf(g.q1);
+        if (arch.trapPosition(second).x < arch.trapPosition(first).x)
+            std::swap(first, second);
+        for (const TrapId t : {first, second})
+            if (arch.isStorageTrap(t))
+                dists.push_back(box_dist(t));
+    }
     return transitionCost(dists, arch.params().t_transfer_us);
 }
 
+namespace
+{
+
 /**
- * Build one boundary variant: move stage @p t's non-staying qubits to
- * storage, then place and move in the gates of stage t+1 (or stage 0
- * when @p t < 0). Mutates @p state; the caller journals/undoes or
- * keeps the mutations.
+ * The move-out half of a boundary variant: move stage @p t's
+ * non-staying qubits to storage and apply the moves to @p state
+ * (nothing when @p t < 0). Sets @p result's move_out, reused and
+ * direct.
  *
  * @param matching reuse matching between stages t and t+1 (empty for
- *                 the no-reuse variant or the first stage).
- * @param next_matching reuse matching between stages t+1 and t+2, used
- *                 for the gate-placement lookahead.
+ *                 the no-reuse variant).
  * @param next_partner per qubit: its 2Q partner in stage t+1, or -1.
  */
-BoundaryResult
-buildBoundary(PlacementState &state, const StagedCircuit &staged,
-              int t, const ReuseMatching &matching,
-              const ReuseMatching &next_matching,
-              const std::vector<int> &cur_sites,
-              const std::vector<int> &next_partner,
-              const ZacOptions &opts, PlacementProfile *profile,
-              PlacementScratch &scratch)
+void
+buildMoveOutHalf(PlacementState &state, const StagedCircuit &staged, int t,
+                 const ReuseMatching &matching,
+                 const std::vector<int> &next_partner,
+                 const ZacOptions &opts, PlacementProfile *profile,
+                 PlacementScratch &scratch, BoundaryResult &result)
 {
-    const Architecture &arch = state.arch();
-    const int next_t = t + 1;
+    if (t < 0)
+        return;
+    const RydbergStage &cur_stage =
+        staged.rydberg[static_cast<std::size_t>(t)];
     const RydbergStage &next_stage =
-        staged.rydberg[static_cast<std::size_t>(next_t)];
-    BoundaryResult result;
+        staged.rydberg[static_cast<std::size_t>(t) + 1];
 
     // ---- qubits staying at their sites across the boundary (the
     // flags are all clear on entry, and cleared again below).
     std::vector<char> &stays = scratch.stays;
-    if (t >= 0) {
-        const RydbergStage &cur_stage =
-            staged.rydberg[static_cast<std::size_t>(t)];
-        // Inlined reusedQubits(): the stays flags double as the dedup
-        // set, so the per-variant vector + sort/unique disappears.
-        for (std::size_t i = 0; i < cur_stage.gates.size(); ++i) {
-            const int j = matching.next_of_cur.empty()
-                              ? -1
-                              : matching.next_of_cur[i];
-            if (j < 0)
-                continue;
-            const StagedGate &g = cur_stage.gates[i];
-            const StagedGate &h =
-                next_stage.gates[static_cast<std::size_t>(j)];
-            for (int q : {g.q0, g.q1}) {
-                if (h.touches(q) &&
-                    !stays[static_cast<std::size_t>(q)]) {
-                    stays[static_cast<std::size_t>(q)] = 1;
-                    ++result.reused;
-                }
+    // Inlined reusedQubits(): the stays flags double as the dedup
+    // set, so the per-variant vector + sort/unique disappears.
+    for (std::size_t i = 0; i < cur_stage.gates.size(); ++i) {
+        const int j =
+            matching.next_of_cur.empty() ? -1 : matching.next_of_cur[i];
+        if (j < 0)
+            continue;
+        const StagedGate &g = cur_stage.gates[i];
+        const StagedGate &h = next_stage.gates[static_cast<std::size_t>(j)];
+        for (int q : {g.q0, g.q1}) {
+            if (h.touches(q) && !stays[static_cast<std::size_t>(q)]) {
+                stays[static_cast<std::size_t>(q)] = 1;
+                ++result.reused;
             }
         }
-
-        // ---- non-reuse qubit placement (move-out).
-        const double t0 = profile ? nowSeconds() : 0.0;
-        QubitPlacementRequest &qreq = scratch.qreq;
-        qreq.k = opts.candidate_k;
-        qreq.alpha = opts.lookahead_alpha;
-        qreq.leaving.clear();
-        qreq.related.clear();
-        qreq.leaving.reserve(2 * cur_stage.gates.size());
-        qreq.related.reserve(2 * cur_stage.gates.size());
-        for (const StagedGate &g : cur_stage.gates) {
-            for (int q : {g.q0, g.q1}) {
-                if (stays[static_cast<std::size_t>(q)])
-                    continue;
-                const int partner =
-                    next_partner[static_cast<std::size_t>(q)];
-                if (opts.use_direct_reuse && partner >= 0) {
-                    // Sec. X extension: active in both stages — stay
-                    // in the zone and move site-to-site during the
-                    // next move-in, skipping the storage round trip.
-                    ++result.direct;
-                    continue;
-                }
-                qreq.leaving.push_back(q);
-                if (partner >= 0)
-                    qreq.related.emplace_back(state.posOf(partner));
-                else
-                    qreq.related.emplace_back(std::nullopt);
-            }
-        }
-        const std::vector<TrapRef> dests =
-            opts.use_dynamic_placement
-                ? placeQubitsInStorage(
-                      state, qreq, profile ? &profile->qubit_placer : nullptr,
-                      &scratch)
-                : returnQubitsHome(state, qreq.leaving);
-        result.move_out.reserve(qreq.leaving.size());
-        for (std::size_t i = 0; i < qreq.leaving.size(); ++i) {
-            const int q = qreq.leaving[i];
-            result.move_out.push_back({q, state.trapOf(q), dests[i]});
-            state.place(q, dests[i]);
-        }
-        for (const StagedGate &g : cur_stage.gates) {
-            stays[static_cast<std::size_t>(g.q0)] = 0;
-            stays[static_cast<std::size_t>(g.q1)] = 0;
-        }
-        if (profile)
-            profile->qubit_placement_seconds += nowSeconds() - t0;
     }
 
-    // ---- gate placement for the entering stage.
+    // ---- non-reuse qubit placement (move-out).
+    const double t0 = profile ? nowSeconds() : 0.0;
+    QubitPlacementRequest &qreq = scratch.qreq;
+    qreq.k = opts.candidate_k;
+    qreq.alpha = opts.lookahead_alpha;
+    qreq.leaving.clear();
+    qreq.related.clear();
+    qreq.leaving.reserve(2 * cur_stage.gates.size());
+    qreq.related.reserve(2 * cur_stage.gates.size());
+    for (const StagedGate &g : cur_stage.gates) {
+        for (int q : {g.q0, g.q1}) {
+            if (stays[static_cast<std::size_t>(q)])
+                continue;
+            const int partner = next_partner[static_cast<std::size_t>(q)];
+            if (opts.use_direct_reuse && partner >= 0) {
+                // Sec. X extension: active in both stages — stay in
+                // the zone and move site-to-site during the next
+                // move-in, skipping the storage round trip.
+                ++result.direct;
+                continue;
+            }
+            qreq.leaving.push_back(q);
+            if (partner >= 0)
+                qreq.related.emplace_back(state.posOf(partner));
+            else
+                qreq.related.emplace_back(std::nullopt);
+        }
+    }
+    const std::vector<TrapRef> dests =
+        opts.use_dynamic_placement
+            ? placeQubitsInStorage(
+                  state, qreq, profile ? &profile->qubit_placer : nullptr,
+                  &scratch)
+            : returnQubitsHome(state, qreq.leaving);
+    result.move_out.reserve(qreq.leaving.size());
+    for (std::size_t i = 0; i < qreq.leaving.size(); ++i) {
+        const int q = qreq.leaving[i];
+        result.move_out.push_back({q, state.trapOf(q), dests[i]});
+        state.place(q, dests[i]);
+    }
+    for (const StagedGate &g : cur_stage.gates) {
+        stays[static_cast<std::size_t>(g.q0)] = 0;
+        stays[static_cast<std::size_t>(g.q1)] = 0;
+    }
+    if (profile)
+        profile->qubit_placement_seconds += nowSeconds() - t0;
+}
+
+/**
+ * The move-in half of a boundary variant: place the gates of stage
+ * t+1 (stage 0 when @p t < 0), move their qubits in, and cost the
+ * variant. Sets @p result's gate_sites, move_in and cost.
+ *
+ * @param matching reuse matching between stages t and t+1, whose
+ *                 reused gates keep their stage-t sites @p cur_sites.
+ * @param next_matching reuse matching between stages t+1 and t+2, used
+ *                 for the gate-placement lookahead.
+ */
+void
+buildMoveInHalf(PlacementState &state, const StagedCircuit &staged, int t,
+                const ReuseMatching &matching,
+                const ReuseMatching &next_matching,
+                const std::vector<int> &cur_sites, PlacementProfile *profile,
+                PlacementScratch &scratch, BoundaryResult &result)
+{
+    const int next_t = t + 1;
+    const RydbergStage &next_stage =
+        staged.rydberg[static_cast<std::size_t>(next_t)];
     GatePlacementRequest &greq = scratch.greq;
     greq.gates = &next_stage.gates;
     greq.pinned_site.assign(next_stage.gates.size(), -1);
@@ -263,12 +340,56 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged,
                    &scratch);
     const double t2 = profile ? nowSeconds() : 0.0;
     result.move_in = buildMoveIns(state, next_stage, result.gate_sites);
-    result.cost = movementCostUs(arch, result.move_out, result.move_in,
-                                 scratch.dists);
+    result.cost = movementCostUs(state.arch(), result.move_out,
+                                 result.move_in, scratch.dists);
     if (profile) {
         profile->gate_placement_seconds += t2 - t1;
         profile->move_build_seconds += nowSeconds() - t2;
     }
+}
+
+/** The rival cost of a variant built in full. */
+constexpr double kNoRival = std::numeric_limits<double>::infinity();
+
+/**
+ * Build one boundary variant: its move-out half, then its move-in
+ * half. Mutates @p state; the caller journals/undoes or keeps the
+ * mutations.
+ *
+ * @param rival_cost the cost of the variant this one competes with.
+ *                 When transitionCostFloor() after the move-outs is at
+ *                 least @p rival_cost, this variant cannot cost less
+ *                 and stops there, with the floor as its cost and no
+ *                 gate sites or move-ins. kNoRival: build it in full.
+ */
+BoundaryResult
+buildBoundary(PlacementState &state, const StagedCircuit &staged, int t,
+              const ReuseMatching &matching,
+              const ReuseMatching &next_matching,
+              const std::vector<int> &cur_sites,
+              const std::vector<int> &next_partner, const ZacOptions &opts,
+              const SiteTrapBox &box, double rival_cost,
+              PlacementProfile *profile, PlacementScratch &scratch)
+{
+    BoundaryResult result;
+    buildMoveOutHalf(state, staged, t, matching, next_partner, opts,
+                     profile, scratch, result);
+    if (rival_cost != kNoRival) {
+        const double t0 = profile ? nowSeconds() : 0.0;
+        const double floor = transitionCostFloor(
+            state, staged.rydberg[static_cast<std::size_t>(t) + 1],
+            result.move_out, box, scratch.dists);
+        if (profile)
+            profile->move_build_seconds += nowSeconds() - t0;
+        if (rival_cost <= floor) {
+            result.cost = floor;
+            if (profile)
+                ++profile->pruned_variants;
+            return result;
+        }
+    }
+    buildMoveInHalf(state, staged, t, matching, next_matching, cur_sites,
+                    profile, scratch, result);
     return result;
 }
 
@@ -335,12 +456,14 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
 
     std::vector<int> next_partner(
         static_cast<std::size_t>(staged.numQubits), -1);
+    const SiteTrapBox box = siteTrapBox(arch);
 
     // ---- stage 0: no reuse possible (nothing is in the zone yet).
     {
         BoundaryResult r =
             buildBoundary(state, staged, -1, no_match, matching_at(0),
-                          {}, next_partner, opts, profile, s);
+                          {}, next_partner, opts, box, kNoRival, profile,
+                          s);
         plan.gate_sites[0] = std::move(r.gate_sites);
         plan.transitions[0].move_in = std::move(r.move_in);
     }
@@ -373,17 +496,23 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
             reuse_variant = buildBoundary(
                 state, staged, t, with_reuse, lookahead,
                 plan.gate_sites[static_cast<std::size_t>(t)],
-                next_partner, opts, profile, s);
+                next_partner, opts, box, kNoRival, profile, s);
             rollback([&] { return state.journalUndo(&s.reuse_ends); });
             state.journalBegin();
         }
         // The no-reuse variant: the unsized all-unmatched placeholder
         // behaves identically to a per-boundary sized one (no pins, no
-        // stays) without the two vector allocations.
+        // stays) without the two vector allocations. It stops after
+        // its move-outs when its floor shows that the reuse variant
+        // wins; its floor is then its cost, so the reuse variant wins
+        // below as it would have. Its move-outs still run: they set the
+        // homes the reuse variant's rollback keeps (see PlacementState),
+        // and its move-ins would change no home.
         BoundaryResult plain = buildBoundary(
             state, staged, t, no_match, lookahead,
             plan.gate_sites[static_cast<std::size_t>(t)], next_partner,
-            opts, profile, s);
+            opts, box, reuse_variant ? reuse_variant->cost : kNoRival,
+            profile, s);
 
         BoundaryResult *winner = &plain;
         if (reuse_variant.has_value() &&

@@ -4,12 +4,15 @@
  *
  * Walks the Rydberg stages, producing for every stage a gate-to-site
  * assignment and the qubit movements into and out of the entanglement
- * zone. At every stage boundary two complete variants are built — one
- * with qubit reuse and one without — and the cheaper one (by the
+ * zone. At every stage boundary two variants are built — one with
+ * qubit reuse and one without — and the cheaper one (by the
  * transition-cost proxy) is committed, per the paper's "commit to the
- * better solution between the two". Both variants run journaled on one
- * PlacementState, so keeping either costs the qubits the two moved,
- * not the qubit count.
+ * better solution between the two". The reuse variant is built in
+ * full. The plain (no-reuse) variant stops after its move-outs when
+ * transitionCostFloor() shows that it cannot cost less than the reuse
+ * variant: its gate placement and move-ins would be thrown away. Both
+ * variants run journaled on one PlacementState, so keeping either
+ * costs the qubits the two moved, not the qubit count.
  */
 
 #ifndef ZAC_CORE_MOVEMENT_HPP
@@ -89,6 +92,9 @@ struct PlacementProfile
     /** Qubit slots the variant rollbacks wrote: one per undone journal
      *  entry and one per replayed end trap (see PlacementState). */
     std::int64_t rollback_qubits = 0;
+    /** Plain variants stopped after their move-outs because their cost
+     *  floor showed the reuse variant wins (see transitionCostFloor). */
+    std::int64_t pruned_variants = 0;
 
     double
     movementSeconds() const
@@ -135,6 +141,44 @@ PlacementPlan runDynamicPlacement(const Architecture &arch,
                                   const ZacOptions &opts,
                                   PlacementProfile *profile = nullptr,
                                   PlacementScratch *scratch = nullptr);
+
+/** The axis-aligned bounding box of every site's left and right trap. */
+struct SiteTrapBox
+{
+    Point lo;
+    Point hi;
+};
+
+SiteTrapBox siteTrapBox(const Architecture &arch);
+
+/**
+ * Build the movements bringing the gates of @p stage into their
+ * @p sites and apply them to @p state. A qubit already at a trap of
+ * its gate's site stays, and its partner takes the other trap; a gate
+ * with neither qubit there sends the qubit with the smaller x to the
+ * left trap (no crossing). Moves are listed in gate order.
+ */
+std::vector<Movement> buildMoveIns(PlacementState &state,
+                                   const RydbergStage &stage,
+                                   const std::vector<int> &sites);
+
+/**
+ * A floor on the transition cost of a boundary variant whose move-outs
+ * @p move_out are applied to @p state, for any sites of @p stage's
+ * gates: transitionCost() of the move-out distances, then, in
+ * buildMoveIns()'s order, the distance to @p box of every gate qubit
+ * that sits in a storage trap. A qubit in the zone adds no term: it
+ * may stay put. The floor is at most transitionCost() of the move-out
+ * and move-in distances bit for bit (see movement.cpp).
+ *
+ * @param box   siteTrapBox() of the state's architecture.
+ * @param dists scratch for the distances.
+ */
+double transitionCostFloor(const PlacementState &state,
+                           const RydbergStage &stage,
+                           const std::vector<Movement> &move_out,
+                           const SiteTrapBox &box,
+                           std::vector<double> &dists);
 
 /** Validate a plan against its staged circuit (testing hook). */
 void checkPlacementPlan(const Architecture &arch,

@@ -106,6 +106,14 @@ class PlacementState
     // to storage keeps B's storage trap as its home, a trap it never
     // occupied in the committed plan, which homeOf() then offers as its
     // candidate (i). Correcting that would change the compiled plans.
+    //
+    // At a boundary where B's cost floor already shows that A wins, B
+    // stops after its move-outs, so its journal holds only those. The
+    // rollback still leaves the state a full B would: B's move-ins only
+    // place qubits in the zone, which sets no home, and the rollback
+    // puts every qubit they would move at the same trap either way
+    // (its trap before B, or its trap in A), where a qubit in storage
+    // already has that trap as home.
 
     /** Start recording mutations. @throws zac::PanicError if active. */
     void journalBegin();

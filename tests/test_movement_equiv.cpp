@@ -12,6 +12,8 @@
  *  - the journaled PlacementState undo, and its replay of an undone
  *    variant, must reproduce the snapshot/restore semantics
  *    bit-exactly (including home traps);
+ *  - the plain variant's cost floor must not exceed the cost of the
+ *    move-ins it bounds, exactly, on random and tied moves;
  *  - runDynamicPlacement() plans, and compile()'s ZAIR program and
  *    fidelity, must match the golden digests (golden.hpp) on the 17
  *    paper circuits under every option preset, on multi-zone
@@ -35,6 +37,7 @@
 #include "core/compiler.hpp"
 #include "core/cost.hpp"
 #include "core/gate_placer.hpp"
+#include "core/movement.hpp"
 #include "core/sa_placer.hpp"
 #include "transpile/optimize.hpp"
 #include "zair/serialize.hpp"
@@ -875,6 +878,186 @@ TEST(PlacementStateJournal, CommitKeepsMutations)
     EXPECT_THROW(st.journalUndo(), PanicError);
 }
 
+// ------------------------------------------ the plain variant's floor
+
+/** transitionCost() of @p out, then @p in, as runDynamicPlacement()
+ *  sums them. */
+double
+movesCost(const Architecture &arch, const std::vector<Movement> &out,
+          const std::vector<Movement> &in)
+{
+    std::vector<double> dists;
+    for (const std::vector<Movement> *moves : {&out, &in})
+        for (const Movement &m : *moves)
+            dists.push_back(distance(arch.trapPosition(m.from),
+                                     arch.trapPosition(m.to)));
+    return transitionCost(dists, arch.params().t_transfer_us);
+}
+
+/** A site trap and the storage traps whose nearest box point it is. */
+struct FloorTie
+{
+    int site = -1;
+    bool left = true; ///< the tied trap is the site's left trap
+    std::vector<TrapRef> sources;
+};
+
+/**
+ * Every site trap that is the point of @p box nearest some storage
+ * trap, with those storage traps: a qubit there that moves to that
+ * trap costs exactly its floor term.
+ */
+std::vector<FloorTie>
+floorTies(const Architecture &arch, const SiteTrapBox &box)
+{
+    std::vector<FloorTie> ties;
+    std::map<std::pair<double, double>, std::size_t> at;
+    for (int s = 0; s < arch.numSites(); ++s) {
+        for (const bool left : {true, false}) {
+            const Point p =
+                left ? arch.site(s).pos_left : arch.site(s).pos_right;
+            at[{p.x, p.y}] = ties.size();
+            ties.push_back({s, left, {}});
+        }
+    }
+    for (const TrapRef &t : arch.allStorageTraps()) {
+        const Point p = arch.trapPosition(t);
+        const auto it = at.find({std::clamp(p.x, box.lo.x, box.hi.x),
+                                 std::clamp(p.y, box.lo.y, box.hi.y)});
+        if (it != at.end())
+            ties[it->second].sources.push_back(t);
+    }
+    std::erase_if(ties, [](const FloorTie &t) { return t.sources.empty(); });
+    return ties;
+}
+
+/**
+ * One seeded round: gates on distinct random sites; each gate qubit in
+ * storage, at a trap of its gate's site (it stays), or at a trap of a
+ * site no gate uses (it moves site to site); idle qubits in storage,
+ * whose move-outs (some of length zero) precede the move-ins. In a tie
+ * round every gate keeps one qubit in place and brings the other in
+ * from a storage trap whose nearest box point is the site's other
+ * trap, so the floor equals the cost. Checks transitionCostFloor()
+ * against the cost of buildMoveIns()'s moves, exactly.
+ */
+void
+floorRound(const Architecture &arch, const SiteTrapBox &box,
+           const std::vector<FloorTie> &ties, bool tie_round, Rng &rng)
+{
+    const auto &storage = arch.allStorageTraps();
+    // Distinct sites (tie rounds: the sites of distinct tied traps).
+    const int candidates =
+        tie_round ? static_cast<int>(ties.size()) : arch.numSites();
+    const int max_gates = rng.nextInt(
+        1, std::min(12, tie_round ? candidates : candidates / 2));
+    std::vector<int> order;
+    for (int i = 0; i < candidates; ++i)
+        order.push_back(i);
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.nextBelow(i)]);
+    std::vector<int> sites;
+    std::vector<char> used(static_cast<std::size_t>(arch.numSites()), 0);
+    std::vector<const FloorTie *> gate_tie;
+    for (const int i : order) {
+        if (static_cast<int>(sites.size()) == max_gates)
+            break;
+        const FloorTie *tie =
+            tie_round ? &ties[static_cast<std::size_t>(i)] : nullptr;
+        const int s = tie ? tie->site : i;
+        if (used[static_cast<std::size_t>(s)])
+            continue;
+        used[static_cast<std::size_t>(s)] = 1;
+        sites.push_back(s);
+        gate_tie.push_back(tie);
+    }
+    const int num_gates = static_cast<int>(sites.size());
+    const int n = 2 * num_gates + rng.nextInt(0, 4);
+    PlacementState st(arch, n);
+
+    auto place_in_storage = [&](int q) {
+        TrapRef t;
+        do {
+            t = storage[rng.nextBelow(storage.size())];
+        } while (!st.isEmpty(t));
+        st.place(q, t);
+    };
+    RydbergStage stage;
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+        const int q0 = static_cast<int>(2 * i);
+        stage.gates.push_back({q0, q0, q0 + 1});
+        const RydbergSite &site = arch.site(sites[i]);
+        if (const FloorTie *tie = gate_tie[i]) {
+            const int stay = q0 + static_cast<int>(rng.nextBelow(2));
+            st.place(stay, tie->left ? site.right : site.left);
+            TrapRef src;
+            do {
+                src = tie->sources[rng.nextBelow(tie->sources.size())];
+            } while (!st.isEmpty(src));
+            st.place(stay == q0 ? q0 + 1 : q0, src);
+            continue;
+        }
+        for (const int q : {q0, q0 + 1}) {
+            const std::uint64_t kind = rng.nextBelow(4);
+            if (kind == 0) {
+                const TrapRef t = rng.nextBool() ? site.left : site.right;
+                if (st.isEmpty(t)) {
+                    st.place(q, t);
+                    continue;
+                }
+            } else if (kind == 1) {
+                const int s = static_cast<int>(rng.nextBelow(
+                    static_cast<std::uint64_t>(arch.numSites())));
+                const RydbergSite &other = arch.site(s);
+                const TrapRef t = rng.nextBool() ? other.left : other.right;
+                if (!used[static_cast<std::size_t>(s)] && st.isEmpty(t)) {
+                    st.place(q, t);
+                    continue;
+                }
+            }
+            place_in_storage(q);
+        }
+    }
+    std::vector<Movement> out;
+    for (int q = 2 * num_gates; q < n; ++q) {
+        place_in_storage(q);
+        const TrapRef to = st.trapOf(q);
+        const RydbergSite &from = arch.site(static_cast<int>(
+            rng.nextBelow(static_cast<std::uint64_t>(arch.numSites()))));
+        out.push_back({q, rng.nextBool() ? to : from.left, to});
+    }
+
+    std::vector<double> dists;
+    const double floor = transitionCostFloor(st, stage, out, box, dists);
+    const std::vector<Movement> in = buildMoveIns(st, stage, sites);
+    const double cost = movesCost(arch, out, in);
+    EXPECT_LE(floor, cost) << arch.name();
+    if (tie_round) {
+        EXPECT_EQ(floor, cost) << arch.name();
+    }
+}
+
+TEST(PlainVariantFloor, NeverExceedsTheMoveInCost)
+{
+    Rng rng(41);
+    int tie_rounds = 0;
+    for (const Architecture &arch :
+         {scaledZoned(256), scaledZoned(256, 2), scaledZoned(40),
+          presets::multiZoneArch2()}) {
+        const SiteTrapBox box = siteTrapBox(arch);
+        const std::vector<FloorTie> ties = floorTies(arch, box);
+        for (int round = 0; round < 300; ++round)
+            floorRound(arch, box, ties, false, rng);
+        for (int round = 0; !ties.empty() && round < 100; ++round) {
+            floorRound(arch, box, ties, true, rng);
+            ++tie_rounds;
+        }
+    }
+    // The scaled architectures' storage reaches past the zone's lower
+    // corners, which are tied traps.
+    EXPECT_EQ(tie_rounds, 300);
+}
+
 // -------------------------------- dynamic placement vs golden digests
 
 using golden::expectGolden;
@@ -1012,11 +1195,16 @@ TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
             const std::string label =
                 "expanded/" + tc.label + (use_sa ? "/sa300" : "/trivial");
             PlacementProfile profile;
-            expectGolden(label + "/plan",
-                         planDigest(runDynamicPlacement(
-                             arch, staged, initial, opts, &profile)));
+            const PlacementPlan plan =
+                runDynamicPlacement(arch, staged, initial, opts, &profile);
+            expectGolden(label + "/plan", planDigest(plan));
             EXPECT_GT(profile.qubit_placer.expanded_solves, 0) << label;
             EXPECT_GT(profile.qubit_placer.window_growths, 0) << label;
+            // The digests cover boundaries whose plain variant stopped
+            // early, each of which the reuse variant won.
+            EXPECT_GT(profile.pruned_variants, 0) << label;
+            EXPECT_LE(profile.pruned_variants, plan.reuse_boundaries)
+                << label;
         }
     }
 }
