@@ -12,11 +12,13 @@
  * of the 3). An untimed compile() per point then checks that the
  * streamed bytes equal zairProgramToJson(program).dump(), every repeat
  * must write the same bytes, and each point records an FNV-1a digest
- * of them. Results are written as machine-readable JSON (schema
- * zac.perf_scaling.v2, documented in bench/README.md); CI gates
- * machine-normalized per-point regressions, the fitted exponents of
- * wall-clock phases and work counters, and the program digests against
- * the committed BENCH_scaling.json via scripts/check_perf_regression.py.
+ * of them, and the program's quality: makespan, atom transfers and
+ * -log10 of the fidelity terms. Results are written as machine-readable
+ * JSON (schema zac.perf_scaling.v3, documented in bench/README.md); CI
+ * gates machine-normalized per-point regressions, the fitted exponents
+ * of wall-clock phases and work counters, the program digests and the
+ * per-point quality against the committed BENCH_scaling.json via
+ * scripts/check_perf_regression.py.
  *
  * Usage: perf_scaling [output.json] [--fast]
  *   --fast  CI smoke mode: the subset sweep (largest points trimmed
@@ -216,6 +218,36 @@ keepFaster(json::Object &best, const json::Object &cols)
         best[key] = std::min(best[key].asDouble(), secs.asDouble());
 }
 
+/**
+ * The "quality" columns of one program: its makespan, its atom
+ * transfers, -sum log10 of the fidelity terms that are positive, and
+ * the count of terms that are exactly 0 (left out of that sum; they
+ * come from the linear decoherence model's clamp). The terms are those
+ * perfbench sums: f_1q, f_2q_gates, f_excitation, f_transfer and
+ * f_decoherence.
+ */
+json::Object
+qualityColumns(const ZacStreamedResult &r)
+{
+    const FidelityBreakdown &f = r.fidelity;
+    double neg_log10 = 0.0;
+    std::int64_t zero_terms = 0;
+    for (const double term : {f.f_1q, f.f_2q_gates, f.f_excitation,
+                              f.f_transfer, f.f_decoherence}) {
+        if (term > 0.0)
+            neg_log10 -= std::log10(term);
+        else
+            ++zero_terms;
+    }
+    return {
+        {"duration_us", r.stats.makespan_us},
+        {"atom_transfers",
+         static_cast<std::int64_t>(r.stats.num_atom_transfers)},
+        {"neg_log10_fidelity", neg_log10},
+        {"zero_terms", zero_terms},
+    };
+}
+
 /** The phase columns fitted per family (keys of "phase_totals"). */
 const std::vector<std::string> &
 phaseKeys()
@@ -332,6 +364,7 @@ main(int argc, char **argv)
             point["placement"] = json::Object{
                 {"rollback_qubits", ph.placement.rollback_qubits},
                 {"pruned_variants", ph.placement.pruned_variants},
+                {"settled_boundaries", ph.placement.settled_boundaries},
             };
             const QubitPlacerStats &qp = ph.placement.qubit_placer;
             point["qubit_placer"] = json::Object{
@@ -355,6 +388,7 @@ main(int argc, char **argv)
                 {"edges_relaxed", gp.edges_relaxed},
             };
             point["fidelity"] = r.fidelity.total;
+            point["quality"] = qualityColumns(r);
             point["program_bytes"] =
                 static_cast<std::int64_t>(r.program_json.size());
             point["program_digest"] = hexDigest(fnv1a(r.program_json));
@@ -396,7 +430,7 @@ main(int argc, char **argv)
                 all_deterministic ? "OK" : "VIOLATED");
 
     json::Object doc;
-    doc["schema"] = "zac.perf_scaling.v2";
+    doc["schema"] = "zac.perf_scaling.v3";
     doc["fast_mode"] = fast;
     doc["seed"] = static_cast<std::int64_t>(kSweepSeed);
     doc["sa_iterations"] = zac_opts.sa_iterations;

@@ -33,12 +33,13 @@ carry the same tag either way):
       a dedicated 2.0x ratio gate on fresh vs. committed
       ``churn.latency_p99_normalized``.
 
-  zac.perf_scaling.v2
+  zac.perf_scaling.v3
       The workload-scaling sweep (bench/perf_scaling.cpp): per-family
-      qubit-count vs. compile-time curves and placement work counters.
-      No single headline metric; instead three curve gates, none of
-      which compares raw seconds, so a committed baseline from
-      different hardware still gates meaningfully:
+      qubit-count vs. compile-time curves, placement work counters and
+      the compiled programs' quality. No single headline metric;
+      instead these gates, none of which compares raw seconds, so a
+      committed baseline from different hardware still gates
+      meaningfully:
         * point gate — for every (family, size) present in both files,
           each curve is normalized by its own time at the first common
           size that takes at least SCALING_MIN_GATE_SECONDS (5 ms) in
@@ -64,19 +65,33 @@ carry the same tag either way):
           ``gate_placer.edges_relaxed`` and
           ``placement.rollback_qubits`` (a zero count fits as 1); the
           fresh exponent must not exceed the committed one by more
-          than SCALING_COUNTER_EXPONENT_MARGIN (0.1). The counters are
-          deterministic, so this gate reads the same on every host.
+          than SCALING_COUNTER_EXPONENT_MARGIN (0.1). A counter that
+          reads at or below its committed value at every common size
+          passes whatever its slope: a change that removes more work
+          at small sizes than at large ones steepens the fit without
+          adding work anywhere. The counters are deterministic, so
+          this gate reads the same on every host.
         * digest gate — every point of both files carries
           ``program_digest``, the FNV-1a digest of its compiled
           program's bytes (a file without it is an input error, exit
           2); a point present in both files must have the same digest,
           or the gate fails naming the family and size. A change that
           means to alter the output regenerates the baseline.
+        * quality gate — every point carries ``quality`` with
+          ``duration_us`` (makespan), ``atom_transfers``,
+          ``neg_log10_fidelity`` (-sum log10 of the positive fidelity
+          terms) and ``zero_terms`` (the terms that are exactly 0);
+          a file without them is an input error, exit 2. At a point
+          present in both files, each of the first three may grow by
+          at most SCALING_QUALITY_TOLERANCE (5%) relative, and
+          ``zero_terms`` may not grow (a term that reaches 0 leaves
+          the log sum, which would read as a gain). The digest gate
+          pins identical bytes; this gate is what a change that moves
+          them on purpose must pass against the old baseline.
       Also gates on ``streamed_vs_dom_identical`` and
       ``deterministic``, and requires the fresh sweep to reach at
-      least 1000 qubits (``max_point_qubits``). A v1 file (timed with
-      the DOM verification on, counters not gated) is rejected as a
-      schema mismatch.
+      least 1000 qubits (``max_point_qubits``). A v1 or v2 file
+      (without the quality columns) is rejected as a schema mismatch.
 
 When the ``GITHUB_STEP_SUMMARY`` environment variable is set (GitHub
 Actions), a markdown comparison table is appended to it so perf drift
@@ -109,6 +124,13 @@ SCALING_PHASE_KEYS = (
     "fidelity_seconds",
 )
 SCALING_COUNTER_EXPONENT_MARGIN = 0.1
+SCALING_QUALITY_TOLERANCE = 0.05
+SCALING_QUALITY_KEYS = (
+    "quality.duration_us",
+    "quality.atom_transfers",
+    "quality.neg_log10_fidelity",
+)
+SCALING_ZERO_TERMS_KEY = "quality.zero_terms"
 SCALING_COUNTER_KEYS = (
     "qubit_placer.candidate_cells",
     "qubit_placer.edges_relaxed",
@@ -314,7 +336,12 @@ def gate_scaling_curves(committed, fresh, cpath, fpath, args):
         for label, key, margin in curves:
             cvals = [point_value(cpoints[n], cpath, key) for n in common]
             fvals = [point_value(fpoints[n], fpath, key) for n in common]
-            if key in SCALING_COUNTER_KEYS:
+            is_counter = key in SCALING_COUNTER_KEYS
+            # A counter that does no more work at any size passes
+            # whatever its slope.
+            no_more_work = is_counter and all(
+                f <= c for c, f in zip(cvals, fvals))
+            if is_counter:
                 # A zero count (no such work at that size) fits as 1.
                 cvals = [max(v, 1) for v in cvals]
                 fvals = [max(v, 1) for v in fvals]
@@ -328,11 +355,60 @@ def gate_scaling_curves(committed, fresh, cpath, fpath, args):
             fexp = fit_exponent(common, fvals)
             print(f"{family}: {label} exponent committed {cexp:.2f}, "
                   f"fresh {fexp:.2f} (margin {margin:.2f})")
-            if fexp > cexp + margin:
+            if fexp > cexp + margin and no_more_work:
+                print(f"{family}: {label} exponent rose, but the count "
+                      f"is at or below the committed one at every "
+                      f"common size: passes")
+            elif fexp > cexp + margin:
                 print(
                     f"FAIL: {family}: {label} exponent blew up "
                     f"({cexp:.2f} -> {fexp:.2f})"
                 )
+                ok = False
+    return ok
+
+
+def gate_scaling_quality(committed, fresh, cpath, fpath, args):
+    """Quality at every common point: makespan, atom transfers and
+    -log10 fidelity within SCALING_QUALITY_TOLERANCE, no new zero
+    fidelity term."""
+    ok = True
+    ccurves = scaling_curves(committed, cpath)
+    fcurves = scaling_curves(fresh, fpath)
+    # Every point of both files must carry the columns (exit 2 if not).
+    for curves, path in ((ccurves, cpath), (fcurves, fpath)):
+        for points in curves.values():
+            for point in points.values():
+                for key in (*SCALING_QUALITY_KEYS,
+                            SCALING_ZERO_TERMS_KEY):
+                    point_value(point, path, key)
+    for family, fpoints in fcurves.items():
+        cpoints = ccurves.get(family, {})
+        common = sorted(set(cpoints) & set(fpoints))
+        if not common:
+            continue
+        for key in SCALING_QUALITY_KEYS:
+            worst = None
+            for n in common:
+                c = point_value(cpoints[n], cpath, key)
+                f = point_value(fpoints[n], fpath, key)
+                if f > c * (1.0 + SCALING_QUALITY_TOLERANCE):
+                    print(f"FAIL: {family} n={n}: {key} {c:g} -> {f:g} "
+                          f"(more than "
+                          f"{SCALING_QUALITY_TOLERANCE:.0%} worse)")
+                    ok = False
+                if c > 0 and (worst is None or f / c > worst[1]):
+                    worst = (n, f / c)
+            if worst is not None:
+                print(f"{family}: {key} worst ratio {worst[1]:.4f} at "
+                      f"n={worst[0]} (tolerance "
+                      f"{1.0 + SCALING_QUALITY_TOLERANCE:.2f})")
+        for n in common:
+            c = point_value(cpoints[n], cpath, SCALING_ZERO_TERMS_KEY)
+            f = point_value(fpoints[n], fpath, SCALING_ZERO_TERMS_KEY)
+            if f > c:
+                print(f"FAIL: {family} n={n}: {SCALING_ZERO_TERMS_KEY} "
+                      f"{c:g} -> {f:g} (a fidelity term reached 0)")
                 ok = False
     return ok
 
@@ -500,13 +576,13 @@ SCHEMAS = {
         summary_rows=summary_rows_service,
         extra_gates=(gate_churn_latency,),
     ),
-    "zac.perf_scaling.v2": SchemaSpec(
+    "zac.perf_scaling.v3": SchemaSpec(
         metric=None,
         metric_name="scaling curves (per-family, machine-normalized)",
         flag_keys=("streamed_vs_dom_identical", "deterministic"),
         summary_rows=summary_rows_scaling,
         extra_gates=(gate_scaling_reach, gate_scaling_curves,
-                     gate_scaling_digests),
+                     gate_scaling_digests, gate_scaling_quality),
     ),
 }
 

@@ -79,19 +79,54 @@ movementCostUs(const Architecture &arch,
     return transitionCost(dists, arch.params().t_transfer_us);
 }
 
+void
+grow(TrapBox &box, Point p)
+{
+    box.lo = {std::min(box.lo.x, p.x), std::min(box.lo.y, p.y)};
+    box.hi = {std::max(box.hi.x, p.x), std::max(box.hi.y, p.y)};
+}
+
+/** The distance of @p p to the point of @p box nearest it. */
+double
+boxDistance(Point p, const TrapBox &box)
+{
+    return distance(p, {std::clamp(p.x, box.lo.x, box.hi.x),
+                        std::clamp(p.y, box.lo.y, box.hi.y)});
+}
+
 } // namespace
 
-SiteTrapBox
-siteTrapBox(const Architecture &arch)
+FloorBoxes
+floorBoxes(const Architecture &arch)
 {
-    SiteTrapBox box{arch.site(0).pos_left, arch.site(0).pos_left};
+    FloorBoxes b;
+    b.sites = {arch.site(0).pos_left, arch.site(0).pos_left};
     for (const RydbergSite &s : arch.sites()) {
-        for (const Point p : {s.pos_left, s.pos_right}) {
-            box.lo = {std::min(box.lo.x, p.x), std::min(box.lo.y, p.y)};
-            box.hi = {std::max(box.hi.x, p.x), std::max(box.hi.y, p.y)};
+        grow(b.sites, s.pos_left);
+        grow(b.sites, s.pos_right);
+    }
+    if (arch.numStorageTraps() == 0)
+        return b;
+    // A trap's coordinates grow with its row and column (positive
+    // pitch, monotone rounding), so each storage SLM's first and last
+    // traps bound its traps, bit for bit.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    b.storage = {{kInf, kInf}, {-kInf, -kInf}};
+    for (const ZoneSpec &zone : arch.storageZones()) {
+        for (const int id : zone.slm_ids) {
+            const SlmSpec &slm = arch.slms()[static_cast<std::size_t>(id)];
+            grow(b.storage, arch.trapPosition(TrapRef{id, 0, 0}));
+            grow(b.storage, arch.trapPosition(
+                                TrapRef{id, slm.rows - 1, slm.cols - 1}));
         }
     }
-    return box;
+    // Per axis, how far the boxes lie apart (0 where they overlap).
+    const double dx = std::max({0.0, b.sites.lo.x - b.storage.hi.x,
+                                b.storage.lo.x - b.sites.hi.x});
+    const double dy = std::max({0.0, b.sites.lo.y - b.storage.hi.y,
+                                b.storage.lo.y - b.sites.hi.y});
+    b.gap = distance({0.0, 0.0}, {dx, dy});
+    return b;
 }
 
 std::vector<Movement>
@@ -143,47 +178,69 @@ buildMoveIns(PlacementState &state, const RydbergStage &stage,
 
 /*
  * Why the floor is at most the cost, bit for bit. Both are
- * transitionCost() of a distance list: the floor's list is the
- * move-out distances, computed as movementCostUs() computes them, then
- * one box distance per storage qubit of the stage; the cost's list is
- * the same move-out distances, then one distance per move-in. Every
- * storage qubit moves in, so its box distance is matched with its own
- * move-in, in the same relative order: buildMoveIns() lists moves in
- * gate order and, within a gate whose qubits both move, the one with
- * the smaller x first, and a qubit sitting in storage is never at its
- * gate's site. Move-ins of zone qubits have no box term.
+ * transitionCost() of a distance list, and each floor term is matched
+ * with a cost term at least as large, in the same relative order:
+ *  - Move-outs come first in both. After them, the floor lists their
+ *    distances as movementCostUs() computes them. Before them, it lists
+ *    each leaving qubit's distance to the storage box, in the order
+ *    buildMoveOutHalf() sends them to storage traps (gate order, q0
+ *    before q1).
+ *  - Move-ins follow, in gate order. A qubit in storage is never at
+ *    its gate's site, so it moves in; after the move-outs a zone qubit
+ *    may stay put and adds no term. When both of a gate's qubits move
+ *    in, buildMoveIns() lists the one with the smaller x first, and
+ *    with both in storage at the floor the floor does too, from the
+ *    positions the move-ins see (the move-outs do not move them).
+ *  - Before the move-outs, a gate with a qubit still to move out has
+ *    both qubits in storage at its move-ins, but that qubit's trap, so
+ *    its x, is not known yet. The floor lists the gap for both: equal
+ *    terms match the cost's in either order, and the gap is at most
+ *    either qubit's distance from any storage trap to any site trap.
+ *    The other way, shrinking the sum by a relative margin that covers
+ *    any summation order, would rest on a rounding-error bound instead
+ *    of the same monotone steps; the gap loses only the other qubit's
+ *    distance past the gap, in gates that mix the two stages.
  *  - A term never falls as its distance grows, and rounding is
- *    monotone: a storage qubit at p moves to a site trap s in the box;
- *    with q the box point nearest p (p clamped per axis), q.x lies
- *    between p.x and s.x, so |p.x - q.x| <= |p.x - s.x| exactly and
- *    after rounding, likewise in y, and the squares, their sum, the
- *    square roots, sqrt(d / a) and the term follow.
+ *    monotone. A box term: with q the point of the box nearest p (p
+ *    clamped per axis) and s the trap p moves to, inside the box, q.x
+ *    lies between p.x and s.x, so |p.x - q.x| <= |p.x - s.x| exactly
+ *    and after rounding, likewise in y. The gap: per axis, the space
+ *    between the boxes is at most |p.x - s.x| for any p in one box and
+ *    s in the other, exactly and after rounding. Then the squares,
+ *    their sum, the square roots, sqrt(d / a) and the term follow.
  *  - Sums: fl(a + b) <= fl(a' + b') for a <= a' and b <= b', and a
  *    cost term without a floor term only adds a term >= 0. By
  *    induction along the cost's list, each partial floor is at most
  *    the matching partial cost.
  */
 double
-transitionCostFloor(const PlacementState &state, const RydbergStage &stage,
+transitionCostFloor(const PlacementState &state, const RydbergStage *leaving,
+                    const RydbergStage &stage,
                     const std::vector<Movement> &move_out,
-                    const SiteTrapBox &box, std::vector<double> &dists)
+                    const FloorBoxes &boxes, std::vector<double> &dists)
 {
     const Architecture &arch = state.arch();
     dists.clear();
     appendMoveDists(arch, move_out, dists);
-    auto box_dist = [&](TrapId t) {
-        const Point p = arch.trapPosition(t);
-        return distance(p, {std::clamp(p.x, box.lo.x, box.hi.x),
-                            std::clamp(p.y, box.lo.y, box.hi.y)});
-    };
+    if (leaving != nullptr)
+        for (const StagedGate &g : leaving->gates)
+            for (const int q : {g.q0, g.q1})
+                dists.push_back(boxDistance(state.posOf(q), boxes.storage));
     for (const StagedGate &g : stage.gates) {
         TrapId first = state.trapIdOf(g.q0);
         TrapId second = state.trapIdOf(g.q1);
+        if (leaving != nullptr &&
+            !(arch.isStorageTrap(first) && arch.isStorageTrap(second))) {
+            dists.push_back(boxes.gap);
+            dists.push_back(boxes.gap);
+            continue;
+        }
         if (arch.trapPosition(second).x < arch.trapPosition(first).x)
             std::swap(first, second);
         for (const TrapId t : {first, second})
             if (arch.isStorageTrap(t))
-                dists.push_back(box_dist(t));
+                dists.push_back(boxDistance(arch.trapPosition(t),
+                                            boxes.sites));
     }
     return transitionCost(dists, arch.params().t_transfer_us);
 }
@@ -368,7 +425,7 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged, int t,
               const ReuseMatching &next_matching,
               const std::vector<int> &cur_sites,
               const std::vector<int> &next_partner, const ZacOptions &opts,
-              const SiteTrapBox &box, double rival_cost,
+              const FloorBoxes &boxes, double rival_cost,
               PlacementProfile *profile, PlacementScratch &scratch)
 {
     BoundaryResult result;
@@ -377,8 +434,8 @@ buildBoundary(PlacementState &state, const StagedCircuit &staged, int t,
     if (rival_cost != kNoRival) {
         const double t0 = profile ? nowSeconds() : 0.0;
         const double floor = transitionCostFloor(
-            state, staged.rydberg[static_cast<std::size_t>(t) + 1],
-            result.move_out, box, scratch.dists);
+            state, nullptr, staged.rydberg[static_cast<std::size_t>(t) + 1],
+            result.move_out, boxes, scratch.dists);
         if (profile)
             profile->move_build_seconds += nowSeconds() - t0;
         if (rival_cost <= floor) {
@@ -456,13 +513,13 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
 
     std::vector<int> next_partner(
         static_cast<std::size_t>(staged.numQubits), -1);
-    const SiteTrapBox box = siteTrapBox(arch);
+    const FloorBoxes boxes = floorBoxes(arch);
 
     // ---- stage 0: no reuse possible (nothing is in the zone yet).
     {
         BoundaryResult r =
             buildBoundary(state, staged, -1, no_match, matching_at(0),
-                          {}, next_partner, opts, box, kNoRival, profile,
+                          {}, next_partner, opts, boxes, kNoRival, profile,
                           s);
         plan.gate_sites[0] = std::move(r.gate_sites);
         plan.transitions[0].move_in = std::move(r.move_in);
@@ -478,25 +535,57 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
         }
     };
 
+    auto commit = [&](int t, BoundaryResult &winner) {
+        plan.reused_qubits += winner.reused;
+        plan.direct_moves += winner.direct;
+        plan.gate_sites[static_cast<std::size_t>(t) + 1] =
+            std::move(winner.gate_sites);
+        plan.transitions[static_cast<std::size_t>(t) + 1].move_out =
+            std::move(winner.move_out);
+        plan.transitions[static_cast<std::size_t>(t) + 1].move_in =
+            std::move(winner.move_in);
+    };
+
     // ---- boundaries t -> t+1.
     for (int t = 0; t + 1 < num_stages; ++t) {
         const ReuseMatching &with_reuse = matching_at(t);
         const ReuseMatching &lookahead = matching_at(t + 1);
-        buildPartnerTable(
-            staged.rydberg[static_cast<std::size_t>(t)],
-            staged.rydberg[static_cast<std::size_t>(t) + 1], next_partner);
+        const RydbergStage &cur_stage =
+            staged.rydberg[static_cast<std::size_t>(t)];
+        const RydbergStage &next_stage =
+            staged.rydberg[static_cast<std::size_t>(t) + 1];
+        buildPartnerTable(cur_stage, next_stage, next_partner);
 
         // Both variants run journaled. The reuse variant is undone at
         // once, its end traps kept; if it wins, the plain variant is
         // undone and those traps replayed. Either way the cost is the
-        // qubits the variants moved.
+        // qubits the variants moved. When the plain variant's floor
+        // before any move already loses, the reuse variant is kept as
+        // it is and the plain variant never runs. That floor models
+        // the plain variant without direct reuse.
         std::optional<BoundaryResult> reuse_variant;
         if (opts.use_reuse && !with_reuse.empty()) {
+            double floor = -std::numeric_limits<double>::infinity();
+            if (!opts.use_direct_reuse) {
+                const double t0 = profile ? nowSeconds() : 0.0;
+                floor = transitionCostFloor(state, &cur_stage, next_stage,
+                                            {}, boxes, s.dists);
+                if (profile)
+                    profile->move_build_seconds += nowSeconds() - t0;
+            }
             state.journalBegin();
             reuse_variant = buildBoundary(
                 state, staged, t, with_reuse, lookahead,
                 plan.gate_sites[static_cast<std::size_t>(t)],
-                next_partner, opts, box, kNoRival, profile, s);
+                next_partner, opts, boxes, kNoRival, profile, s);
+            if (reuse_variant->cost <= floor) {
+                state.journalCommit();
+                ++plan.reuse_boundaries;
+                if (profile)
+                    ++profile->settled_boundaries;
+                commit(t, *reuse_variant);
+                continue;
+            }
             rollback([&] { return state.journalUndo(&s.reuse_ends); });
             state.journalBegin();
         }
@@ -505,13 +594,11 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
         // stays) without the two vector allocations. It stops after
         // its move-outs when its floor shows that the reuse variant
         // wins; its floor is then its cost, so the reuse variant wins
-        // below as it would have. Its move-outs still run: they set the
-        // homes the reuse variant's rollback keeps (see PlacementState),
-        // and its move-ins would change no home.
+        // below as it would have.
         BoundaryResult plain = buildBoundary(
             state, staged, t, no_match, lookahead,
             plan.gate_sites[static_cast<std::size_t>(t)], next_partner,
-            opts, box, reuse_variant ? reuse_variant->cost : kNoRival,
+            opts, boxes, reuse_variant ? reuse_variant->cost : kNoRival,
             profile, s);
 
         BoundaryResult *winner = &plain;
@@ -525,14 +612,7 @@ runDynamicPlacement(const Architecture &arch, const StagedCircuit &staged,
         } else if (state.journaling()) {
             state.journalCommit();
         }
-        plan.reused_qubits += winner->reused;
-        plan.direct_moves += winner->direct;
-        plan.gate_sites[static_cast<std::size_t>(t) + 1] =
-            std::move(winner->gate_sites);
-        plan.transitions[static_cast<std::size_t>(t) + 1].move_out =
-            std::move(winner->move_out);
-        plan.transitions[static_cast<std::size_t>(t) + 1].move_in =
-            std::move(winner->move_in);
+        commit(t, *winner);
     }
 
     const double t0 = profile ? nowSeconds() : 0.0;

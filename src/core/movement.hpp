@@ -8,11 +8,18 @@
  * qubit reuse and one without — and the cheaper one (by the
  * transition-cost proxy) is committed, per the paper's "commit to the
  * better solution between the two". The reuse variant is built in
- * full. The plain (no-reuse) variant stops after its move-outs when
- * transitionCostFloor() shows that it cannot cost less than the reuse
- * variant: its gate placement and move-ins would be thrown away. Both
- * variants run journaled on one PlacementState, so keeping either
- * costs the qubits the two moved, not the qubit count.
+ * full. The plain (no-reuse) variant is built only as far as it can
+ * still win, by transitionCostFloor():
+ *  - before either variant moves anything, the floor bounds its cost
+ *    by the distances to the storage and site-trap boxes; when the
+ *    reuse variant costs no more, it is committed outright and the
+ *    plain variant never runs (no storage placement, no rollback);
+ *  - otherwise the plain variant places its move-outs, and when the
+ *    floor with those exact moves still shows it cannot cost less, it
+ *    stops there: its gate placement and move-ins would be thrown away.
+ * Both variants run journaled on one PlacementState, so keeping either
+ * costs the qubits the two moved, not the qubit count, and every qubit's
+ * home is the last storage trap it occupied in the committed plan.
  */
 
 #ifndef ZAC_CORE_MOVEMENT_HPP
@@ -95,6 +102,10 @@ struct PlacementProfile
     /** Plain variants stopped after their move-outs because their cost
      *  floor showed the reuse variant wins (see transitionCostFloor). */
     std::int64_t pruned_variants = 0;
+    /** Boundaries settled before the plain variant moved anything: the
+     *  floor taken before either variant showed the reuse variant wins,
+     *  which was committed outright. */
+    std::int64_t settled_boundaries = 0;
 
     double
     movementSeconds() const
@@ -142,14 +153,24 @@ PlacementPlan runDynamicPlacement(const Architecture &arch,
                                   PlacementProfile *profile = nullptr,
                                   PlacementScratch *scratch = nullptr);
 
-/** The axis-aligned bounding box of every site's left and right trap. */
-struct SiteTrapBox
+/** An axis-aligned box. */
+struct TrapBox
 {
     Point lo;
     Point hi;
 };
 
-SiteTrapBox siteTrapBox(const Architecture &arch);
+/** What transitionCostFloor() measures distances to. */
+struct FloorBoxes
+{
+    TrapBox sites;   ///< every site's left and right trap
+    TrapBox storage; ///< every storage trap
+    /** The distance between the two boxes: at most the distance of any
+     *  storage trap to any site trap, bit for bit (see movement.cpp). */
+    double gap = 0.0;
+};
+
+FloorBoxes floorBoxes(const Architecture &arch);
 
 /**
  * Build the movements bringing the gates of @p stage into their
@@ -163,21 +184,34 @@ std::vector<Movement> buildMoveIns(PlacementState &state,
                                    const std::vector<int> &sites);
 
 /**
- * A floor on the transition cost of a boundary variant whose move-outs
- * @p move_out are applied to @p state, for any sites of @p stage's
- * gates: transitionCost() of the move-out distances, then, in
- * buildMoveIns()'s order, the distance to @p box of every gate qubit
- * that sits in a storage trap. A qubit in the zone adds no term: it
- * may stay put. The floor is at most transitionCost() of the move-out
- * and move-in distances bit for bit (see movement.cpp).
+ * A floor on the transition cost of a stage boundary's no-reuse
+ * variant into @p stage, for any storage traps and sites it picks. It
+ * is taken at one of two points:
+ *  - after the variant's move-outs @p move_out were applied to
+ *    @p state (@p leaving null);
+ *  - before any move (@p move_out empty): every qubit of @p leaving's
+ *    gates sits in the zone, which holds no other qubit, and moves out
+ *    to storage, in gate order, q0 before q1 (the variant without
+ *    direct reuse, which would keep some of them in the zone).
  *
- * @param box   siteTrapBox() of the state's architecture.
+ * The terms are summed by transitionCost(), in the cost's order:
+ *  - each move in @p move_out: its distance;
+ *  - each qubit of @p leaving: its distance to the storage box;
+ *  - in buildMoveIns()'s order, each gate qubit of @p stage: in
+ *    storage, its distance to the site box; in the zone, nothing after
+ *    the move-outs (it may stay put); and a gate with a qubit still to
+ *    move out adds the boxes' gap for both its qubits.
+ * The floor is at most transitionCost() of the variant's move-out and
+ * move-in distances bit for bit (see movement.cpp).
+ *
+ * @param boxes floorBoxes() of the state's architecture.
  * @param dists scratch for the distances.
  */
 double transitionCostFloor(const PlacementState &state,
+                           const RydbergStage *leaving,
                            const RydbergStage &stage,
                            const std::vector<Movement> &move_out,
-                           const SiteTrapBox &box,
+                           const FloorBoxes &boxes,
                            std::vector<double> &dists);
 
 /** Validate a plan against its staged circuit (testing hook). */

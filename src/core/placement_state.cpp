@@ -86,8 +86,10 @@ PlacementState::place(int q, TrapRef t)
     if (occ != -1 && occ != q)
         panic("placement state: trap already occupied by qubit " +
               std::to_string(occ));
-    if (journaling_)
-        journal_.push_back({q, trap_[static_cast<std::size_t>(q)]});
+    if (journaling_) {
+        const auto qi = static_cast<std::size_t>(q);
+        journal_.push_back({q, trap_[qi], home_[qi]});
+    }
     vacate(q);
     occupy(q, t, arch_->trapId(t));
 }
@@ -99,7 +101,7 @@ PlacementState::liftQubit(int q)
     if (!old.valid())
         panic("placement state: lift of unplaced qubit");
     if (journaling_)
-        journal_.push_back({q, old});
+        journal_.push_back({q, old, home_[static_cast<std::size_t>(q)]});
     vacate(q);
 }
 
@@ -113,7 +115,7 @@ PlacementState::journalBegin()
 }
 
 void
-PlacementState::undoTraps()
+PlacementState::undoJournal()
 {
     if (!journaling_)
         panic("placement state: journal undo without journalBegin");
@@ -124,6 +126,7 @@ PlacementState::undoTraps()
         if (trap_[q].valid())
             occupantByTrap_[static_cast<std::size_t>(trapId_[q])] = -1;
         trap_[q] = it->prev;
+        home_[q] = it->prev_home;
         if (it->prev.valid()) {
             const TrapId id = arch_->trapId(it->prev);
             trapId_[q] = id;
@@ -137,15 +140,6 @@ PlacementState::undoTraps()
 std::size_t
 PlacementState::endJournal()
 {
-    // restore(snap) sets home_[q] = snap[q] exactly for the qubits whose
-    // snapshot trap is a storage trap and keeps every other home. A
-    // qubit sitting at a storage trap always has it as home, so only
-    // the journaled qubits need the rule.
-    for (const JournalEntry &e : journal_) {
-        const auto q = static_cast<std::size_t>(e.q);
-        if (trap_[q].valid() && arch_->isStorageTrap(trapId_[q]))
-            home_[q] = trap_[q];
-    }
     const std::size_t written = journal_.size();
     journal_.clear();
     journaling_ = false;
@@ -159,31 +153,33 @@ PlacementState::journalUndo(std::vector<QubitTrap> *ends)
         ends->clear();
         for (const JournalEntry &e : journal_) {
             const auto q = static_cast<std::size_t>(e.q);
-            ends->push_back({e.q, trapId_[q]});
+            ends->push_back({e.q, trapId_[q], home_[q]});
         }
     }
-    undoTraps();
+    undoJournal();
     return endJournal();
 }
 
 std::size_t
 PlacementState::journalUndoAndReplay(const std::vector<QubitTrap> &ends)
 {
-    undoTraps();
+    undoJournal();
     // The state now equals the one ends were captured from before their
     // variant ran, and in that variant's end state the replayed qubits
-    // hold their traps while every other qubit holds its trap of now:
-    // once they are lifted, their traps are free. A qubit listed twice
-    // is placed twice at its one trap.
+    // hold their traps and homes while every other qubit holds its trap
+    // and home of now: once they are lifted, their traps are free. A
+    // qubit listed twice is placed twice alike.
     for (const QubitTrap &e : ends)
         vacate(e.q);
     for (const QubitTrap &e : ends) {
-        if (e.trap == kInvalidTrapId)
-            continue;
-        const int occ = occupantByTrap_[static_cast<std::size_t>(e.trap)];
-        if (occ != -1 && occ != e.q)
-            panic("placement state: replayed trap already occupied");
-        occupy(e.q, arch_->trapRef(e.trap), e.trap);
+        if (e.trap != kInvalidTrapId) {
+            const int occ =
+                occupantByTrap_[static_cast<std::size_t>(e.trap)];
+            if (occ != -1 && occ != e.q)
+                panic("placement state: replayed trap already occupied");
+            occupy(e.q, arch_->trapRef(e.trap), e.trap);
+        }
+        home_[static_cast<std::size_t>(e.q)] = e.home;
     }
     return endJournal() + ends.size();
 }
@@ -193,32 +189,7 @@ PlacementState::journalCommit()
 {
     if (!journaling_)
         panic("placement state: journalCommit without journalBegin");
-    journal_.clear();
-    journaling_ = false;
-}
-
-void
-PlacementState::restore(const std::vector<TrapRef> &snap)
-{
-    if (snap.size() != trap_.size())
-        panic("placement state: snapshot size mismatch");
-    // Vacate the currently occupied traps (O(#qubits), not O(#traps)).
-    for (std::size_t q = 0; q < trap_.size(); ++q)
-        if (trap_[q].valid())
-            occupantByTrap_[static_cast<std::size_t>(trapId_[q])] = -1;
-    for (std::size_t q = 0; q < snap.size(); ++q) {
-        trap_[q] = snap[q];
-        if (snap[q].valid()) {
-            const TrapId id = arch_->trapId(snap[q]);
-            trapId_[q] = id;
-            occupantByTrap_[static_cast<std::size_t>(id)] =
-                static_cast<int>(q);
-            if (arch_->isStorageTrap(id))
-                home_[q] = snap[q];
-        } else {
-            trapId_[q] = kInvalidTrapId;
-        }
-    }
+    endJournal();
 }
 
 } // namespace zac

@@ -14,11 +14,12 @@
 namespace zac
 {
 
-/** A qubit and the trap it ends at in a journaled variant. */
+/** A qubit and the trap and home it ends with in a journaled variant. */
 struct QubitTrap
 {
     int q = -1;
     TrapId trap = kInvalidTrapId; ///< kInvalidTrapId: it ends lifted
+    TrapRef home;
 };
 
 /**
@@ -55,11 +56,7 @@ class PlacementState
     void appendEmptyTraps(const StorageSpan &s,
                           std::vector<TrapId> &out) const;
 
-    /**
-     * Last storage trap @p q occupied, with one exception: after a
-     * rollback to the reuse variant it can be a trap only the discarded
-     * plain variant sent q to (see the journal notes below).
-     */
+    /** Last storage trap @p q occupied. */
     TrapRef homeOf(int q) const;
 
     /**
@@ -75,61 +72,35 @@ class PlacementState
      */
     void liftQubit(int q);
 
-    /** Snapshot the full placement (the journal's test reference). */
-    std::vector<TrapRef> snapshot() const { return trap_; }
-    /**
-     * Restore a snapshot taken from this state: every qubit takes its
-     * snapshot trap, and adopts it as home when it is a storage trap
-     * (every other home keeps its current value).
-     */
-    void restore(const std::vector<TrapRef> &snap);
-
     // ----- journaled apply/undo -----------------------------------------
     //
     // runDynamicPlacement() builds two variants per stage boundary and
     // keeps one, in O(qubits moved) instead of O(qubits) (mirrors the
     // SA placer's journaled best-state rewind). Between journalBegin()
     // and the call that ends the journal, every place()/liftQubit()
-    // records its pre-state. Each way of ending it leaves the state the
-    // snapshot()/restore() round trip it replaces leaves, bit for bit,
-    // home traps included:
-    //  - journalUndo() equals restore(snapshot-at-journalBegin());
+    // records the qubit's trap and home before it. Homes are journaled
+    // with the traps, so every way of ending the journal leaves an
+    // exact state:
+    //  - journalUndo() the state at journalBegin();
     //  - journalUndoAndReplay(ends), with `ends` captured by journalUndo()
-    //    of an earlier variant A that started from the same state,
-    //    equals restore(snapshot-after-A);
-    //  - journalCommit() keeps the state as it is.
-    //
-    // restore() keeps the current home of every qubit whose snapshot
-    // trap is not a storage trap, and the journal reproduces that. So
-    // when runDynamicPlacement() rolls back to the reuse variant A from
-    // the plain variant B, a qubit that A keeps in the zone but B sent
-    // to storage keeps B's storage trap as its home, a trap it never
-    // occupied in the committed plan, which homeOf() then offers as its
-    // candidate (i). Correcting that would change the compiled plans.
-    //
-    // At a boundary where B's cost floor already shows that A wins, B
-    // stops after its move-outs, so its journal holds only those. The
-    // rollback still leaves the state a full B would: B's move-ins only
-    // place qubits in the zone, which sets no home, and the rollback
-    // puts every qubit they would move at the same trap either way
-    // (its trap before B, or its trap in A), where a qubit in storage
-    // already has that trap as home.
+    //    of an earlier variant A that started from the same state, the
+    //    state A ended in;
+    //  - journalCommit() the state as it is.
 
     /** Start recording mutations. @throws zac::PanicError if active. */
     void journalBegin();
     /**
      * Undo every mutation since journalBegin() and stop recording.
-     * With @p ends, first record the trap each journaled qubit ends at,
-     * for journalUndoAndReplay(): one entry per journal entry, so a
-     * qubit moved twice is listed twice with the same trap.
+     * With @p ends, first record the trap and home each journaled qubit
+     * ends with, for journalUndoAndReplay(): one entry per journal
+     * entry, so a qubit moved twice is listed twice alike.
      * @return the qubit slots written: one per journal entry.
      */
     std::size_t journalUndo(std::vector<QubitTrap> *ends = nullptr);
     /**
      * Undo every mutation since journalBegin(), stop recording, and
      * re-apply an undone variant's @p ends: lift every qubit in @p ends,
-     * then place each at its trap. Homes follow restore(): a journaled
-     * or replayed qubit that ends at a storage trap takes it as home.
+     * then place each at its trap with its home.
      * @return the qubit slots written: one per journal entry and one
      *         per entry of @p ends.
      */
@@ -142,11 +113,13 @@ class PlacementState
 
   private:
     /** One journaled mutation: qubit @c q previously sat at @c prev
-     *  (invalid for a place() that followed a liftQubit()). */
+     *  (invalid for a place() that followed a liftQubit()) with home
+     *  @c prev_home. */
     struct JournalEntry
     {
         int q;
         TrapRef prev;
+        TrapRef prev_home;
     };
 
     /** Set @p q's trap to @p t, whose id is @p id, and occupy it (q's
@@ -154,9 +127,10 @@ class PlacementState
     void occupy(int q, TrapRef t, TrapId id);
     /** Vacate @p q's trap, if any (no journal entry). */
     void vacate(int q);
-    /** Reverse-replay the journal's traps (homes untouched). */
-    void undoTraps();
-    /** restore()'s home rule for the journaled qubits, then stop. */
+    /** Reverse-replay the journal: every journaled qubit gets its trap
+     *  and home from before journalBegin(). */
+    void undoJournal();
+    /** Stop recording. @return the journal entries dropped. */
     std::size_t endJournal();
 
     const Architecture *arch_;

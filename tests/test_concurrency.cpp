@@ -53,15 +53,15 @@ TEST(CompileReentrancy, BitIdenticalAcrossThreadsAndPresets)
         {"full", ZacOptions::full()},
     };
     // Paper circuits on the reference architecture, plus a scaled
-    // ising whose storage placement takes the expanded sparse solve
-    // (128 rows), so the threads race its scratch too.
+    // qaoa3r whose storage placement takes the expanded sparse solve
+    // under the reuse presets, so the threads race its scratch too.
     const std::vector<Architecture> archs{presets::referenceZoned(),
                                           scaledZoned(128)};
     std::vector<std::pair<std::size_t, Circuit>> cases;
     for (const char *name : {"ghz_n23", "qft_n18", "ising_n42"})
         cases.emplace_back(0, bench_circuits::paperBenchmark(name));
     cases.emplace_back(1,
-                       scaling::generate(scaling::Family::Ising, 128));
+                       scaling::generate(scaling::Family::Qaoa, 128));
 
     // One compiler per (architecture, preset), shared by every thread
     // (compile() is const and documented re-entrant).
@@ -81,7 +81,6 @@ TEST(CompileReentrancy, BitIdenticalAcrossThreadsAndPresets)
             const ZacResult r = compile(static_cast<int>(p), c);
             reference[{static_cast<int>(p), c.second.name()}] =
                 signatureOf(r);
-            // With reuse, whole stages leave for storage together.
             if (c.first == 1 && presets_[p].second.use_reuse) {
                 EXPECT_GT(r.phases.placement.qubit_placer.expanded_solves,
                           0)

@@ -66,16 +66,18 @@ TEST(PlacementState, HomeTracksLastStorageTrap)
     EXPECT_EQ(st.homeOf(0), (TrapRef{0, 95, 7}));
 }
 
-TEST(PlacementState, SnapshotRestore)
+TEST(PlacementState, JournalUndoRestoresTrapAndHome)
 {
     const Architecture arch = presets::referenceZoned();
     PlacementState st(arch, 2);
     st.place(0, {0, 99, 0});
     st.place(1, {0, 99, 1});
-    const auto snap = st.snapshot();
+    st.journalBegin();
     st.place(0, {0, 90, 5});
-    st.restore(snap);
+    EXPECT_EQ(st.homeOf(0), (TrapRef{0, 90, 5}));
+    st.journalUndo();
     EXPECT_EQ(st.trapOf(0), (TrapRef{0, 99, 0}));
+    EXPECT_EQ(st.homeOf(0), (TrapRef{0, 99, 0}));
     EXPECT_EQ(st.occupant({0, 90, 5}), -1);
 }
 

@@ -9,11 +9,13 @@
  *    exactly where the window tail's bound is attained, and far-apart
  *    gates at scale, whose windows must stay small; every window
  *    growth must raise the tail;
- *  - the journaled PlacementState undo, and its replay of an undone
- *    variant, must reproduce the snapshot/restore semantics
- *    bit-exactly (including home traps);
- *  - the plain variant's cost floor must not exceed the cost of the
- *    move-ins it bounds, exactly, on random and tied moves;
+ *  - the journaled PlacementState undo must return the exact state
+ *    before the variant, and its replay of an undone variant the exact
+ *    state that variant ended in (traps, homes, occupancy), checked
+ *    against copies of the state;
+ *  - the plain variant's cost floor must not exceed its cost, exactly:
+ *    after its move-outs on random and tied moves, and before any move
+ *    against the full variant, with the real placers or random picks;
  *  - runDynamicPlacement() plans, and compile()'s ZAIR program and
  *    fidelity, must match the golden digests (golden.hpp) on the 17
  *    paper circuits under every option preset, on multi-zone
@@ -649,113 +651,41 @@ TEST(GatePlacerEquiv, EveryGrowthRaisesTheTail)
 
 // --------------------------------------------- journaled state undo
 
-TEST(PlacementStateJournal, UndoMatchesSnapshotRestore)
+/** Every qubit's trap, trap id and home, and every trap's occupant. */
+void
+expectSameState(const PlacementState &got, const PlacementState &want)
 {
-    const Architecture arch = presets::referenceZoned();
-    Rng rng(11);
-    const auto &storage = arch.allStorageTraps();
-    const int n = 24;
-
-    for (int round = 0; round < 40; ++round) {
-        PlacementState journaled(arch, n);
-        PlacementState restored(arch, n);
-        for (int q = 0; q < n; ++q) {
-            TrapRef t;
-            do {
-                t = storage[rng.nextBelow(storage.size())];
-            } while (!journaled.isEmpty(t));
-            journaled.place(q, t);
-            restored.place(q, t);
-        }
-        // Pre-mutations outside the journal (move some into the zone).
-        for (int q = 0; q < n; q += 3) {
-            const RydbergSite &site = arch.site(
-                static_cast<int>(rng.nextBelow(
-                    static_cast<std::uint64_t>(arch.numSites()))));
-            const TrapRef dest =
-                rng.nextBool() ? site.left : site.right;
-            if (journaled.isEmpty(dest)) {
-                journaled.place(q, dest);
-                restored.place(q, dest);
-            }
-        }
-
-        const std::vector<TrapRef> snap = restored.snapshot();
-        journaled.journalBegin();
-        // Random journaled mutation burst: lifts, places, re-places.
-        std::vector<int> lifted;
-        for (int step = 0; step < 30; ++step) {
-            const int q = static_cast<int>(
-                rng.nextBelow(static_cast<std::uint64_t>(n)));
-            const bool is_lifted =
-                std::find(lifted.begin(), lifted.end(), q) !=
-                lifted.end();
-            if (!is_lifted && rng.nextBool(0.4)) {
-                journaled.liftQubit(q);
-                restored.liftQubit(q);
-                lifted.push_back(q);
-                continue;
-            }
-            TrapRef dest;
-            if (rng.nextBool()) {
-                do {
-                    dest = storage[rng.nextBelow(storage.size())];
-                } while (!journaled.isEmpty(dest));
-            } else {
-                const RydbergSite &site = arch.site(
-                    static_cast<int>(rng.nextBelow(
-                        static_cast<std::uint64_t>(
-                            arch.numSites()))));
-                dest = rng.nextBool() ? site.left : site.right;
-                if (!journaled.isEmpty(dest))
-                    continue;
-            }
-            journaled.place(q, dest);
-            restored.place(q, dest);
-            lifted.erase(std::remove(lifted.begin(), lifted.end(), q),
-                         lifted.end());
-        }
-        // Leave no qubit lifted (restore() requires a full placement
-        // to reproduce occupancy; the movement driver guarantees the
-        // same by construction).
-        for (int q : lifted) {
-            TrapRef dest;
-            do {
-                dest = storage[rng.nextBelow(storage.size())];
-            } while (!journaled.isEmpty(dest));
-            journaled.place(q, dest);
-            restored.place(q, dest);
-        }
-
-        journaled.journalUndo();
-        restored.restore(snap);
-
-        for (int q = 0; q < n; ++q) {
-            EXPECT_EQ(journaled.trapOf(q), restored.trapOf(q));
-            EXPECT_EQ(journaled.homeOf(q), restored.homeOf(q));
-        }
-        for (TrapId id = 0; id < arch.numTraps(); ++id)
-            ASSERT_EQ(journaled.occupant(id), restored.occupant(id));
+    ASSERT_EQ(got.numQubits(), want.numQubits());
+    for (int q = 0; q < got.numQubits(); ++q) {
+        EXPECT_EQ(got.trapOf(q), want.trapOf(q)) << q;
+        EXPECT_EQ(got.trapIdOf(q), want.trapIdOf(q)) << q;
+        EXPECT_EQ(got.homeOf(q), want.homeOf(q)) << q;
     }
+    for (TrapId id = 0; id < got.arch().numTraps(); ++id)
+        ASSERT_EQ(got.occupant(id), want.occupant(id)) << id;
+}
+
+/** An empty storage trap of @p st, drawn at random. */
+TrapRef
+emptyStorageTrap(const PlacementState &st, Rng &rng)
+{
+    const auto &storage = st.arch().allStorageTraps();
+    TrapRef t;
+    do {
+        t = storage[rng.nextBelow(storage.size())];
+    } while (!st.isEmpty(t));
+    return t;
 }
 
 /**
- * Apply one random burst of lifts and places to @p a and @p b alike,
- * leaving qubit @p keep untouched and no qubit lifted.
+ * Apply one random burst of lifts and places to @p st, leaving qubit
+ * @p keep untouched (-1: none); with @p settle no qubit stays lifted.
  */
 void
-randomBurst(PlacementState &a, PlacementState &b, int keep, Rng &rng)
+randomBurst(PlacementState &st, int keep, bool settle, Rng &rng)
 {
-    const Architecture &arch = a.arch();
-    const auto &storage = arch.allStorageTraps();
-    const int n = a.numQubits();
-    auto emptyStorage = [&] {
-        TrapRef t;
-        do {
-            t = storage[rng.nextBelow(storage.size())];
-        } while (!a.isEmpty(t));
-        return t;
-    };
+    const Architecture &arch = st.arch();
+    const int n = st.numQubits();
     std::vector<int> lifted;
     for (int step = 0; step < 30; ++step) {
         const int q =
@@ -765,101 +695,120 @@ randomBurst(PlacementState &a, PlacementState &b, int keep, Rng &rng)
         const bool is_lifted =
             std::find(lifted.begin(), lifted.end(), q) != lifted.end();
         if (!is_lifted && rng.nextBool(0.4)) {
-            a.liftQubit(q);
-            b.liftQubit(q);
+            st.liftQubit(q);
             lifted.push_back(q);
             continue;
         }
         TrapRef dest;
         if (rng.nextBool()) {
-            dest = emptyStorage();
+            dest = emptyStorageTrap(st, rng);
         } else {
             const RydbergSite &site = arch.site(static_cast<int>(
                 rng.nextBelow(static_cast<std::uint64_t>(arch.numSites()))));
             dest = rng.nextBool() ? site.left : site.right;
-            if (!a.isEmpty(dest))
+            if (!st.isEmpty(dest))
                 continue;
         }
-        a.place(q, dest);
-        b.place(q, dest);
+        st.place(q, dest);
         lifted.erase(std::remove(lifted.begin(), lifted.end(), q),
                      lifted.end());
     }
-    for (int q : lifted) {
-        const TrapRef dest = emptyStorage();
-        a.place(q, dest);
-        b.place(q, dest);
+    if (settle)
+        for (int q : lifted)
+            st.place(q, emptyStorageTrap(st, rng));
+}
+
+/** @p n qubits on distinct random storage traps of @p arch. */
+PlacementState
+randomStorageState(const Architecture &arch, int n, Rng &rng)
+{
+    PlacementState st(arch, n);
+    for (int q = 0; q < n; ++q)
+        st.place(q, emptyStorageTrap(st, rng));
+    return st;
+}
+
+TEST(PlacementStateJournal, UndoRestoresTheStateBefore)
+{
+    const Architecture arch = presets::referenceZoned();
+    Rng rng(11);
+    const int n = 24;
+    for (int round = 0; round < 40; ++round) {
+        PlacementState st = randomStorageState(arch, n, rng);
+        // Mutations outside the journal: some qubits sit in the zone.
+        for (int q = 0; q < n; q += 3) {
+            const RydbergSite &site = arch.site(
+                static_cast<int>(rng.nextBelow(
+                    static_cast<std::uint64_t>(arch.numSites()))));
+            const TrapRef dest = rng.nextBool() ? site.left : site.right;
+            if (st.isEmpty(dest))
+                st.place(q, dest);
+        }
+        const PlacementState before = st;
+        st.journalBegin();
+        // Lifts, places and re-places; some qubits end lifted.
+        randomBurst(st, -1, rng.nextBool(), rng);
+        st.journalUndo();
+        EXPECT_FALSE(st.journaling());
+        expectSameState(st, before);
     }
 }
 
-TEST(PlacementStateJournal, ReplayMatchesSnapshotRestore)
+TEST(PlacementStateJournal, ReplayRestoresTheKeptEndState)
 {
     // runDynamicPlacement()'s boundary on random variants: variant A
-    // journaled, undone with its end traps captured; variant B
-    // journaled, then either committed or undone with A replayed. The
-    // twin runs the snapshot/restore round trip the journal replaces.
+    // journaled, undone with its end state captured; variant B
+    // journaled, then either committed or undone with A replayed. Each
+    // end is checked against a copy of the state it must equal.
     const Architecture arch = presets::referenceZoned();
     Rng rng(23);
-    const auto &storage = arch.allStorageTraps();
     const int n = 24;
     int replays = 0;
     for (int round = 0; round < 60; ++round) {
-        PlacementState journaled(arch, n);
-        PlacementState twin(arch, n);
-        for (int q = 0; q < n; ++q) {
-            TrapRef t;
-            do {
-                t = storage[rng.nextBelow(storage.size())];
-            } while (!journaled.isEmpty(t));
-            journaled.place(q, t);
-            twin.place(q, t);
-        }
-        // Qubit 0 sits in the zone: A keeps it there, B sends it to
-        // storage.
+        PlacementState st = randomStorageState(arch, n, rng);
+        // Qubit 0 sits in the zone. A moves it out and back in (its
+        // home becomes A's storage trap), B sends it to storage.
         const TrapRef zone_trap = arch.site(round % arch.numSites()).left;
-        journaled.place(0, zone_trap);
-        twin.place(0, zone_trap);
+        const TrapRef a_zone_trap =
+            arch.site((round + 1) % arch.numSites()).right;
+        st.place(0, zone_trap);
+        const TrapRef home_before = st.homeOf(0);
+        const PlacementState before = st;
 
-        const std::vector<TrapRef> before = twin.snapshot();
-        journaled.journalBegin();
-        randomBurst(journaled, twin, 0, rng);
+        st.journalBegin();
+        const TrapRef a_home = emptyStorageTrap(st, rng);
+        st.place(0, a_home);
+        st.place(0, a_zone_trap);
+        randomBurst(st, 0, true, rng);
+        const PlacementState after_a = st;
         std::vector<QubitTrap> ends;
-        const std::vector<TrapRef> after_a = twin.snapshot();
-        journaled.journalUndo(&ends);
-        twin.restore(before);
+        st.journalUndo(&ends);
+        expectSameState(st, before);
+        EXPECT_EQ(st.homeOf(0), home_before);
         for (const QubitTrap &e : ends) {
-            const TrapRef t = after_a[static_cast<std::size_t>(e.q)];
-            EXPECT_EQ(e.trap, t.valid() ? arch.trapId(t) : kInvalidTrapId);
+            EXPECT_EQ(e.trap, after_a.trapIdOf(e.q));
+            EXPECT_EQ(e.home, after_a.homeOf(e.q));
         }
 
-        journaled.journalBegin();
-        TrapRef b_home;
-        do {
-            b_home = storage[rng.nextBelow(storage.size())];
-        } while (!journaled.isEmpty(b_home));
-        journaled.place(0, b_home);
-        twin.place(0, b_home);
-        randomBurst(journaled, twin, 0, rng);
+        st.journalBegin();
+        const TrapRef b_home = emptyStorageTrap(st, rng);
+        st.place(0, b_home);
+        randomBurst(st, 0, true, rng);
         if (rng.nextBool()) {
-            journaled.journalUndoAndReplay(ends);
-            twin.restore(after_a);
+            st.journalUndoAndReplay(ends);
             ++replays;
-            // The quirk: back in the zone, qubit 0 keeps B's trap as
-            // its home, where it never sat in A.
-            EXPECT_EQ(journaled.trapOf(0), zone_trap);
-            EXPECT_EQ(journaled.homeOf(0), b_home);
+            expectSameState(st, after_a);
+            // Back in the zone, qubit 0's home is the storage trap it
+            // sat in under A, not B's.
+            EXPECT_EQ(st.trapOf(0), a_zone_trap);
+            EXPECT_EQ(st.homeOf(0), a_home);
         } else {
-            journaled.journalCommit();
+            const PlacementState after_b = st;
+            st.journalCommit();
+            expectSameState(st, after_b);
+            EXPECT_EQ(st.homeOf(0), b_home);
         }
-        EXPECT_FALSE(journaled.journaling());
-
-        for (int q = 0; q < n; ++q) {
-            EXPECT_EQ(journaled.trapOf(q), twin.trapOf(q)) << q;
-            EXPECT_EQ(journaled.trapIdOf(q), twin.trapIdOf(q)) << q;
-            EXPECT_EQ(journaled.homeOf(q), twin.homeOf(q)) << q;
-        }
-        for (TrapId id = 0; id < arch.numTraps(); ++id)
-            ASSERT_EQ(journaled.occupant(id), twin.occupant(id));
+        EXPECT_FALSE(st.journaling());
     }
     EXPECT_GT(replays, 15);
 }
@@ -908,7 +857,7 @@ struct FloorTie
  * trap costs exactly its floor term.
  */
 std::vector<FloorTie>
-floorTies(const Architecture &arch, const SiteTrapBox &box)
+floorTies(const Architecture &arch, const TrapBox &box)
 {
     std::vector<FloorTie> ties;
     std::map<std::pair<double, double>, std::size_t> at;
@@ -942,10 +891,9 @@ floorTies(const Architecture &arch, const SiteTrapBox &box)
  * against the cost of buildMoveIns()'s moves, exactly.
  */
 void
-floorRound(const Architecture &arch, const SiteTrapBox &box,
+floorRound(const Architecture &arch, const FloorBoxes &boxes,
            const std::vector<FloorTie> &ties, bool tie_round, Rng &rng)
 {
-    const auto &storage = arch.allStorageTraps();
     // Distinct sites (tie rounds: the sites of distinct tied traps).
     const int candidates =
         tie_round ? static_cast<int>(ties.size()) : arch.numSites();
@@ -976,11 +924,7 @@ floorRound(const Architecture &arch, const SiteTrapBox &box,
     PlacementState st(arch, n);
 
     auto place_in_storage = [&](int q) {
-        TrapRef t;
-        do {
-            t = storage[rng.nextBelow(storage.size())];
-        } while (!st.isEmpty(t));
-        st.place(q, t);
+        st.place(q, emptyStorageTrap(st, rng));
     };
     RydbergStage stage;
     for (std::size_t i = 0; i < sites.size(); ++i) {
@@ -1028,7 +972,8 @@ floorRound(const Architecture &arch, const SiteTrapBox &box,
     }
 
     std::vector<double> dists;
-    const double floor = transitionCostFloor(st, stage, out, box, dists);
+    const double floor =
+        transitionCostFloor(st, nullptr, stage, out, boxes, dists);
     const std::vector<Movement> in = buildMoveIns(st, stage, sites);
     const double cost = movesCost(arch, out, in);
     EXPECT_LE(floor, cost) << arch.name();
@@ -1044,18 +989,192 @@ TEST(PlainVariantFloor, NeverExceedsTheMoveInCost)
     for (const Architecture &arch :
          {scaledZoned(256), scaledZoned(256, 2), scaledZoned(40),
           presets::multiZoneArch2()}) {
-        const SiteTrapBox box = siteTrapBox(arch);
-        const std::vector<FloorTie> ties = floorTies(arch, box);
+        const FloorBoxes boxes = floorBoxes(arch);
+        const std::vector<FloorTie> ties = floorTies(arch, boxes.sites);
         for (int round = 0; round < 300; ++round)
-            floorRound(arch, box, ties, false, rng);
+            floorRound(arch, boxes, ties, false, rng);
         for (int round = 0; !ties.empty() && round < 100; ++round) {
-            floorRound(arch, box, ties, true, rng);
+            floorRound(arch, boxes, ties, true, rng);
             ++tie_rounds;
         }
     }
     // The scaled architectures' storage reaches past the zone's lower
     // corners, which are tied traps.
     EXPECT_EQ(tie_rounds, 300);
+}
+
+/**
+ * One seeded round of a boundary's plain variant, from the state
+ * before any move. Stage t's gates sit on distinct random sites (the
+ * zone holds no other qubit), every other qubit in storage. Stage t+1
+ * pairs qubits of both kinds at random; its first gate pairs a qubit
+ * leaving the zone with one in storage. The variant then runs in full:
+ * its move-outs and sites come from the real placers, or are picked at
+ * random (half the move-outs to the nearest empty storage trap, which
+ * tightens the floor's terms). transitionCostFloor() before any move
+ * must not exceed the variant's transitionCost(), exactly.
+ */
+void
+preMoveFloorRound(const Architecture &arch, const FloorBoxes &boxes,
+                  bool real_placers, Rng &rng)
+{
+    std::vector<int> site_order;
+    for (int i = 0; i < arch.numSites(); ++i)
+        site_order.push_back(i);
+    for (std::size_t i = site_order.size(); i > 1; --i)
+        std::swap(site_order[i - 1], site_order[rng.nextBelow(i)]);
+    const int k = rng.nextInt(1, std::min(12, arch.numSites() / 2));
+    const int n = 2 * k + rng.nextInt(1, 12);
+    PlacementState st(arch, n);
+    RydbergStage cur;
+    for (int i = 0; i < k; ++i) {
+        const RydbergSite &site =
+            arch.site(site_order[static_cast<std::size_t>(i)]);
+        const bool flip = rng.nextBool();
+        st.place(2 * i, flip ? site.right : site.left);
+        st.place(2 * i + 1, flip ? site.left : site.right);
+        cur.gates.push_back({i, 2 * i, 2 * i + 1});
+    }
+    for (int q = 2 * k; q < n; ++q)
+        st.place(q, emptyStorageTrap(st, rng));
+
+    // Stage t+1: qubit 0 (zone) with qubit 2k (storage), then random
+    // pairs of the rest.
+    std::vector<int> rest;
+    for (int q = 1; q < n; ++q)
+        if (q != 2 * k)
+            rest.push_back(q);
+    for (std::size_t i = rest.size(); i > 1; --i)
+        std::swap(rest[i - 1], rest[rng.nextBelow(i)]);
+    RydbergStage next;
+    next.gates.push_back({0, 0, 2 * k});
+    const int pairs = rng.nextInt(
+        0, std::min(static_cast<int>(rest.size()) / 2,
+                    arch.numSites() - 1));
+    for (int j = 0; j < pairs; ++j)
+        next.gates.push_back({j + 1, rest[static_cast<std::size_t>(2 * j)],
+                              rest[static_cast<std::size_t>(2 * j + 1)]});
+
+    std::vector<double> dists;
+    const double floor =
+        transitionCostFloor(st, &cur, next, {}, boxes, dists);
+
+    // Move-outs, in buildMoveOutHalf()'s order.
+    QubitPlacementRequest qreq;
+    std::vector<int> partner(static_cast<std::size_t>(n), -1);
+    for (const StagedGate &g : next.gates) {
+        partner[static_cast<std::size_t>(g.q0)] = g.q1;
+        partner[static_cast<std::size_t>(g.q1)] = g.q0;
+    }
+    for (const StagedGate &g : cur.gates)
+        for (const int q : {g.q0, g.q1}) {
+            qreq.leaving.push_back(q);
+            const int p = partner[static_cast<std::size_t>(q)];
+            qreq.related.push_back(p >= 0 ? std::optional(st.posOf(p))
+                                          : std::nullopt);
+        }
+    std::vector<TrapRef> dests;
+    if (real_placers)
+        dests = placeQubitsInStorage(st, qreq);
+    std::vector<Movement> out;
+    for (std::size_t i = 0; i < qreq.leaving.size(); ++i) {
+        const int q = qreq.leaving[i];
+        TrapRef to;
+        if (real_placers)
+            to = dests[i];
+        else if (rng.nextBool())
+            to = nearestEmptyStorageTraps(st, st.posOf(q), 1).front();
+        else
+            to = emptyStorageTrap(st, rng);
+        out.push_back({q, st.trapOf(q), to});
+        if (!real_placers)
+            st.place(q, to);
+    }
+    if (real_placers)
+        for (const Movement &m : out)
+            st.place(m.qubit, m.to);
+
+    std::vector<int> sites;
+    if (real_placers) {
+        GatePlacementRequest greq;
+        greq.gates = &next.gates;
+        greq.pinned_site.assign(next.gates.size(), -1);
+        greq.lookahead.assign(next.gates.size(), std::nullopt);
+        sites = placeGates(st, greq);
+    } else {
+        for (std::size_t i = site_order.size(); i > 1; --i)
+            std::swap(site_order[i - 1], site_order[rng.nextBelow(i)]);
+        sites.assign(site_order.begin(),
+                     site_order.begin() +
+                         static_cast<std::ptrdiff_t>(next.gates.size()));
+    }
+    const std::vector<Movement> in = buildMoveIns(st, next, sites);
+    EXPECT_LE(floor, movesCost(arch, out, in)) << arch.name();
+}
+
+TEST(PlainVariantFloor, StorageBoxBoundsEveryStorageTrap)
+{
+    // floorBoxes() reads the box off each storage SLM's corner traps;
+    // it must equal the box of every storage trap, exactly.
+    for (const Architecture &arch :
+         {presets::referenceZoned(), scaledZoned(256), scaledZoned(40),
+          presets::multiZoneArch1(), presets::multiZoneArch2(),
+          test_archs::twoPitchStorage()}) {
+        const FloorBoxes boxes = floorBoxes(arch);
+        const Point first =
+            arch.trapPosition(arch.allStorageTraps().front());
+        Point lo = first, hi = first;
+        for (const TrapRef &t : arch.allStorageTraps()) {
+            const Point p = arch.trapPosition(t);
+            lo = {std::min(lo.x, p.x), std::min(lo.y, p.y)};
+            hi = {std::max(hi.x, p.x), std::max(hi.y, p.y)};
+        }
+        EXPECT_EQ(boxes.storage.lo, lo) << arch.name();
+        EXPECT_EQ(boxes.storage.hi, hi) << arch.name();
+    }
+}
+
+TEST(PlainVariantFloor, BeforeAnyMoveNeverExceedsTheFullCost)
+{
+    Rng rng(43);
+    for (const Architecture &arch :
+         {scaledZoned(256), scaledZoned(256, 2), scaledZoned(40),
+          presets::multiZoneArch2()}) {
+        const FloorBoxes boxes = floorBoxes(arch);
+        // multiZoneArch2's storage lies between its two zones, so the
+        // boxes overlap; the scaled architectures' do not.
+        if (arch.name() == presets::multiZoneArch2().name())
+            EXPECT_EQ(boxes.gap, 0.0);
+        else
+            EXPECT_GT(boxes.gap, 0.0) << arch.name();
+        for (int round = 0; round < 300; ++round)
+            preMoveFloorRound(arch, boxes, round % 2 == 0, rng);
+    }
+}
+
+TEST(PlainVariantFloor, SettlesBoundariesOnlyWithoutDirectReuse)
+{
+    // The floor before any move models the plain variant without
+    // direct reuse, so runDynamicPlacement() takes it only then.
+    const Architecture arch = presets::referenceZoned();
+    const StagedCircuit staged = scheduleStages(
+        preprocess(bench_circuits::paperBenchmark("ising_n42")),
+        arch.numSites());
+    const std::vector<TrapRef> initial =
+        trivialInitialPlacement(arch, staged.numQubits);
+    ZacOptions direct = ZacOptions::full();
+    direct.use_direct_reuse = true;
+    for (const bool use_direct : {false, true}) {
+        PlacementProfile profile;
+        const PlacementPlan plan = runDynamicPlacement(
+            arch, staged, initial,
+            use_direct ? direct : ZacOptions::full(), &profile);
+        EXPECT_LE(profile.settled_boundaries, plan.reuse_boundaries);
+        if (use_direct)
+            EXPECT_EQ(profile.settled_boundaries, 0);
+        else
+            EXPECT_GT(profile.settled_boundaries, 0);
+    }
 }
 
 // -------------------------------- dynamic placement vs golden digests
@@ -1148,18 +1267,20 @@ TEST(DynamicPlacementEquiv, MultiZonePlansMatchLegacy)
 }
 
 /**
- * A wide ising stage sends its qubits to the same storage edge, so the
- * local candidates violate Hall's condition and storage placement takes
- * the nearest-empty expansion (at n=256: 256 rows x ~2.7k traps). The
- * windowed solve over that graph must reproduce the golden plan, also
- * on nearly full storage, where every qubit's nearest set is every
- * empty trap (multiZoneArch1/2: 120 traps), and on two storage SLMs of
- * different pitch.
+ * When a boundary's leaving qubits find their local storage candidates
+ * taken, the candidates violate Hall's condition and storage placement
+ * takes the nearest-empty expansion (qftnn n=128 on scaledZoned(128):
+ * 216 expanded solves). The windowed solve over that graph must
+ * reproduce the golden plan, also on nearly full storage, where every
+ * qubit's nearest set is every empty trap (multiZoneArch1/2: 120
+ * traps), and on two storage SLMs of different pitch.
  */
 TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
 {
     ZacOptions opts;
     opts.sa_iterations = 300;
+    std::int64_t pruned = 0;
+    std::int64_t settled = 0;
     struct Case
     {
         std::string label;
@@ -1169,12 +1290,12 @@ TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
     };
     using scaling::Family;
     for (const Case &tc :
-         {Case{"scaled128/ising_n128", scaledZoned(128), Family::Ising,
+         {Case{"scaled128/qftnn_n128", scaledZoned(128), Family::QftNn,
                128},
-          Case{"scaled256/ising_n256", scaledZoned(256), Family::Ising,
+          Case{"scaled256/qaoa3r_n256", scaledZoned(256), Family::Qaoa,
                256},
-          Case{"arch1/ising_n116", presets::multiZoneArch1(),
-               Family::Ising, 116},
+          Case{"arch1/qftnn_n116", presets::multiZoneArch1(),
+               Family::QftNn, 116},
           Case{"arch2/qaoa3r_n116", presets::multiZoneArch2(),
                Family::Qaoa, 116},
           Case{"two_pitch/qaoa3r_n300", test_archs::twoPitchStorage(),
@@ -1201,12 +1322,18 @@ TEST(DynamicPlacementEquiv, ExpandedStoragePlansMatchLegacyAtScale)
             EXPECT_GT(profile.qubit_placer.expanded_solves, 0) << label;
             EXPECT_GT(profile.qubit_placer.window_growths, 0) << label;
             // The digests cover boundaries whose plain variant stopped
-            // early, each of which the reuse variant won.
-            EXPECT_GT(profile.pruned_variants, 0) << label;
-            EXPECT_LE(profile.pruned_variants, plan.reuse_boundaries)
-                << label;
+            // after its move-outs or never ran, each of which the reuse
+            // variant won.
+            const std::int64_t early =
+                profile.pruned_variants + profile.settled_boundaries;
+            EXPECT_GT(early, 0) << label;
+            EXPECT_LE(early, plan.reuse_boundaries) << label;
+            pruned += profile.pruned_variants;
+            settled += profile.settled_boundaries;
         }
     }
+    EXPECT_GT(pruned, 0);
+    EXPECT_GT(settled, 0);
 }
 
 /**

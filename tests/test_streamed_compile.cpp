@@ -142,7 +142,7 @@ TEST(StreamedCompile, ScratchReuseIsDeterministic)
     const ZacStreamedResult big =
         ZacCompiler(scaledZoned(256), ZacOptions::full())
             .compileStreamed(
-                scaling::generate(scaling::Family::Ising, 256, 1),
+                scaling::generate(scaling::Family::Qaoa, 256, 1),
                 CompileControl{}, &reused);
     EXPECT_GT(big.phases.placement.qubit_placer.expanded_solves, 0);
     EXPECT_GT(big.phases.placement.qubit_placer.window_growths, 0);
